@@ -30,6 +30,7 @@ import (
 	"pier/internal/metablocking"
 	"pier/internal/pool"
 	"pier/internal/profile"
+	"pier/internal/storage"
 	"pier/internal/stream"
 )
 
@@ -351,7 +352,7 @@ func BenchmarkShardedUpdateIndex(b *testing.B) {
 			workers := pool.New(4)
 			for i := 0; i < b.N; i++ {
 				s := core.NewIPCS(cfg)
-				col := blocking.NewCollectionSharded(d.CleanClean, stream.DefaultMaxBlockSize, nil, shards)
+				col := blocking.NewCollectionStorage(d.CleanClean, stream.DefaultMaxBlockSize, nil, shards, storage.Config{})
 				for _, inc := range incs {
 					col.AddBatch(inc, workers)
 					s.UpdateIndex(col, inc)

@@ -1,6 +1,8 @@
 package arch
 
 import (
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -110,21 +112,21 @@ var allowedImports = map[string][]string{
 		"pier/internal/storage",
 		"pier/internal/stream",
 	},
-	"pier/cmd/pierscale": {
-		"pier/internal/blocking",
-		"pier/internal/core",
-		"pier/internal/dataset",
-		"pier/internal/match",
-		"pier/internal/obsv",
-		"pier/internal/pool",
-		"pier/internal/profile",
-		"pier/internal/stream",
-	},
 	// examples are user-facing: the public API plus the dataset helpers.
 	"pier/examples/compare":      {"pier", "pier/internal/dataset"},
 	"pier/examples/construction": {"pier"},
 	"pier/examples/fincrime":     {"pier"},
 	"pier/examples/quickstart":   {"pier"},
+}
+
+// testOnly lists the package-level identifiers that exist for tests to
+// compare against — the executable specification of edge weighting — and that
+// no production code outside their package may call: the sweep Kernel is the
+// only production weigher, and a second caller of the reference would be a
+// second weighting path.
+var testOnly = []string{
+	"pier/internal/metablocking.Candidates",
+	"pier/internal/metablocking.SharedBlocks",
 }
 
 func moduleGraph(t *testing.T) map[string][]string {
@@ -252,5 +254,64 @@ func TestStoragePackageIsALeaf(t *testing.T) {
 		default:
 			t.Errorf("unexpected storage consumer %s; the seam's sanctioned owners are blocking, stream, check, pier, and pierrun", u)
 		}
+	}
+}
+
+// TestReferencesStayReferences is the test-only rule: no non-test file
+// outside the declaring package selects an identifier of the testOnly table,
+// and every entry still names a declared identifier (so the table cannot rot
+// into fiction either).
+func TestReferencesStayReferences(t *testing.T) {
+	root, err := ModuleRoot()
+	if err != nil {
+		t.Fatalf("locating module root: %v", err)
+	}
+	uses, missing, err := UsesOfTestOnly(root, testOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range uses {
+		t.Errorf("production code calls a test-only reference: %s\nUse the production implementation (metablocking.Kernel); the reference exists for tests to compare against.", u)
+	}
+	for _, m := range missing {
+		t.Errorf("stale test-only entry: %s is no longer declared; remove it", m)
+	}
+}
+
+// TestUsesOfTestOnlyFires proves the rule on a synthetic module: a production
+// selection is reported (under an import alias too), selections from test
+// files, from the declaring package, and of same-named methods are not, and an
+// entry naming an identifier that no longer exists comes back as missing.
+func TestUsesOfTestOnlyFires(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, src string) {
+		t.Helper()
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("internal/ref/ref.go", "package ref\nfunc Spec() int { return 1 }\nfunc wrap() int { return Spec() }\ntype K struct{}\nfunc (K) Spec() int { return 2 }\n")
+	write("internal/ok/ok.go", "package ok\nimport \"pier/internal/ref\"\nvar V = ref.K{}.Spec()\n")
+	write("internal/ok/ok_test.go", "package ok\nimport \"pier/internal/ref\"\nvar T = ref.Spec()\n")
+	write("internal/bad/bad.go", "package bad\nimport \"pier/internal/ref\"\nvar V = ref.Spec()\n")
+	write("internal/bad/alias.go", "package bad\nimport r \"pier/internal/ref\"\nvar W = r.Spec()\n")
+
+	uses, missing, err := UsesOfTestOnly(root, []string{"pier/internal/ref.Spec", "pier/internal/ref.Gone"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantUses := []string{
+		filepath.Join(root, "internal/bad/alias.go") + ": pier/internal/ref.Spec",
+		filepath.Join(root, "internal/bad/bad.go") + ": pier/internal/ref.Spec",
+	}
+	if strings.Join(uses, "\n") != strings.Join(wantUses, "\n") {
+		t.Errorf("uses = %q, want %q", uses, wantUses)
+	}
+	if len(missing) != 1 || missing[0] != "pier/internal/ref.Gone" {
+		t.Errorf("missing = %q, want the stale Gone entry only", missing)
 	}
 }

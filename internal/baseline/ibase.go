@@ -31,7 +31,7 @@ type IBase struct {
 	// Reusable per-profile generation scratch, mirroring the PIER strategies:
 	// UpdateIndex is single-writer per the Strategy contract, so the buffers
 	// are recycled across profiles and increments.
-	acc      metablocking.Accumulator
+	kern     metablocking.Kernel
 	blocks   []*blocking.Block
 	filtered []*blocking.Block
 	ghosted  []*blocking.Block
@@ -65,7 +65,7 @@ func (s *IBase) UpdateIndex(col *blocking.Collection, delta []*profile.Profile) 
 			s.ghosted = blocking.GhostAppend(s.ghosted[:0], blocks, s.cfg.Beta)
 			blocks = s.ghosted
 		}
-		cands := s.acc.Candidates(col, p, blocks, s.cfg.Scheme)
+		cands := s.kern.Candidates(col, p, blocks, s.cfg.Scheme)
 		cost += s.cfg.Costs.Generate(len(cands))
 		s.queue = append(s.queue, metablocking.IWNP(cands)...)
 	}

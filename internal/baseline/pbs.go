@@ -26,7 +26,7 @@ type PBS struct {
 	emission    []metablocking.Comparison
 	head        int
 	executed    map[uint64]struct{}
-	weigher     metablocking.Weigher
+	weigher     metablocking.Kernel
 	lastVersion uint64
 	initialized bool
 }

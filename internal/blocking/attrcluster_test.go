@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pier/internal/profile"
+	"pier/internal/storage"
 )
 
 // attrSample builds two-source profiles where A's "title"/"director" line up
@@ -106,7 +107,7 @@ func TestAttrClusterKeyerSeparatesCrossAttributeCollisions(t *testing.T) {
 func TestAttrClusterKeyerEndToEnd(t *testing.T) {
 	sample := attrSample()
 	c := NewAttrClusterer(sample, 0.2)
-	col := NewCollectionKeyed(true, 0, c.Keyer())
+	col := NewCollectionStorage(true, 0, c.Keyer(), 0, storage.Config{})
 	for _, p := range sample {
 		col.Add(p)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"pier/internal/pool"
 	"pier/internal/profile"
+	"pier/internal/storage"
 )
 
 // randomProfiles builds a deterministic pseudo-random stream with a small
@@ -78,7 +79,7 @@ func equalCollections(t *testing.T, want, got *Collection) {
 // mid-increment.
 func TestAddBatchMatchesSerial(t *testing.T) {
 	profiles := randomProfiles(300, 40, 7)
-	serial := NewCollectionSharded(true, 8, nil, 1)
+	serial := NewCollectionStorage(true, 8, nil, 1, storage.Config{})
 	for _, p := range profiles {
 		serial.Add(p)
 	}
@@ -88,7 +89,7 @@ func TestAddBatchMatchesSerial(t *testing.T) {
 	for _, shards := range []int{1, 2, 8, 64} {
 		for _, workers := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				c := NewCollectionSharded(true, 8, nil, shards)
+				c := NewCollectionStorage(true, 8, nil, shards, storage.Config{})
 				pl := pool.New(workers)
 				// Split the stream into uneven increments so batch boundaries
 				// don't align with anything.
@@ -113,12 +114,12 @@ func TestAddBatchMatchesSerial(t *testing.T) {
 // same indexed-token total as the serial Adds it replaces.
 func TestAddBatchTokenCount(t *testing.T) {
 	profiles := randomProfiles(64, 10, 3)
-	serial := NewCollectionSharded(false, 4, nil, 1)
+	serial := NewCollectionStorage(false, 4, nil, 1, storage.Config{})
 	want := 0
 	for _, p := range profiles {
 		want += serial.Add(p)
 	}
-	c := NewCollectionSharded(false, 4, nil, 8)
+	c := NewCollectionStorage(false, 4, nil, 8, storage.Config{})
 	if got := c.AddBatch(profiles, pool.New(4)); got != want {
 		t.Fatalf("AddBatch token count = %d, want %d", got, want)
 	}
@@ -128,7 +129,7 @@ func TestAddBatchTokenCount(t *testing.T) {
 // on the batch path.
 func TestAddBatchDuplicatePanics(t *testing.T) {
 	profiles := randomProfiles(8, 10, 1)
-	c := NewCollectionSharded(false, 0, nil, 4)
+	c := NewCollectionStorage(false, 0, nil, 4, storage.Config{})
 	c.AddBatch(profiles, pool.New(2))
 	defer func() {
 		if recover() == nil {

@@ -79,8 +79,9 @@ type shard struct {
 // AddBatch, or Remove (AddBatch's internal fan-out is the one exception, and
 // it synchronizes on the shard mutexes). The owner's own reads therefore stay
 // lock-free. Concurrent *readers* on other goroutines — the online query path
-// — must go through the Probe* accessors, which snapshot state under regMu
-// and the shard mutexes; see probe.go.
+// — never touch the live state: they pin the immutable snapshot the owner
+// last published (ProbeView, rcu.go) and resolve probe keys through the
+// concurrency-safe symbol table (ProbeSyms, probe.go).
 type Collection struct {
 	cleanClean   bool
 	maxBlockSize int // purge threshold; 0 disables purging
@@ -94,12 +95,8 @@ type Collection struct {
 	// select the budgeted disk-spill backend instead (see store.go).
 	store storage.PostingStore[*Block]
 
-	// regMu guards the profile registry (profiles, ofProf) against the
-	// Probe* readers. The owner takes the write lock around registry
-	// mutations and reads without locking (same goroutine as every writer);
-	// query goroutines take the read lock. Lock order: regMu before any
-	// shard mutex, never the reverse.
-	regMu    sync.RWMutex
+	// The profile registry is owner-only state, like every other read of the
+	// live index; query goroutines see it through published snapshots.
 	profiles map[int]*profile.Profile
 	ofProf   map[int][]intern.Sym // profile ID -> symbols of blocks it was added to
 
@@ -127,29 +124,21 @@ type Keyer func(*profile.Profile) []string
 // ER (cross-source comparisons only); maxBlockSize > 0 enables block purging:
 // any block growing beyond that many profiles is dropped entirely and stays
 // dropped (its token is too frequent to be discriminative).
+//
+// It is the default-everything constructor — token blocking, the default
+// shard count, the in-memory backend; NewCollectionStorage makes each of
+// those explicit.
 func NewCollection(cleanClean bool, maxBlockSize int) *Collection {
-	return NewCollectionSharded(cleanClean, maxBlockSize, nil, 0)
+	return NewCollectionStorage(cleanClean, maxBlockSize, nil, 0, storage.Config{})
 }
 
-// NewCollectionKeyed is NewCollection with a custom blocking-key extractor;
-// a nil keyer means token blocking.
-func NewCollectionKeyed(cleanClean bool, maxBlockSize int, keyer Keyer) *Collection {
-	return NewCollectionSharded(cleanClean, maxBlockSize, keyer, 0)
-}
-
-// NewCollectionSharded is NewCollectionKeyed with an explicit shard count.
-// shards is rounded up to a power of two and clamped to [1, 256]; shards <= 0
-// selects the default heuristic: the smallest power of two >= GOMAXPROCS,
-// capped at 64 (one ingest worker per shard saturates the CPUs; more shards
-// only buy finer purge-lock granularity). The shard count is an ingest
-// concurrency knob, never a semantic one: the collection's observable state
-// is identical for every value.
-func NewCollectionSharded(cleanClean bool, maxBlockSize int, keyer Keyer, shards int) *Collection {
-	return NewCollectionStorage(cleanClean, maxBlockSize, keyer, shards, storage.Config{})
-}
-
-// normalizeShards applies the shard-count heuristic documented on
-// NewCollectionSharded.
+// normalizeShards resolves a requested shard count: it is rounded up to a
+// power of two and clamped to [1, 256]; shards <= 0 selects the default
+// heuristic, the smallest power of two >= GOMAXPROCS, capped at 64 (one
+// ingest worker per shard saturates the CPUs; more shards only buy finer
+// purge-lock granularity). The shard count is an ingest concurrency knob,
+// never a semantic one: the collection's observable state is identical for
+// every value.
 func normalizeShards(shards int) int {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -197,7 +186,10 @@ func (c *Collection) addSym(sh *shard, p *profile.Profile, sym intern.Sym) bool 
 	if !ok {
 		b = &Block{Key: c.tab.StringOf(sym), Sym: sym}
 	}
-	if p.Source == profile.SourceB {
+	// The A/B split only means something for Clean-Clean ER; Dirty ER files
+	// every profile under A, whatever its Source, so the block scans that
+	// enumerate a Dirty block's pairs from A alone see all of them.
+	if c.cleanClean && p.Source == profile.SourceB {
 		b.B = append(b.B, p.ID)
 	} else {
 		b.A = append(b.A, p.ID)
@@ -226,9 +218,7 @@ func (c *Collection) Add(p *profile.Profile) int {
 	if _, dup := c.profiles[p.ID]; dup {
 		panic(fmt.Sprintf("blocking: duplicate profile ID %d", p.ID))
 	}
-	c.regMu.Lock()
 	c.profiles[p.ID] = p
-	c.regMu.Unlock()
 	c.version++
 	toks := c.keyer(p)
 	syms := make([]intern.Sym, 0, len(toks))
@@ -242,9 +232,7 @@ func (c *Collection) Add(p *profile.Profile) int {
 			syms = append(syms, sym)
 		}
 	}
-	c.regMu.Lock()
 	c.ofProf[p.ID] = syms
-	c.regMu.Unlock()
 	if c.snapOn {
 		c.dirtyReg = append(c.dirtyReg, p.ID)
 	}
@@ -259,9 +247,7 @@ func (c *Collection) addPrepared(p *profile.Profile, syms []intern.Sym) int {
 	if _, dup := c.profiles[p.ID]; dup {
 		panic(fmt.Sprintf("blocking: duplicate profile ID %d", p.ID))
 	}
-	c.regMu.Lock()
 	c.profiles[p.ID] = p
-	c.regMu.Unlock()
 	c.version++
 	kept := make([]intern.Sym, 0, len(syms))
 	for _, sym := range syms {
@@ -273,9 +259,7 @@ func (c *Collection) addPrepared(p *profile.Profile, syms []intern.Sym) int {
 			kept = append(kept, sym)
 		}
 	}
-	c.regMu.Lock()
 	c.ofProf[p.ID] = kept
-	c.regMu.Unlock()
 	if c.snapOn {
 		c.dirtyReg = append(c.dirtyReg, p.ID)
 	}
@@ -346,10 +330,8 @@ func (c *Collection) AddBatchPrepared(delta []*profile.Profile, symsOf [][]inter
 		_, keptOf = c.batchScratch(len(delta))
 	}
 	total := 0
-	c.regMu.Lock()
 	for i, p := range delta {
 		if _, dup := c.profiles[p.ID]; dup {
-			c.regMu.Unlock()
 			panic(fmt.Sprintf("blocking: duplicate profile ID %d", p.ID))
 		}
 		c.profiles[p.ID] = p
@@ -359,7 +341,6 @@ func (c *Collection) AddBatchPrepared(delta []*profile.Profile, symsOf [][]inter
 		}
 		keptOf[i] = keptOf[i][:len(symsOf[i])]
 	}
-	c.regMu.Unlock()
 	c.version += uint64(len(delta))
 	workers.ForEach(len(c.shards), func(si int) {
 		sh := &c.shards[si]
@@ -379,7 +360,6 @@ func (c *Collection) AddBatchPrepared(delta []*profile.Profile, symsOf [][]inter
 			}
 		}
 	})
-	c.regMu.Lock()
 	for i, p := range delta {
 		syms := symsOf[i]
 		kept := make([]intern.Sym, 0, len(syms))
@@ -393,7 +373,6 @@ func (c *Collection) AddBatchPrepared(delta []*profile.Profile, symsOf [][]inter
 			c.dirtyReg = append(c.dirtyReg, p.ID)
 		}
 	}
-	c.regMu.Unlock()
 	c.maintainStore()
 	return total
 }
@@ -450,10 +429,8 @@ func (c *Collection) Remove(id int) {
 		}
 		sh.mu.Unlock()
 	}
-	c.regMu.Lock()
 	delete(c.ofProf, id)
 	delete(c.profiles, id)
-	c.regMu.Unlock()
 	if c.snapOn {
 		c.dirtyReg = append(c.dirtyReg, id)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pier/internal/profile"
+	"pier/internal/storage"
 )
 
 func mk(id int, src profile.Source, val string) *profile.Profile {
@@ -326,7 +327,7 @@ func TestFilterTopRKeepsSmallestAlways(t *testing.T) {
 
 func TestKeyedCollection(t *testing.T) {
 	// With q-gram keys, typo'd tokens still share blocks.
-	c := NewCollectionKeyed(true, 0, profile.QGramKeys)
+	c := NewCollectionStorage(true, 0, profile.QGramKeys, 0, storage.Config{})
 	c.Add(mk(1, profile.SourceA, "wachowski"))
 	c.Add(mk(2, profile.SourceB, "wachowsky"))
 	shared := 0

@@ -120,20 +120,14 @@ func (c *Collection) Save(w io.Writer) error {
 // used (nil = token blocking); it is needed for profiles added *after* the
 // restore — the restored blocks themselves are taken verbatim.
 func Load(r io.Reader, keyer Keyer) (*Collection, error) {
-	return LoadSharded(r, keyer, 0)
+	return LoadShardedStorage(r, keyer, 0, storage.Config{})
 }
 
-// LoadSharded is Load with an explicit shard count (see NewCollectionSharded;
-// the shard count is an ingest-concurrency knob, not persisted state, so any
-// value restores the same observable collection).
-func LoadSharded(r io.Reader, keyer Keyer, shards int) (*Collection, error) {
-	return LoadShardedStorage(r, keyer, shards, storage.Config{})
-}
-
-// LoadShardedStorage is LoadSharded with an explicit storage backend. Like
-// the shard count, the backend is a runtime knob, not persisted state: a
-// checkpoint written under either backend restores under either backend. The
-// restored index is trimmed to the budget before returning.
+// LoadShardedStorage is Load with an explicit shard count and storage backend
+// (see NewCollectionStorage). Both are runtime knobs, not persisted state: a
+// checkpoint restores to the same observable collection under any shard count
+// and either backend. The restored index is trimmed to the budget before
+// returning.
 func LoadShardedStorage(r io.Reader, keyer Keyer, shards int, scfg storage.Config) (*Collection, error) {
 	var img persistedCollection
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pier/internal/profile"
+	"pier/internal/storage"
 )
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -79,7 +80,7 @@ func TestCheckpointContinuesIncrementally(t *testing.T) {
 }
 
 func TestCheckpointKeyedCollection(t *testing.T) {
-	c := NewCollectionKeyed(false, 0, profile.QGramKeys)
+	c := NewCollectionStorage(false, 0, profile.QGramKeys, 0, storage.Config{})
 	c.Add(mk(1, profile.SourceA, "wachowski"))
 	var buf bytes.Buffer
 	if err := c.Save(&buf); err != nil {

@@ -5,36 +5,33 @@ import (
 	"pier/internal/profile"
 )
 
-// This file is the locked concurrent read path of the collection: the Probe*
-// accessors serve reads from arbitrary goroutines while the owner goroutine
-// keeps ingesting, returning point-in-time copies taken under regMu
-// (registry) and the shard mutexes (posting lists). Collections that publish
-// snapshots (rcu.go) give query goroutines a faster, lock-free Reader via
-// ProbeView; the Probe* accessors remain the always-valid fallback and the
-// contention baseline. The owner's own accessors (BlocksOf, Profile, ...)
-// remain lock-free and owner-only.
+// This file is the probe side of the query read path: the posting type a
+// published snapshot (rcu.go) hands to query goroutines, and the key lookup
+// that turns a probe profile into symbols. Neither touches the collection's
+// live state, so both are safe while the owner goroutine keeps ingesting; the
+// owner's own accessors (BlocksOf, Profile, ...) remain owner-only.
 //
 // Probe lookups never intern: a probe's tokens are resolved with the symbol
 // table's read-only lookup, so a stream of junk probes cannot grow the
 // symbol table or touch the shards' write state at all.
 
-// Posting is an immutable point-in-time image of one live block: a copy when
-// produced by the locked accessors, a frozen-length view of the live arrays
-// when produced by a published snapshot. Either way it is safe to read
-// without synchronization and must never be modified.
+// Posting is an immutable point-in-time image of one live block: a
+// frozen-length view of the live arrays, taken when a snapshot is published
+// (or the decoded image of a spilled block). It is safe to read without
+// synchronization and must never be modified.
 type Posting struct {
 	// Sym is the block's interned symbol.
 	Sym intern.Sym
 	// Key is the blocking key (token) that defines the block.
 	Key string
-	// A and B are copies of the per-source member ID lists.
+	// A and B are the per-source member ID lists.
 	A, B []int
 }
 
-// Size returns the number of profiles in the posting copy.
+// Size returns the number of profiles in the posting.
 func (p *Posting) Size() int { return len(p.A) + len(p.B) }
 
-// Comparisons returns ||b|| of the copied block, mirroring Block.Comparisons.
+// Comparisons returns ||b|| of the posting, mirroring Block.Comparisons.
 func (p *Posting) Comparisons(cleanClean bool) int {
 	if cleanClean {
 		return len(p.A) * len(p.B)
@@ -55,70 +52,4 @@ func (c *Collection) ProbeSyms(p *profile.Profile) []intern.Sym {
 		}
 	}
 	return syms
-}
-
-// ProbePostings copies the live blocks of the given symbols, skipping
-// symbols whose blocks are missing or purged. Each shard is locked only for
-// the duration of its own copies. Safe for concurrent use with ingest.
-func (c *Collection) ProbePostings(syms []intern.Sym) []Posting {
-	out := make([]Posting, 0, len(syms))
-	for _, sym := range syms {
-		sh := c.shardOf(sym)
-		sh.mu.Lock()
-		b, ok := c.getBlock(sym)
-		if ok {
-			out = append(out, Posting{
-				Sym: sym,
-				Key: b.Key,
-				A:   append([]int(nil), b.A...),
-				B:   append([]int(nil), b.B...),
-			})
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// ProbeProfile returns the registered profile with the given ID, or nil if
-// it is unknown or was evicted. Safe for concurrent use with ingest. The
-// returned profile itself is immutable after registration (its lazy token
-// cache is sync.Once-guarded), so reading it without further locking is
-// fine.
-func (c *Collection) ProbeProfile(id int) *profile.Profile {
-	c.regMu.RLock()
-	p := c.profiles[id]
-	c.regMu.RUnlock()
-	return p
-}
-
-// ProbeNumBlocks counts the live blocks under the shard locks — the |B|
-// total of meta-blocking schemes, readable during ingest.
-func (c *Collection) ProbeNumBlocks() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += c.store.Len(i)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// ProbeNumBlocksOf is NumBlocksOf for query goroutines: the number of live
-// blocks containing profile id, read under regMu and the shard locks. It is
-// the |B(p)| term of meta-blocking weighting schemes.
-func (c *Collection) ProbeNumBlocksOf(id int) int {
-	c.regMu.RLock()
-	syms := append([]intern.Sym(nil), c.ofProf[id]...)
-	c.regMu.RUnlock()
-	n := 0
-	for _, sym := range syms {
-		sh := c.shardOf(sym)
-		sh.mu.Lock()
-		if c.hasBlock(sym) {
-			n++
-		}
-		sh.mu.Unlock()
-	}
-	return n
 }

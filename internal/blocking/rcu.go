@@ -104,28 +104,11 @@ func (f *frozenShard) posting(sym intern.Sym) *Posting {
 	return f.posts[sym]
 }
 
-// Reader is the query-side read interface of a collection: everything
-// Live.Query needs to weigh and resolve candidates against one consistent
-// view. Two implementations exist: *Snap (the published lock-free view) and
-// the locked per-call reader (pre-publication behavior, also the measured
-// baseline of cmd/pierscale).
-type Reader interface {
-	// AppendPostings appends the live postings of the given symbols to buf,
-	// skipping symbols with no live block, and returns the extended slice.
-	AppendPostings(buf []*Posting, syms []intern.Sym) []*Posting
-	// NumBlocks returns the number of live blocks (the |B| term of ECBS).
-	NumBlocks() int
-	// NumBlocksOf returns the number of live blocks containing profile id
-	// (the |B(p)| term of meta-blocking schemes); 0 for unknown IDs.
-	NumBlocksOf(id int) int
-	// Profile returns the registered profile with the given ID, or nil.
-	Profile(id int) *profile.Profile
-}
-
 // Version returns the collection version this snapshot was published at.
 func (s *Snap) Version() uint64 { return s.version }
 
-// NumBlocks returns the number of live blocks in the snapshot.
+// NumBlocks returns the number of live blocks in the snapshot (the |B| term
+// of ECBS).
 func (s *Snap) NumBlocks() int { return s.numBlocks }
 
 // rawPostingOf returns the chunk slot of sym verbatim — possibly the
@@ -153,9 +136,10 @@ func (s *Snap) PostingOf(sym intern.Sym) *Posting {
 	return p
 }
 
-// AppendPostings implements Reader over the published chunks: no locks, no
-// copies — the returned postings are immutable views shared with the
-// snapshot.
+// AppendPostings appends the live postings of the given symbols to buf,
+// skipping symbols with no live block, and returns the extended slice: no
+// locks, no copies — the returned postings are immutable views shared with
+// the snapshot.
 func (s *Snap) AppendPostings(buf []*Posting, syms []intern.Sym) []*Posting {
 	for _, sym := range syms {
 		if p := s.PostingOf(sym); p != nil {
@@ -177,10 +161,11 @@ func (s *Snap) regOf(id int) regEntry {
 	return s.xreg[id]
 }
 
-// Profile implements Reader from the published registry.
+// Profile returns the registered profile with the given ID, or nil.
 func (s *Snap) Profile(id int) *profile.Profile { return s.regOf(id).p }
 
-// NumBlocksOf implements Reader: live blocks containing id, counted against
+// NumBlocksOf returns the number of live blocks containing profile id (the
+// |B(p)| term of meta-blocking schemes; 0 for unknown IDs), counted against
 // this snapshot's posting view (a block purged before publication counts as
 // dead for every profile listing it, mirroring the owner's NumBlocksOf). A
 // spilled-shard marker counts as live without materializing the segment —
@@ -195,50 +180,20 @@ func (s *Snap) NumBlocksOf(id int) int {
 	return n
 }
 
-// lockedReader is the pre-publication read path: every call copies under
-// regMu and the shard mutexes. It serves collections that never published a
-// snapshot and is the contention baseline cmd/pierscale measures the
-// lock-free path against.
-type lockedReader struct{ c *Collection }
+// emptySnap is the view of a collection that has never published: the zero
+// Snap reads as an empty index (every accessor bounds-checks its chunk tables).
+var emptySnap = new(Snap)
 
-func (r lockedReader) AppendPostings(buf []*Posting, syms []intern.Sym) []*Posting {
-	for _, sym := range syms {
-		sh := r.c.shardOf(sym)
-		sh.mu.Lock()
-		if b, ok := r.c.getBlock(sym); ok {
-			buf = append(buf, &Posting{
-				Sym: sym,
-				Key: b.Key,
-				A:   append([]int(nil), b.A...),
-				B:   append([]int(nil), b.B...),
-			})
-		}
-		sh.mu.Unlock()
-	}
-	return buf
-}
-
-func (r lockedReader) NumBlocks() int                  { return r.c.ProbeNumBlocks() }
-func (r lockedReader) NumBlocksOf(id int) int          { return r.c.ProbeNumBlocksOf(id) }
-func (r lockedReader) Profile(id int) *profile.Profile { return r.c.ProbeProfile(id) }
-
-// LockedReader returns the mutex-guarded per-call Reader. It is always valid,
-// published snapshot or not.
-func (c *Collection) LockedReader() Reader { return lockedReader{c} }
-
-// PublishedSnap returns the most recently published snapshot, or nil if the
-// collection has never published one. Safe from any goroutine.
-func (c *Collection) PublishedSnap() *Snap { return c.snap.Load() }
-
-// ProbeView returns the best available Reader for a query goroutine: the
-// published lock-free snapshot when one exists, the locked per-call reader
-// otherwise. Callers pin the returned Reader for their whole query so every
-// lookup — postings, weights, profiles — observes one consistent version.
-func (c *Collection) ProbeView() Reader {
+// ProbeView returns the read view for a query goroutine: the most recently
+// published snapshot, or an empty one if the collection has never published.
+// Callers pin the returned Snap for their whole query so every lookup —
+// postings, weights, profiles — observes one consistent version. Safe from
+// any goroutine.
+func (c *Collection) ProbeView() *Snap {
 	if s := c.snap.Load(); s != nil {
 		return s
 	}
-	return lockedReader{c}
+	return emptySnap
 }
 
 // PublishSnapshot builds and atomically publishes an immutable snapshot of
@@ -491,8 +446,8 @@ func (c *Collection) finishSnapSpill(s *Snap) {
 	for _, si := range newly {
 		fz := c.store.Frozen(si)
 		if fz == nil {
-			// The shard faulted back in between eviction and now (a locked
-			// probe can do that): serve direct views of the resident blocks.
+			// The shard is resident again by the time its segment is asked
+			// for: serve direct views of the resident blocks.
 			c.store.Range(si, func(key uint32, b *Block) bool {
 				set(intern.Sym(key), freezePosting(intern.Sym(key), b))
 				return true

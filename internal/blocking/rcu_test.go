@@ -9,6 +9,7 @@ import (
 	"pier/internal/intern"
 	"pier/internal/pool"
 	"pier/internal/profile"
+	"pier/internal/storage"
 )
 
 // randomIncrement builds n profiles drawing tokens from a small zipf-ish
@@ -31,63 +32,60 @@ func randomIncrement(rng *rand.Rand, firstID, n int) []*profile.Profile {
 	return out
 }
 
-// assertSnapEqualsLocked cross-checks the published snapshot against the
-// locked reader over every symbol ever interned and every ID in ids.
-func assertSnapEqualsLocked(t *testing.T, c *Collection, ids []int) {
+// assertSnapEqualsOwner cross-checks the published snapshot against the
+// owner's own accessors over every symbol ever interned and every ID in ids.
+// Only valid at a quiescent point, right after a publish.
+func assertSnapEqualsOwner(t *testing.T, c *Collection, ids []int) {
 	t.Helper()
-	s := c.PublishedSnap()
-	if s == nil {
-		t.Fatal("no published snapshot")
-	}
-	locked := c.LockedReader()
-	if got, want := s.NumBlocks(), locked.NumBlocks(); got != want {
-		t.Fatalf("snapshot NumBlocks = %d, locked = %d", got, want)
+	s := c.ProbeView()
+	if got, want := s.NumBlocks(), c.NumBlocks(); got != want {
+		t.Fatalf("snapshot NumBlocks = %d, owner = %d", got, want)
 	}
 	if got, want := s.Version(), c.Version(); got != want {
 		t.Fatalf("snapshot Version = %d, collection = %d", got, want)
 	}
 	for sym := intern.Sym(0); int(sym) < c.Interner().Len(); sym++ {
-		want := locked.AppendPostings(nil, []intern.Sym{sym})
+		w := c.BlockBySym(sym)
 		got := s.AppendPostings(nil, []intern.Sym{sym})
-		if len(got) != len(want) {
-			t.Fatalf("sym %d (%q): snapshot has %d postings, locked %d",
-				sym, c.Interner().StringOf(sym), len(got), len(want))
+		if (len(got) == 1) != (w != nil) {
+			t.Fatalf("sym %d (%q): snapshot has %d postings, owner block %v",
+				sym, c.Interner().StringOf(sym), len(got), w)
 		}
-		if len(got) == 0 {
+		if w == nil {
 			continue
 		}
-		g, w := got[0], want[0]
+		g := got[0]
 		if g.Key != w.Key || len(g.A) != len(w.A) || len(g.B) != len(w.B) {
-			t.Fatalf("sym %d: snapshot posting %q A=%d B=%d, locked %q A=%d B=%d",
+			t.Fatalf("sym %d: snapshot posting %q A=%d B=%d, owner %q A=%d B=%d",
 				sym, g.Key, len(g.A), len(g.B), w.Key, len(w.A), len(w.B))
 		}
 		for i := range g.A {
 			if g.A[i] != w.A[i] {
-				t.Fatalf("sym %d: A[%d] = %d, locked %d", sym, i, g.A[i], w.A[i])
+				t.Fatalf("sym %d: A[%d] = %d, owner %d", sym, i, g.A[i], w.A[i])
 			}
 		}
 		for i := range g.B {
 			if g.B[i] != w.B[i] {
-				t.Fatalf("sym %d: B[%d] = %d, locked %d", sym, i, g.B[i], w.B[i])
+				t.Fatalf("sym %d: B[%d] = %d, owner %d", sym, i, g.B[i], w.B[i])
 			}
 		}
 	}
 	for _, id := range ids {
-		if got, want := s.Profile(id), locked.Profile(id); got != want {
-			t.Fatalf("profile %d: snapshot %v, locked %v", id, got, want)
+		if got, want := s.Profile(id), c.Profile(id); got != want {
+			t.Fatalf("profile %d: snapshot %v, owner %v", id, got, want)
 		}
-		if got, want := s.NumBlocksOf(id), locked.NumBlocksOf(id); got != want {
-			t.Fatalf("NumBlocksOf(%d): snapshot %d, locked %d", id, got, want)
+		if got, want := s.NumBlocksOf(id), c.NumBlocksOf(id); got != want {
+			t.Fatalf("NumBlocksOf(%d): snapshot %d, owner %d", id, got, want)
 		}
 	}
 }
 
-// TestSnapshotMatchesLockedReader drives a mixed Add/AddBatch/Remove/purge
-// workload and asserts after every publish that the lock-free view is
-// indistinguishable from the locked one.
-func TestSnapshotMatchesLockedReader(t *testing.T) {
+// TestSnapshotMatchesOwner drives a mixed Add/AddBatch/Remove/purge workload
+// and asserts after every publish that the lock-free view is indistinguishable
+// from what the owner's own accessors read.
+func TestSnapshotMatchesOwner(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	c := NewCollectionSharded(false, 6, nil, 4)
+	c := NewCollectionStorage(false, 6, nil, 4, storage.Config{})
 	workers := pool.New(4)
 	c.PublishSnapshot() // empty snapshot; enables tracking
 	var ids []int
@@ -111,7 +109,24 @@ func TestSnapshotMatchesLockedReader(t *testing.T) {
 			ids = ids[1:]
 		}
 		c.PublishSnapshot()
-		assertSnapEqualsLocked(t, c, ids)
+		assertSnapEqualsOwner(t, c, ids)
+	}
+}
+
+// TestProbeViewBeforePublish pins the pre-publication contract: a collection
+// that never published reads as an empty index through ProbeView, and asking
+// for the view does not switch it into snapshot tracking.
+func TestProbeViewBeforePublish(t *testing.T) {
+	c := NewCollection(false, 0)
+	c.Add(mk(0, profile.SourceA, "alpha beta"))
+	s := c.ProbeView()
+	sym, _ := c.Interner().Sym("alpha")
+	if s.NumBlocks() != 0 || s.Profile(0) != nil || s.NumBlocksOf(0) != 0 ||
+		len(s.AppendPostings(nil, []intern.Sym{sym})) != 0 {
+		t.Fatalf("unpublished collection reads non-empty through ProbeView: %+v", s)
+	}
+	if c.snapOn {
+		t.Fatal("ProbeView switched the collection into snapshot tracking")
 	}
 }
 
@@ -120,11 +135,11 @@ func TestSnapshotMatchesLockedReader(t *testing.T) {
 // the frozen-window guarantee behind the no-torn-read contract.
 func TestSnapshotImmutable(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	c := NewCollectionSharded(false, 0, nil, 4)
+	c := NewCollectionStorage(false, 0, nil, 4, storage.Config{})
 	inc := randomIncrement(rng, 0, 50)
 	c.AddBatch(inc, pool.New(2))
 	c.PublishSnapshot()
-	pinned := c.PublishedSnap()
+	pinned := c.ProbeView()
 
 	type frozen struct {
 		a, b []int
@@ -168,7 +183,7 @@ func TestSnapshotImmutable(t *testing.T) {
 		}
 	}
 	// The new snapshot, by contrast, must reflect the removals.
-	if cur := c.PublishedSnap(); cur.Profile(0) != nil {
+	if cur := c.ProbeView(); cur.Profile(0) != nil {
 		t.Fatal("current snapshot still registers removed profile 0")
 	}
 }
@@ -186,16 +201,16 @@ func TestSnapshotPurgeVisible(t *testing.T) {
 	if !ok {
 		t.Fatal("token not interned")
 	}
-	snap1 := c.PublishedSnap()
+	snap1 := c.ProbeView()
 	if p := snap1.PostingOf(sym); p == nil || len(p.A) != 3 {
 		t.Fatalf("pre-purge snapshot: posting = %+v, want 3 members", p)
 	}
 	c.Add(mk(3, profile.SourceA, "hot")) // overflows: block purged
 	c.PublishSnapshot()
-	if p := c.PublishedSnap().PostingOf(sym); p != nil {
+	if p := c.ProbeView().PostingOf(sym); p != nil {
 		t.Fatalf("post-purge snapshot still has posting %+v", p)
 	}
-	if got := c.PublishedSnap().NumBlocksOf(0); got != 0 {
+	if got := c.ProbeView().NumBlocksOf(0); got != 0 {
 		t.Fatalf("NumBlocksOf(0) = %d after its only block purged", got)
 	}
 	// The pinned pre-purge view is untouched.
@@ -210,7 +225,7 @@ func TestSnapshotPurgeVisible(t *testing.T) {
 // publishing. Any write into a frozen window is a race report.
 func TestSnapshotConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	c := NewCollectionSharded(false, 8, nil, 4)
+	c := NewCollectionStorage(false, 8, nil, 4, storage.Config{})
 	workers := pool.New(4)
 	c.AddBatch(randomIncrement(rng, 0, 40), workers)
 	c.PublishSnapshot()
@@ -227,7 +242,7 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				s := c.PublishedSnap()
+				s := c.ProbeView()
 				sum := 0
 				for sym := intern.Sym(0); int(sym) < 64; sym++ {
 					if p := s.PostingOf(sym); p != nil {

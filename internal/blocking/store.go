@@ -84,14 +84,15 @@ func (bc blockCodec) Size(m storage.Meta) int {
 	return blockResidentBytes + blockMemberBytes*m.Size()
 }
 
-// NewCollectionStorage is NewCollectionSharded with an explicit storage
-// backend selection. A zero config keeps the unbounded in-memory index
-// (exactly NewCollectionSharded); a positive Budget bounds the resident bytes
-// of the posting index, spilling cold shards to temp files under Dir. The
-// backend is a residency knob, never a semantic one: the observable
-// collection state is identical for every config (check.ShardedBatteryStorage
-// pins this). Collections with a spill backend should be Closed when
-// discarded so their temp files are removed promptly.
+// NewCollectionStorage is NewCollection with everything explicit: a custom
+// blocking-key extractor (nil means token blocking), the shard count (see
+// normalizeShards; <= 0 selects the default), and the storage backend. A zero
+// config keeps the unbounded in-memory index; a positive Budget bounds the
+// resident bytes of the posting index, spilling cold shards to temp files
+// under Dir. Like the shard count, the backend is a residency knob, never a
+// semantic one: the observable collection state is identical for every config
+// (check.ShardedBatteryStorage pins this). Collections with a spill backend
+// should be Closed when discarded so their temp files are removed promptly.
 func NewCollectionStorage(cleanClean bool, maxBlockSize int, keyer Keyer, shards int, scfg storage.Config) *Collection {
 	if keyer == nil {
 		keyer = func(p *profile.Profile) []string { return p.Tokens() }

@@ -89,7 +89,7 @@ func DrainedRun(s core.Strategy, incs [][]*profile.Profile, cfg stream.Config) (
 // purging disabled — the strategy-independent final blocking state every
 // drained run converges to.
 func FinalCollection(cleanClean bool, incs [][]*profile.Profile) *blocking.Collection {
-	col := blocking.NewCollectionKeyed(cleanClean, 0, nil)
+	col := blocking.NewCollection(cleanClean, 0)
 	for _, inc := range incs {
 		for _, p := range inc {
 			col.Add(p)
@@ -140,7 +140,7 @@ type Trace struct {
 // returns the exact emission sequence. Unlike DrainedRun it bypasses the
 // simulator, isolating the strategy's own routing from driver behavior.
 func IngestTrace(s core.Strategy, cleanClean bool, incs [][]*profile.Profile) []Trace {
-	col := blocking.NewCollectionKeyed(cleanClean, 0, nil)
+	col := blocking.NewCollection(cleanClean, 0)
 	for _, inc := range incs {
 		for _, p := range inc {
 			col.Add(p)

@@ -22,7 +22,7 @@ var kernelSchemes = []metablocking.Scheme{
 
 // TestKernelMatchesReferenceOnShardedCollections sweeps every profile of
 // batch-built sharded collections through both the kernel and the map-based
-// Accumulator for all four weighting schemes: the candidate lists must be
+// reference for all four weighting schemes: the candidate lists must be
 // bit-identical (same partners, same float weight bits, same order) no matter
 // how the index underneath was constructed.
 func TestKernelMatchesReferenceOnShardedCollections(t *testing.T) {
@@ -33,14 +33,13 @@ func TestKernelMatchesReferenceOnShardedCollections(t *testing.T) {
 			incs := ds.Increments(5)
 			for _, shards := range []int{1, 4} {
 				col := ShardedFinalCollection(ds.CleanClean, incs, shards, 4)
-				var ref metablocking.Accumulator
 				var kern metablocking.Kernel
 				var blocks []*blocking.Block
 				for _, id := range col.ProfileIDs() {
 					p := col.Profile(id)
 					blocks = col.AppendBlocksOf(id, blocks[:0])
 					for _, scheme := range kernelSchemes {
-						want := ref.Candidates(col, p, blocks, scheme)
+						want := metablocking.Candidates(col, p, blocks, scheme)
 						got := kern.Candidates(col, p, blocks, scheme)
 						if len(want) != len(got) {
 							t.Fatalf("shards=%d scheme=%s profile=%d: reference emitted %d candidates, kernel %d",

@@ -54,7 +54,7 @@ func RoundTrip(mk func() core.Strategy, cleanClean bool, incs [][]*profile.Profi
 	if cut < 1 || cut >= len(incs) {
 		return fmt.Errorf("check: RoundTrip cut %d outside (0, %d)", cut, len(incs))
 	}
-	col := blocking.NewCollectionKeyed(cleanClean, 0, nil)
+	col := blocking.NewCollection(cleanClean, 0)
 	s := mk()
 	name := s.Name()
 	p, ok := s.(core.Persistent)

@@ -12,7 +12,7 @@ import (
 )
 
 // This file holds the sharded-ingest differential oracles: the sharded,
-// parallel batch-ingest path of the blocking index (NewCollectionSharded +
+// parallel batch-ingest path of the blocking index (NewCollectionStorage +
 // AddBatch) must be observationally identical to serial Add — same blocks,
 // same member order, same tombstones, same strategy drain sequences — for
 // every shard and worker count. Shard count is a concurrency knob, never a

@@ -7,6 +7,7 @@ import (
 	"pier/internal/blocking"
 	"pier/internal/core"
 	"pier/internal/profile"
+	"pier/internal/storage"
 )
 
 // TestShardedBattery is the sharded-ingest acceptance matrix: for every
@@ -46,12 +47,12 @@ func shardedProfiles(n int) []*profile.Profile {
 // be reported — an equivalence check that cannot fire verifies nothing.
 func TestDiffCollectionsFires(t *testing.T) {
 	profiles := shardedProfiles(6)
-	serial := blocking.NewCollectionKeyed(false, 0, nil)
+	serial := blocking.NewCollection(false, 0)
 	for _, p := range profiles {
 		serial.Add(p)
 	}
 
-	short := blocking.NewCollectionSharded(false, 0, nil, 4)
+	short := blocking.NewCollectionStorage(false, 0, nil, 4, storage.Config{})
 	for _, p := range profiles[:5] {
 		short.Add(p)
 	}
@@ -61,7 +62,7 @@ func TestDiffCollectionsFires(t *testing.T) {
 		t.Fatalf("missing-profile error %q does not name the profile count", err)
 	}
 
-	skewed := blocking.NewCollectionSharded(false, 0, nil, 4)
+	skewed := blocking.NewCollectionStorage(false, 0, nil, 4, storage.Config{})
 	for _, p := range profiles[:5] {
 		skewed.Add(p)
 	}

@@ -54,10 +54,9 @@ func genWorld(seed int64, cleanClean bool, n, incSize int) (*blocking.Collection
 
 // referenceCandidates replays generator.perProfile for a whole increment
 // through the public reference pieces — FilterTopRAppend, GhostAppend, the
-// map-based Accumulator, I-WNP — in serial profile order. This is lines 1–9
+// map-based reference Candidates, I-WNP — in serial profile order. This is lines 1–9
 // of Algorithm 2 with every kernel-specific part swapped out.
 func referenceCandidates(cfg Config, col *blocking.Collection, delta []*profile.Profile) []metablocking.Comparison {
-	var ref metablocking.Accumulator
 	var out []metablocking.Comparison
 	for _, p := range delta {
 		blocks := col.BlocksOf(p.ID)
@@ -67,7 +66,7 @@ func referenceCandidates(cfg Config, col *blocking.Collection, delta []*profile.
 		if cfg.Beta > 0 && len(blocks) > 0 {
 			blocks = blocking.GhostAppend(nil, blocks, cfg.Beta)
 		}
-		out = append(out, metablocking.IWNP(ref.Candidates(col, p, blocks, cfg.Scheme))...)
+		out = append(out, metablocking.IWNP(metablocking.Candidates(col, p, blocks, cfg.Scheme))...)
 	}
 	return out
 }

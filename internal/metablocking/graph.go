@@ -15,7 +15,7 @@ import (
 // weight, ties by pair key).
 func Edges(col *blocking.Collection, ids []int, scheme Scheme) []Comparison {
 	var out []Comparison
-	var g Accumulator
+	var g Kernel
 	var blocksBuf []*blocking.Block
 	for _, id := range ids {
 		p := col.Profile(id)

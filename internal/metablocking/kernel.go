@@ -11,10 +11,10 @@ import (
 // weights computed in a single pass over its posting lists with a dense,
 // epoch-stamped counter array — O(Σ block sizes) per profile instead of
 // O(pairs × key-list length) — following the meta-blocking literature's
-// neighbor-accumulator technique. The two-pointer SharedBlocks and the
-// map-based Accumulator above stay as the reference implementations; the
-// differential battery (kernel_test.go, internal/check) pins the kernel's
-// emission bit-identical to them.
+// neighbor-accumulator technique. It is the only production weigher; the
+// map-based Candidates and two-pointer SharedBlocks of reference.go are the
+// specification the differential battery (kernel_test.go, internal/check)
+// pins its emission bit-identical to.
 
 // kernelDenseLimit bounds the dense scratch arrays, mirroring the RCU
 // registry's dense/overflow split: profile IDs in [0, kernelDenseLimit) get
@@ -26,6 +26,14 @@ const kernelDenseLimit = 1 << 22
 // and probe-side accumulation, where every indexed profile is a legitimate
 // partner).
 const noLimit = int(^uint(0) >> 1)
+
+// acc aggregates the per-shared-block statistics of one candidate partner:
+// the spill-map twin of kslot, and the reference accumulator's value type.
+type acc struct {
+	common int
+	arcs   float64
+	bsize  int
+}
 
 // kslot is one dense scratch slot: a partner's accumulated statistics, valid
 // only while stamp matches the kernel's current epoch. One 24-byte struct per
@@ -50,8 +58,7 @@ type dslot struct {
 // access patterns with one epoch-stamped accumulator:
 //
 //   - Candidates: all weighted edges of one new profile in a single sweep
-//     over its (ghosted) blocks — the drop-in replacement for
-//     Accumulator.Candidates on the incremental generation hot path.
+//     over its (ghosted) blocks, on the incremental generation hot path.
 //   - SharedBlocks: per-pair CBS weights during block scans (I-PBS emission,
 //     fallback scans), amortized by sweeping the anchor's blocks once into
 //     neighbor counts and answering each partner in O(1).
@@ -65,10 +72,10 @@ type dslot struct {
 // version in their own epoch-stamped slots, so a whole increment's weighting
 // reuses them instead of recounting per pair.
 //
-// A Kernel is single-goroutine state, like the Accumulator: the parallel
-// candidate-generation path owns one per worker slot, the serving path pools
-// them per query. The zero value is ready to use, and assigning Kernel{}
-// resets all caches (the checkpoint-restore path relies on that).
+// A Kernel is single-goroutine state: the parallel candidate-generation path
+// owns one per worker slot, the serving path pools them per query. The zero
+// value is ready to use, and assigning Kernel{} resets all caches (the
+// checkpoint-restore path relies on that).
 type Kernel struct {
 	epoch   uint32
 	slots   []kslot
@@ -128,9 +135,9 @@ func (k *Kernel) growSlots(id int) {
 // accumulate folds one member list into the current sweep: every id below
 // limit gets common++, arcs += inv, bsize = min(bsize, size). The loop is the
 // kernel's hot path — one stamp compare and one slot update per block
-// membership. The per-partner update order is identical to the reference
-// Accumulator's (same block order, same intra-block ID order), which is what
-// keeps the float arcs sums bit-identical.
+// membership. The per-partner update order is identical to the reference's
+// (same block order, same intra-block ID order), which is what keeps the
+// float arcs sums bit-identical.
 func (k *Kernel) accumulate(ids []int, limit int, inv float64, size int32) {
 	for _, id := range ids {
 		if id >= limit {
@@ -184,10 +191,10 @@ func (k *Kernel) statsOf(id int) (common int, arcs float64, bsize int) {
 }
 
 // Candidates generates the weighted comparisons of a newly arrived profile p
-// against earlier profiles from the given block slice, exactly like
-// Accumulator.Candidates but in one sweep over dense scratch: same partner
-// statistics (including float accumulation order), same weight formulas (JS
-// and ECBS through the cached denominators), same sort — so the output is
+// against earlier profiles from the given block slice, exactly like the
+// reference Candidates but in one sweep over dense scratch: same partner
+// statistics (including float accumulation order), same Scheme.Weight (JS and
+// ECBS through the cached denominators), same sort — so the output is
 // bit-for-bit the reference's. The returned slice is owned by the Kernel and
 // valid until its next call.
 func (k *Kernel) Candidates(col *blocking.Collection, p *profile.Profile, blocks []*blocking.Block, scheme Scheme) []Comparison {
@@ -222,19 +229,12 @@ func (k *Kernel) Candidates(col *blocking.Collection, p *profile.Profile, blocks
 	return out
 }
 
-// weigh mirrors Scheme.weigh through the version-keyed denominator caches:
-// identical formulas over identical integers, so identical floats.
-func (k *Kernel) weigh(col *blocking.Collection, scheme Scheme, x, y, common int, arcsSum float64) float64 {
-	switch scheme {
-	case JSScheme:
-		return weighJS(common, k.numBlocksOf(col, x), k.numBlocksOf(col, y))
-	case ECBS:
-		return weighECBS(common, k.numBlocks(col), k.numBlocksOf(col, x), k.numBlocksOf(col, y))
-	case ARCS:
-		return arcsSum
-	default: // CBS
-		return float64(common)
+// weigh is Scheme.Weight fed from the version-keyed denominator caches.
+func (k *Kernel) weigh(col *blocking.Collection, scheme Scheme, x, y, common int, arcs float64) float64 {
+	if !scheme.UsesCardinalities() {
+		return scheme.Weight(common, arcs, 0, 0, 0)
 	}
+	return scheme.Weight(common, arcs, k.numBlocksOf(col, x), k.numBlocksOf(col, y), k.numBlocks(col))
 }
 
 // syncDenoms invalidates the denominator cache when the collection (or its
@@ -297,12 +297,11 @@ func (k *Kernel) numBlocksOf(col *blocking.Collection, id int) int {
 	return v
 }
 
-// SharedBlocks counts the live blocks shared by x and y — the drop-in
-// replacement for Weigher.SharedBlocks on block-scan paths where one anchor x
-// is weighed against many partners in a row. On anchor change it sweeps x's
-// live blocks once, accumulating a co-occurrence count for every member
-// profile; each partner then answers in O(1) from the dense scratch. Like the
-// Weigher, callers keep the anchor in the first argument position across a
+// SharedBlocks counts the live blocks shared by x and y, for block-scan paths
+// where one anchor x is weighed against many partners in a row. On anchor
+// change it sweeps x's live blocks once, accumulating a co-occurrence count
+// for every member profile; each partner then answers in O(1) from the dense
+// scratch. Callers keep the anchor in the first argument position across a
 // scan to benefit from the cache; correctness does not depend on it.
 func (k *Kernel) SharedBlocks(col *blocking.Collection, x, y int) int {
 	if !k.aOK || k.aCol != col || k.aVer != col.Version() || k.aID != x {
@@ -322,7 +321,7 @@ func (k *Kernel) SharedBlocks(col *blocking.Collection, x, y int) int {
 // beginAnchor sweeps anchor x's live blocks into neighbor co-occurrence
 // counts: a profile y co-occurs with x in exactly common(y) of x's live
 // blocks, which is the pair's CBS weight. The sweep costs O(Σ sizes of x's
-// blocks) once, against O(|B(y)|·log|B(x)|) per pair for the binary-search
+// blocks) once, against O(|B(x)|+|B(y)|) per pair for the two-pointer
 // reference — a win whenever the anchor is weighed against more than a
 // handful of partners, which is what block scans do.
 func (k *Kernel) beginAnchor(col *blocking.Collection, x int) {

@@ -41,11 +41,10 @@ func BenchmarkCandidatesKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkCandidatesReference is the map-based Accumulator on the identical
+// BenchmarkCandidatesReference is the map-based reference on the identical
 // workload, kept as the speedup denominator for the kernel benchmark above.
 func BenchmarkCandidatesReference(b *testing.B) {
 	col, ps := benchCollection(b)
-	var ref Accumulator
 	var blocks []*blocking.Block
 	for _, scheme := range allSchemes {
 		b.Run(scheme.String(), func(b *testing.B) {
@@ -53,14 +52,14 @@ func BenchmarkCandidatesReference(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := ps[len(ps)-1-i%32]
 				blocks = col.AppendBlocksOf(p.ID, blocks[:0])
-				ref.Candidates(col, p, blocks, scheme)
+				Candidates(col, p, blocks, scheme)
 			}
 		})
 	}
 }
 
 // anchorScan weighs anchor x against every member of its blocks through f —
-// the I-PBS emission access pattern all three SharedBlocks benchmarks share.
+// the I-PBS emission access pattern both SharedBlocks benchmarks share.
 func anchorScan(col *blocking.Collection, blocks []*blocking.Block, x int, f func(col *blocking.Collection, x, y int) int) int {
 	sum := 0
 	for _, blk := range blocks {
@@ -97,19 +96,5 @@ func BenchmarkSharedBlocksReference(b *testing.B) {
 		x := ps[i%len(ps)].ID
 		blocks = col.AppendBlocksOf(x, blocks[:0])
 		benchSink = anchorScan(col, blocks, x, SharedBlocks)
-	}
-}
-
-// BenchmarkSharedBlocksWeigher is the cached binary-search Weigher (the
-// previous hot path) on the identical anchor-scan workload.
-func BenchmarkSharedBlocksWeigher(b *testing.B) {
-	col, ps := benchCollection(b)
-	var w Weigher
-	var blocks []*blocking.Block
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x := ps[i%len(ps)].ID
-		blocks = col.AppendBlocksOf(x, blocks[:0])
-		benchSink = anchorScan(col, blocks, x, w.SharedBlocks)
 	}
 }

@@ -70,7 +70,7 @@ func requireSameCandidates(t *testing.T, label string, ref, got []Comparison) {
 // TestKernelCandidatesMatchesReference is the seeded differential property
 // test of the tentpole: for randomized dirty and clean-clean collections
 // (with and without purging), the sweep kernel's Candidates must be
-// bit-identical to the map-based Accumulator for all four weighting schemes —
+// bit-identical to the map-based reference for all four weighting schemes —
 // same partners, same float weights, same order.
 func TestKernelCandidatesMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
@@ -78,12 +78,11 @@ func TestKernelCandidatesMatchesReference(t *testing.T) {
 			for _, maxBlock := range []int{0, 6} {
 				rng := rand.New(rand.NewSource(seed))
 				col, ps := randomCollection(rng, cleanClean, 60, maxBlock, func(i int) int { return i + 1 })
-				var ref Accumulator
 				var kern Kernel
 				for _, scheme := range allSchemes {
 					for _, p := range ps {
 						blocks := col.BlocksOf(p.ID)
-						want := ref.Candidates(col, p, blocks, scheme)
+						want := Candidates(col, p, blocks, scheme)
 						got := kern.Candidates(col, p, blocks, scheme)
 						requireSameCandidates(t,
 							fmt.Sprintf("seed=%d cc=%v maxBlock=%d scheme=%s p=%d",
@@ -113,12 +112,11 @@ func TestKernelCandidatesOverflowIDs(t *testing.T) {
 	anchor := mk(kernelDenseLimit+1_000_000, profile.SourceA, "matrix sequel film red blue pill")
 	col.Add(anchor)
 	ps = append(ps, anchor)
-	var ref Accumulator
 	var kern Kernel
 	for _, scheme := range allSchemes {
 		for _, p := range ps {
 			blocks := col.BlocksOf(p.ID)
-			want := ref.Candidates(col, p, blocks, scheme)
+			want := Candidates(col, p, blocks, scheme)
 			got := kern.Candidates(col, p, blocks, scheme)
 			requireSameCandidates(t, fmt.Sprintf("overflow scheme=%s p=%d", scheme, p.ID), want, got)
 		}
@@ -131,14 +129,13 @@ func TestKernelCandidatesOverflowIDs(t *testing.T) {
 func TestKernelDenominatorCacheInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	col, ps := randomCollection(rng, false, 20, 0, func(i int) int { return i + 1 })
-	var ref Accumulator
 	var kern Kernel
 	for round := 0; round < 5; round++ {
 		// Warm the caches, then mutate, then re-weigh everything.
 		for _, scheme := range []Scheme{JSScheme, ECBS} {
 			for _, p := range ps {
 				blocks := col.BlocksOf(p.ID)
-				want := ref.Candidates(col, p, blocks, scheme)
+				want := Candidates(col, p, blocks, scheme)
 				got := kern.Candidates(col, p, blocks, scheme)
 				requireSameCandidates(t, fmt.Sprintf("round=%d scheme=%s p=%d", round, scheme, p.ID), want, got)
 			}
@@ -150,15 +147,13 @@ func TestKernelDenominatorCacheInvalidation(t *testing.T) {
 }
 
 // TestKernelSharedBlocksMatchesReference pins the anchor-sweep CBS counter
-// against both the one-shot two-pointer SharedBlocks and the cached Weigher,
-// in the access pattern of a block scan (one anchor, many partners) and with
+// against the one-shot two-pointer SharedBlocks, in the access pattern of a block scan (one anchor, many partners) and with
 // collection mutations between scans.
 func TestKernelSharedBlocksMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		for _, cleanClean := range []bool{false, true} {
 			rng := rand.New(rand.NewSource(seed))
 			col, ps := randomCollection(rng, cleanClean, 40, 6, func(i int) int { return i + 1 })
-			var w Weigher
 			var kern Kernel
 			check := func(label string) {
 				t.Helper()
@@ -168,9 +163,6 @@ func TestKernelSharedBlocksMatchesReference(t *testing.T) {
 							continue
 						}
 						want := SharedBlocks(col, x.ID, y.ID)
-						if got := w.SharedBlocks(col, x.ID, y.ID); got != want {
-							t.Fatalf("%s: Weigher(%d,%d) = %d, reference %d", label, x.ID, y.ID, got, want)
-						}
 						if got := kern.SharedBlocks(col, x.ID, y.ID); got != want {
 							t.Fatalf("%s: Kernel(%d,%d) = %d, reference %d", label, x.ID, y.ID, got, want)
 						}
@@ -197,12 +189,11 @@ func TestKernelSharedBlocksMatchesReference(t *testing.T) {
 func TestKernelCandidatesThenSharedBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	col, ps := randomCollection(rng, false, 30, 0, func(i int) int { return i + 1 })
-	var ref Accumulator
 	var kern Kernel
 	for i, p := range ps {
 		blocks := col.BlocksOf(p.ID)
 		requireSameCandidates(t, fmt.Sprintf("interleaved p=%d", p.ID),
-			ref.Candidates(col, p, blocks, CBS),
+			Candidates(col, p, blocks, CBS),
 			kern.Candidates(col, p, blocks, CBS))
 		y := ps[(i+7)%len(ps)]
 		if p.ID == y.ID {
@@ -221,7 +212,6 @@ func TestKernelCandidatesThenSharedBlocks(t *testing.T) {
 func TestKernelEpochWrap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	col, ps := randomCollection(rng, false, 25, 0, func(i int) int { return i + 1 })
-	var ref Accumulator
 	var kern Kernel
 	// Warm the scratch so slots carry pre-wrap stamps, then jump the epoch
 	// to the edge.
@@ -232,7 +222,7 @@ func TestKernelEpochWrap(t *testing.T) {
 		p := ps[len(ps)-1-i]
 		blocks := col.BlocksOf(p.ID)
 		requireSameCandidates(t, fmt.Sprintf("wrap sweep %d (epoch %d)", i, kern.epoch),
-			ref.Candidates(col, p, blocks, ARCS),
+			Candidates(col, p, blocks, ARCS),
 			kern.Candidates(col, p, blocks, ARCS))
 	}
 	// The denominator epoch wraps independently; force it too.
@@ -242,7 +232,7 @@ func TestKernelEpochWrap(t *testing.T) {
 		for _, p := range ps[:5] {
 			blocks := col.BlocksOf(p.ID)
 			requireSameCandidates(t, fmt.Sprintf("denom wrap round %d", round),
-				ref.Candidates(col, p, blocks, JSScheme),
+				Candidates(col, p, blocks, JSScheme),
 				kern.Candidates(col, p, blocks, JSScheme))
 		}
 	}
@@ -253,13 +243,12 @@ func TestKernelEpochWrap(t *testing.T) {
 func TestKernelZeroValueReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	col, ps := randomCollection(rng, false, 20, 0, func(i int) int { return i + 1 })
-	var ref Accumulator
 	var kern Kernel
 	p := ps[len(ps)-1]
 	kern.Candidates(col, p, col.BlocksOf(p.ID), ECBS)
 	kern = Kernel{}
 	requireSameCandidates(t, "post-reset",
-		ref.Candidates(col, p, col.BlocksOf(p.ID), ECBS),
+		Candidates(col, p, col.BlocksOf(p.ID), ECBS),
 		kern.Candidates(col, p, col.BlocksOf(p.ID), ECBS))
 	if got, want := kern.SharedBlocks(col, ps[0].ID, ps[1].ID), SharedBlocks(col, ps[0].ID, ps[1].ID); got != want {
 		t.Fatalf("post-reset SharedBlocks = %d, want %d", got, want)

@@ -15,10 +15,7 @@ package metablocking
 import (
 	"fmt"
 	"math"
-	"slices"
 
-	"pier/internal/blocking"
-	"pier/internal/intern"
 	"pier/internal/profile"
 )
 
@@ -98,138 +95,38 @@ func (s Scheme) String() string {
 	}
 }
 
-// weigh computes the scheme weight for a pair given the accumulated
-// per-shared-block statistics: common = |B(x) ∩ B(y)| and arcsSum =
-// Σ_{b ∈ shared} 1/||b||.
-func (s Scheme) weigh(col *blocking.Collection, x, y, common int, arcsSum float64) float64 {
+// UsesCardinalities reports whether the scheme's weight depends on the block
+// cardinalities |B(x)|, |B(y)|, |B| (JS and ECBS) or only on the statistics
+// accumulated over the shared blocks (CBS and ARCS). Callers use it to skip
+// fetching denominators the formula would ignore.
+func (s Scheme) UsesCardinalities() bool { return s == JSScheme || s == ECBS }
+
+// Weight is the one place the four scheme formulas are written: the weight of
+// an edge (x, y) as a pure function of the statistics accumulated over the
+// pair's shared blocks — common = |B(x) ∩ B(y)| and arcs = Σ 1/||b|| — and the
+// cardinalities bx = |B(x)|, by = |B(y)|, total = |B|. The cardinalities are
+// ignored unless UsesCardinalities. Every weigher (the sweep kernel with its
+// cached denominators, the serving path with its pinned-view ones, the
+// reference) evaluates these exact float expressions, which is what keeps
+// their outputs bit-identical.
+func (s Scheme) Weight(common int, arcs float64, bx, by, total int) float64 {
 	switch s {
 	case JSScheme:
-		return weighJS(common, col.NumBlocksOf(x), col.NumBlocksOf(y))
+		union := bx + by - common
+		if union <= 0 {
+			return 0
+		}
+		return float64(common) / float64(union)
 	case ECBS:
-		return weighECBS(common, col.NumBlocks(), col.NumBlocksOf(x), col.NumBlocksOf(y))
+		if bx == 0 || by == 0 || total == 0 {
+			return 0
+		}
+		return float64(common) * math.Log(float64(total)/float64(bx)) * math.Log(float64(total)/float64(by))
 	case ARCS:
-		return arcsSum
+		return arcs
 	default: // CBS
 		return float64(common)
 	}
-}
-
-// weighJS is the Jaccard formula over pre-fetched block-set cardinalities.
-// Factored out so the sweep kernel's cached-denominator path evaluates the
-// byte-identical float expression as the reference weigher.
-func weighJS(common, bx, by int) float64 {
-	union := bx + by - common
-	if union <= 0 {
-		return 0
-	}
-	return float64(common) / float64(union)
-}
-
-// weighECBS is the ECBS formula over pre-fetched cardinalities; see weighJS on
-// why it is factored out.
-func weighECBS(common, total, bx, by int) float64 {
-	if bx == 0 || by == 0 || total == 0 {
-		return 0
-	}
-	return float64(common) * math.Log(float64(total)/float64(bx)) * math.Log(float64(total)/float64(by))
-}
-
-// Candidates generates the weighted comparisons of a newly arrived profile p
-// against *earlier* profiles (smaller IDs) from the given block slice —
-// typically p's blocks after ghosting. For Clean-Clean collections only
-// cross-source partners are considered. Each partner yields exactly one
-// comparison whose weight aggregates all shared blocks in the slice; BSize is
-// the size of the smallest shared block, the natural block-centric tag.
-//
-// Restricting partners to smaller IDs makes incremental generation naturally
-// non-redundant: every unordered pair is generated exactly once, when its
-// later profile arrives.
-//
-// Candidates is the one-shot convenience over a throwaway Accumulator; the
-// per-increment hot paths hold an Accumulator per worker and reuse its
-// scratch across profiles.
-func Candidates(col *blocking.Collection, p *profile.Profile, blocks []*blocking.Block, scheme Scheme) []Comparison {
-	var a Accumulator
-	return a.Candidates(col, p, blocks, scheme)
-}
-
-// acc aggregates the per-shared-block statistics of one candidate partner.
-type acc struct {
-	common int
-	arcs   float64
-	bsize  int
-}
-
-// Accumulator is reusable candidate-generation scratch: the partner
-// accumulator map and the output comparison buffer survive across calls, so
-// steady-state generation allocates only when a profile's partner count
-// outgrows every previous one. An Accumulator is single-goroutine state; the
-// parallel candidate-generation path keeps one per worker slot.
-type Accumulator struct {
-	// partners is a value map, not map[int]*acc: accumulator updates are
-	// read-modify-write on the map slot, trading one map store per block
-	// membership for one heap object per partner. Candidates runs once per
-	// profile of every increment, so per-call allocation volume matters more
-	// than the extra store.
-	partners map[int]acc
-	out      []Comparison
-}
-
-// Candidates is the package-level Candidates against the reusable scratch.
-// The returned slice is owned by the Accumulator and valid until its next
-// call; callers consume or copy it before generating the next profile.
-func (g *Accumulator) Candidates(col *blocking.Collection, p *profile.Profile, blocks []*blocking.Block, scheme Scheme) []Comparison {
-	if g.partners == nil {
-		g.partners = make(map[int]acc)
-	} else {
-		clear(g.partners)
-	}
-	consider := func(ids []int, b *blocking.Block) {
-		inv := 1.0 / float64(max(1, b.Comparisons(col.CleanClean())))
-		size := b.Size()
-		for _, id := range ids {
-			if id >= p.ID {
-				continue
-			}
-			a, ok := g.partners[id]
-			if !ok {
-				a.bsize = size
-			}
-			a.common++
-			a.arcs += inv
-			if size < a.bsize {
-				a.bsize = size
-			}
-			g.partners[id] = a
-		}
-	}
-	for _, b := range blocks {
-		if col.CleanClean() {
-			if p.Source == profile.SourceA {
-				consider(b.B, b)
-			} else {
-				consider(b.A, b)
-			}
-		} else {
-			consider(b.A, b)
-			consider(b.B, b)
-		}
-	}
-	out := g.out[:0]
-	for id, a := range g.partners {
-		out = append(out, Comparison{
-			X:      p.ID,
-			Y:      id,
-			Weight: scheme.weigh(col, p.ID, id, a.common, a.arcs),
-			BSize:  a.bsize,
-		})
-	}
-	// Deterministic output order (descending weight, ties by pair key):
-	// strategies process candidate lists sequentially and their internal
-	// state depends on insertion order.
-	slices.SortFunc(out, cmpByWeightDesc)
-	g.out = out
-	return out
 }
 
 // cmpByWeightDesc is the descending-Less order as a slices.SortFunc
@@ -266,60 +163,4 @@ func IWNP(cs []Comparison) []Comparison {
 		}
 	}
 	return out
-}
-
-// SharedBlocks counts the live blocks shared by profiles x and y — the exact
-// CBS weight of the pair, computed by sorted symbol intersection (two integer
-// slices, no per-pair map allocation). It is the reference implementation the
-// differential battery pins the sweep kernel against, and the one-shot
-// convenience; the block-scan hot paths (I-PBS, fallback scans) use a
-// Kernel, which amortizes one neighbor-counting sweep over the anchor's
-// blocks across all the pairs of a scan, and the batch baseline keeps a
-// Weigher for the same reason.
-func SharedBlocks(col *blocking.Collection, x, y int) int {
-	sx := col.AppendLiveSymsOf(x, nil)
-	sy := col.AppendLiveSymsOf(y, nil)
-	slices.Sort(sx)
-	slices.Sort(sy)
-	return intern.IntersectCount(sx, sy)
-}
-
-// Weigher is a reusable per-pair CBS weigher for block-scan candidate
-// generation, where one anchor profile is weighed against many partners in a
-// row. It keeps the anchor's live block symbols as a sorted scratch slice
-// that is rebuilt only when the anchor (or the collection state) changes and
-// reuses buffers across calls, so steady-state weighing allocates nothing and
-// each partner symbol resolves by binary search over a dense uint32 slice —
-// no string hashing anywhere.
-//
-// A Weigher is single-goroutine state: strategies own one each (index
-// mutation is single-writer per the Strategy contract), never sharing it
-// across the candidate-generation worker pool.
-type Weigher struct {
-	col     *blocking.Collection
-	version uint64
-	anchor  int
-	valid   bool
-	xbuf    []intern.Sym // anchor's live symbols, sorted
-	ybuf    []intern.Sym
-}
-
-// SharedBlocks counts the live blocks shared by x and y, caching x's sorted
-// symbol set between calls. Callers should keep the anchor profile in the
-// first argument position across a scan to benefit from the cache;
-// correctness does not depend on it.
-func (w *Weigher) SharedBlocks(col *blocking.Collection, x, y int) int {
-	if !w.valid || w.col != col || w.version != col.Version() || w.anchor != x {
-		w.xbuf = col.AppendLiveSymsOf(x, w.xbuf[:0])
-		slices.Sort(w.xbuf)
-		w.col, w.version, w.anchor, w.valid = col, col.Version(), x, true
-	}
-	w.ybuf = col.AppendLiveSymsOf(y, w.ybuf[:0])
-	n := 0
-	for _, sym := range w.ybuf {
-		if _, ok := slices.BinarySearch(w.xbuf, sym); ok {
-			n++
-		}
-	}
-	return n
 }

@@ -87,7 +87,7 @@ type LiveConfig struct {
 	// blocking index's shards.
 	Parallelism int
 	// Shards is the blocking index's shard count — an ingest concurrency
-	// knob, never a semantic one (see blocking.NewCollectionSharded). 0
+	// knob, never a semantic one (see blocking.NewCollectionStorage). 0
 	// selects the default heuristic; 1 forces an unsharded index.
 	Shards int
 	// OnMatch, if set, is called synchronously from the pipeline goroutine
@@ -111,12 +111,6 @@ type LiveConfig struct {
 	// LiveResult agrees with the live Stats() counters. Violations panic.
 	// Intended for tests and debugging; the checks are O(1) per batch.
 	CheckInvariants bool
-	// LockedQueryReads forces Query onto the mutex-guarded per-call read
-	// path instead of the published RCU snapshots (and disables snapshot
-	// publication entirely). It exists for one purpose: cmd/pierscale
-	// measures the contention of the pre-snapshot read path against the
-	// lock-free one. Production pipelines leave it false.
-	LockedQueryReads bool
 	// Storage bounds the resident memory of the pipeline's two unbounded
 	// structures — the blocking index's posting lists and the executed-pair
 	// dedup set — by spilling cold state to temp files under
@@ -379,12 +373,9 @@ func LiveRun(strategy core.Strategy, cfg LiveConfig) *Live {
 		res:      &liveCounters{},
 		start:    time.Now(),
 	}
-	if !l.cfg.LockedQueryReads {
-		// Publish the empty index so queries arriving before the first
-		// increment already run lock-free; this also switches the collection
-		// into snapshot-tracking mode (see blocking.PublishSnapshot).
-		st.col.PublishSnapshot()
-	}
+	// Publish the empty index before the first increment; this also switches
+	// the collection into snapshot-tracking mode (see blocking.PublishSnapshot).
+	st.col.PublishSnapshot()
 	l.st = st
 	go l.prep(st.col)
 	go l.loop(st)
@@ -616,13 +607,11 @@ func (l *Live) loop(st *liveState) {
 				}
 			}
 		}
-		if !l.cfg.LockedQueryReads {
-			// One atomic publication per increment: queries switch from the
-			// previous index version to this one, never observing a half-
-			// applied increment. Publishing before UpdateIndex lets queries
-			// see the new profiles while the strategy is still weighing.
-			st.col.PublishSnapshot()
-		}
+		// One atomic publication per increment: queries switch from the
+		// previous index version to this one, never observing a half-applied
+		// increment. Publishing before UpdateIndex lets queries see the new
+		// profiles while the strategy is still weighing.
+		st.col.PublishSnapshot()
 		l.strategy.UpdateIndex(st.col, inc)
 		now := time.Now()
 		if !st.lastArrival.IsZero() {
@@ -1224,11 +1213,9 @@ func RestoreLive(r io.Reader, strategy core.Strategy, cfg LiveConfig) (*Live, er
 	}
 	l.m.dedup.Set(int64(st.executed.Len()))
 	l.m.retryPending.Set(int64(len(st.retryQ)))
-	if !l.cfg.LockedQueryReads {
-		// Republish the restored index so post-restore queries run lock-free
-		// from the first call, exactly as after LiveRun.
-		st.col.PublishSnapshot()
-	}
+	// Republish the restored index so post-restore queries see it from the
+	// first call, exactly as after LiveRun.
+	st.col.PublishSnapshot()
 	l.st = st
 	go l.prep(st.col)
 	go l.loop(st)

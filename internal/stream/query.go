@@ -3,7 +3,6 @@ package stream
 import (
 	"context"
 	"errors"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -18,16 +17,15 @@ import (
 // profile against the live blocking index from any goroutine, while the
 // pipeline goroutine keeps ingesting. The query never writes pipeline state
 // — candidates come from one pinned read view (the RCU snapshot the pipeline
-// publishes after each increment, or the locked Probe* path as fallback),
-// the probe's tokens are looked up without interning, and nothing the query
-// does reaches the strategy, the cluster graph, the dedup map, or the
-// adaptive-K controller — so a stream run produces bit-for-bit identical
-// results whether or not queries hammer it. Because the whole query runs
-// against a single published version, its answer can never mix state from
-// two increments (no torn snapshots); see DESIGN.md §12. The one shared
-// piece is the fallible matcher's circuit breaker: queries and stream
-// batches protect the same downstream match service, so a breaker opened by
-// either side throttles both. See DESIGN.md §11.
+// publishes after each increment), the probe's tokens are looked up without
+// interning, and nothing the query does reaches the strategy, the cluster
+// graph, the dedup map, or the adaptive-K controller — so a stream run
+// produces bit-for-bit identical results whether or not queries hammer it.
+// Because the whole query runs against a single published version, its answer
+// can never mix state from two increments (no torn snapshots); see DESIGN.md
+// §12. The one shared piece is the fallible matcher's circuit breaker:
+// queries and stream batches protect the same downstream match service, so a
+// breaker opened by either side throttles both. See DESIGN.md §11.
 
 // DefaultQueryTopK is the number of top-ranked candidates a query matches
 // when QueryOptions.TopK is zero.
@@ -73,13 +71,6 @@ type QueryAnswer struct {
 	Elapsed time.Duration
 }
 
-// probeAcc aggregates the per-shared-block statistics of one candidate
-// partner, mirroring metablocking's accumulator for the probe side.
-type probeAcc struct {
-	common int
-	arcs   float64
-}
-
 // probeKernels pools the probe-side sweep scratch across queries: a kernel's
 // dense epoch-stamped arrays replace the per-query partner map, so a warm
 // query accumulates its candidates with zero allocation. Pool size is bounded
@@ -110,10 +101,9 @@ func (l *Live) Query(ctx context.Context, probe *profile.Profile, opt QueryOptio
 	t0 := time.Now()
 	col := l.st.col
 
-	// Pin one read view for the whole query. The published snapshot makes
-	// every lookup below lock-free; the locked reader is the fallback (and
-	// the benchmark baseline via LiveConfig.LockedQueryReads).
-	view := l.probeReader(col)
+	// Pin one published snapshot for the whole query: every lookup below is
+	// lock-free and observes the same version.
+	view := col.ProbeView()
 	syms := col.ProbeSyms(probe)
 	postings := view.AppendPostings(make([]*blocking.Posting, 0, len(syms)), syms)
 
@@ -140,14 +130,21 @@ func (l *Live) Query(ctx context.Context, probe *profile.Profile, opt QueryOptio
 		}
 	}
 
+	// Weigh with the same Scheme.Weight as ingest-side generation; only the
+	// denominators differ — they come from the pinned view, and |B(probe)| is
+	// the probe's live posting count (the blocks it would occupy).
+	scheme := l.cfg.Scheme
 	partners := kern.Partners()
 	cands := make([]QueryCandidate, 0, len(partners))
-	bProbe := len(postings) // |B(probe)|: live blocks the probe would occupy
 	for _, id := range partners {
 		common, arcs := kern.ProbeStats(id)
+		var by, total int
+		if scheme.UsesCardinalities() {
+			by, total = view.NumBlocksOf(id), view.NumBlocks()
+		}
 		cands = append(cands, QueryCandidate{
 			ID:     id,
-			Weight: l.probeWeigh(view, bProbe, id, probeAcc{common: common, arcs: arcs}),
+			Weight: scheme.Weight(common, arcs, len(postings), by, total),
 		})
 	}
 	probeKernels.Put(kern)
@@ -201,46 +198,6 @@ func (l *Live) Query(ctx context.Context, probe *profile.Profile, opt QueryOptio
 	return ans, nil
 }
 
-// probeReader picks the read view one query pins for its whole execution:
-// the published RCU snapshot when the pipeline publishes them (lock-free,
-// version-consistent), otherwise the locked per-call reader. The
-// LockedQueryReads knob forces the locked path so cmd/pierscale can measure
-// the contention the snapshots remove.
-func (l *Live) probeReader(col *blocking.Collection) blocking.Reader {
-	if l.cfg.LockedQueryReads {
-		return col.LockedReader()
-	}
-	return col.ProbeView()
-}
-
-// probeWeigh computes the configured scheme weight for (probe, partner id)
-// against the query's pinned view — metablocking's weigh reads the registry
-// through the owner-only path and assumes a registered anchor, neither of
-// which holds for a probe. The formulas mirror metablocking.Scheme exactly,
-// with |B(probe)| = the probe's live posting count.
-func (l *Live) probeWeigh(view blocking.Reader, bProbe, id int, a probeAcc) float64 {
-	switch l.cfg.Scheme {
-	case metablocking.JSScheme:
-		by := view.NumBlocksOf(id)
-		union := bProbe + by - a.common
-		if union <= 0 {
-			return 0
-		}
-		return float64(a.common) / float64(union)
-	case metablocking.ECBS:
-		total := view.NumBlocks()
-		by := view.NumBlocksOf(id)
-		if bProbe == 0 || by == 0 || total == 0 {
-			return 0
-		}
-		return float64(a.common) * logRatio(total, bProbe) * logRatio(total, by)
-	case metablocking.ARCS:
-		return a.arcs
-	default: // CBS
-		return float64(a.common)
-	}
-}
-
 // queryMatch classifies one (probe, candidate) pair on the caller's clock: a
 // single attempt through the fallible matcher when configured — honoring its
 // timeout and circuit breaker but never its retry/backoff loop — or the
@@ -262,9 +219,4 @@ func (l *Live) queryMatch(ctx context.Context, probe, y *profile.Profile) (ok bo
 	}
 	sim = l.cfg.Matcher.Similarity(probe, y)
 	return sim >= l.cfg.Matcher.Threshold, sim, nil
-}
-
-// logRatio is log(total/part) — the ECBS inverse block-frequency factor.
-func logRatio(total, part int) float64 {
-	return math.Log(float64(total) / float64(part))
 }

@@ -129,6 +129,55 @@ func TestQueryTopKAndSchemes(t *testing.T) {
 	}
 }
 
+// TestQueryWeightsMatchReference pins the probe path's weights to the
+// reference weigher: on a quiescent pipeline, the last ingested profile
+// re-sent as a probe sees exactly the partners that profile had when it
+// arrived, so every candidate's Weight must equal — float bits — the weight
+// metablocking.Candidates gives that profile against the same partner, for
+// every scheme, Dirty and Clean-Clean.
+func TestQueryWeightsMatchReference(t *testing.T) {
+	for _, d := range []*dataset.Dataset{dataset.Census(0.0005, 5), dataset.DA(0.05, 5)} {
+		incs := d.Increments(3)
+		last := incs[len(incs)-1]
+		p := last[len(last)-1]
+		for _, scheme := range []metablocking.Scheme{metablocking.CBS, metablocking.JSScheme, metablocking.ECBS, metablocking.ARCS} {
+			l := LiveRun(core.NewIPES(core.DefaultConfig()), LiveConfig{
+				CleanClean: d.CleanClean,
+				Matcher:    match.NewMatcher(match.JS),
+				Scheme:     scheme,
+				TickEvery:  time.Millisecond,
+			})
+			for _, inc := range incs {
+				l.Push(inc)
+			}
+			l.Interrupt() // indexes every pushed increment, skips the drain
+			col := l.st.col
+			want := make(map[int]float64)
+			for _, c := range metablocking.Candidates(col, p, col.BlocksOf(p.ID), scheme) {
+				want[c.Y] = c.Weight
+			}
+			ans, err := l.Query(context.Background(), probeOf(p), QueryOptions{TopK: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := 0
+			for _, c := range ans.Candidates {
+				if c.ID == p.ID {
+					continue // the probe's own indexed twin (Dirty only)
+				}
+				got++
+				if w, ok := want[c.ID]; !ok || c.Weight != w {
+					t.Errorf("%s %v: partner %d weighs %v in the query, %v (present=%v) in the reference",
+						d.Name, scheme, c.ID, c.Weight, w, ok)
+				}
+			}
+			if got == 0 || got != len(want) {
+				t.Errorf("%s %v: query returned %d partners, reference %d", d.Name, scheme, got, len(want))
+			}
+		}
+	}
+}
+
 func TestQueryAfterStopAndErrors(t *testing.T) {
 	d := dataset.DA(0.05, 13)
 	l := LiveRun(core.NewIPES(core.DefaultConfig()), LiveConfig{
@@ -289,9 +338,11 @@ func TestQueryFallibleMatcher(t *testing.T) {
 	var mu sync.Mutex
 	attempts := 0
 	failing := match.NewFallible(match.ContextFunc(func(ctx context.Context, a, b *profile.Profile) (bool, error) {
-		mu.Lock()
-		attempts++
-		mu.Unlock()
+		if a.ID < 0 || b.ID < 0 { // count the probe's attempts only, not the stream's
+			mu.Lock()
+			attempts++
+			mu.Unlock()
+		}
 		return false, fmt.Errorf("backend down")
 	}), match.FallibleConfig{Timeout: -1, MaxRetries: 3, BaseBackoff: 0})
 	l := LiveRun(core.NewIPES(core.DefaultConfig()), LiveConfig{
@@ -304,10 +355,6 @@ func TestQueryFallibleMatcher(t *testing.T) {
 	for l.Snapshot().Increments < 1 {
 		time.Sleep(time.Millisecond)
 	}
-	mu.Lock()
-	attempts = 0 // discard anything the stream side did before our queries
-	mu.Unlock()
-
 	ans, err := l.Query(context.Background(), probeOf(incs[0][0]), QueryOptions{TopK: 3})
 	if err != nil {
 		t.Fatal(err)

@@ -18,6 +18,7 @@ import (
 	"pier/internal/metablocking"
 	"pier/internal/metrics"
 	"pier/internal/profile"
+	"pier/internal/storage"
 )
 
 // Increment is one stream input: a batch of profiles arriving together.
@@ -122,7 +123,7 @@ type Result struct {
 // and when there is neither data nor work the clock jumps to the next
 // arrival.
 func Run(strategy core.Strategy, incs []Increment, cfg Config) *Result {
-	col := blocking.NewCollectionKeyed(cfg.CleanClean, cfg.MaxBlockSize, cfg.Keyer)
+	col := blocking.NewCollectionStorage(cfg.CleanClean, cfg.MaxBlockSize, cfg.Keyer, 0, storage.Config{})
 	kPolicy := cfg.K
 	if kPolicy == nil {
 		kPolicy = core.NewAdaptiveK()

@@ -168,38 +168,3 @@ func TestQueryIngestNoTornSnapshots(t *testing.T) {
 		}
 	}
 }
-
-// TestQueryLockedReadsStillCorrect pins the fallback: with LockedQueryReads
-// forcing the mutex-guarded read path, queries still return complete answers
-// after ingest (the baseline path stays correct, just slower).
-func TestQueryLockedReadsStillCorrect(t *testing.T) {
-	const nIncs = 10
-	l := LiveRun(core.NewIPES(core.DefaultConfig()), LiveConfig{
-		CleanClean:       false,
-		Matcher:          match.NewMatcher(match.JS),
-		TickEvery:        time.Millisecond,
-		LockedQueryReads: true,
-	})
-	defer l.Stop()
-	for k := 0; k < nIncs; k++ {
-		if err := l.Push(sentinelIncrement(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for l.Snapshot().Increments < nIncs {
-		time.Sleep(time.Millisecond)
-	}
-	for k := 0; k < nIncs; k++ {
-		ans, err := l.Query(context.Background(), sentinelProbe(k), QueryOptions{TopK: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !assertUntorn(t, k, ans.Candidates) {
-			t.Fatalf("locked reads: increment %d invisible after ingest", k)
-		}
-	}
-	// The locked path never publishes snapshots.
-	if l.st.col.PublishedSnap() != nil {
-		t.Fatal("LockedQueryReads pipeline published a snapshot")
-	}
-}

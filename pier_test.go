@@ -172,6 +172,62 @@ func TestDirtyER(t *testing.T) {
 	}
 }
 
+// TestDirtyERIgnoresSource pins that Source is meaningless under Dirty ER: a
+// profile flagged SourceB is compared like any other, for every algorithm.
+// Each must return exactly what it returns for the all-SourceA twin of the
+// input (block scans used to walk a block's A list only and lost every pair of
+// a SourceB profile — PBS-GLOBAL and BATCH found nothing at all here).
+func TestDirtyERIgnoresSource(t *testing.T) {
+	mixed := []pier.Profile{
+		{Key: "p1", Attributes: pier.Attr("name", "john smith", "city", "berlin")},
+		{Key: "p2", SourceB: true, Attributes: pier.Attr("name", "john smith", "city", "berlin")},
+		{Key: "p3", SourceB: true, Attributes: pier.Attr("name", "maria garcia", "city", "madrid")},
+		{Key: "p4", Attributes: pier.Attr("name", "maria garcia", "city", "madrid")},
+	}
+	twin := make([]pier.Profile, len(mixed))
+	for i, p := range mixed {
+		p.SourceB = false
+		twin[i] = p
+	}
+	resolve := func(t *testing.T, alg pier.Algorithm, in []pier.Profile) (pairs map[string]bool, comparisons int) {
+		t.Helper()
+		matches, summary, err := pier.Resolve(in, pier.Options{Algorithm: alg, CleanClean: false})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs = map[string]bool{}
+		for _, m := range matches {
+			x, y := m.X.Key, m.Y.Key
+			if x > y {
+				x, y = y, x
+			}
+			pairs[x+"~"+y] = true
+		}
+		return pairs, summary.Comparisons
+	}
+	for _, alg := range []pier.Algorithm{
+		pier.IPCS, pier.IPBS, pier.IPES, pier.IBase, pier.PPSGlobal,
+		pier.PPSLocal, pier.PBSGlobal, pier.BatchER, pier.Auto, pier.ISN,
+	} {
+		t.Run(string(alg), func(t *testing.T) {
+			want, wantCmp := resolve(t, alg, twin)
+			got, gotCmp := resolve(t, alg, mixed)
+			if !want["p1~p2"] || !want["p3~p4"] {
+				t.Fatalf("all-SourceA twin misses a duplicate pair: %v", want)
+			}
+			if gotCmp != wantCmp || len(got) != len(want) {
+				t.Fatalf("mixed sources: %d comparisons, matches %v; all-SourceA twin: %d comparisons, matches %v",
+					gotCmp, got, wantCmp, want)
+			}
+			for k := range want {
+				if !got[k] {
+					t.Errorf("mixed sources lost match %s (twin found %v, got %v)", k, want, got)
+				}
+			}
+		})
+	}
+}
+
 func TestEditDistanceOption(t *testing.T) {
 	profiles := []pier.Profile{
 		{Key: "a", Attributes: pier.Attr("name", "acme gmbh berlin")},
