@@ -310,6 +310,39 @@ func BenchmarkStrategyUpdateIndex(b *testing.B) {
 	}
 }
 
+// BenchmarkLiveBurst measures the live batch loop the way a burst drives it:
+// the quick preset's census dataset pushed back to back into a serial
+// pipeline, then drained by Stop. With -benchmem its B/op is the loop's whole
+// allocation bill — ingest, index maintenance, emission and the batch scratch
+// — and benchguard gates it. K is fixed at its ceiling and the ticker is off,
+// so the batch sequence does not follow findK's clock or the runner's speed,
+// and a per-batch allocation sized by K rather than by the batch costs
+// 12.8 MB a batch here.
+func BenchmarkLiveBurst(b *testing.B) {
+	d := dataset.Census(experiments.Quick().CensusScale, 1)
+	incs := d.Increments(100)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := stream.LiveRun(core.NewIPCS(core.DefaultConfig()), stream.LiveConfig{
+			MaxBlockSize: stream.DefaultMaxBlockSize,
+			Matcher:      match.NewMatcher(match.JS),
+			K:            core.NewFixedK(core.KMax),
+			TickEvery:    time.Hour,
+			Parallelism:  1,
+			Shards:       1,
+		})
+		for _, inc := range incs {
+			if err := l.Push(inc); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if res := l.Stop(); res.Comparisons == 0 {
+			b.Fatal("run executed no comparisons")
+		}
+	}
+	b.ReportMetric(float64(d.NumProfiles()*b.N)/b.Elapsed().Seconds(), "profiles/s")
+}
+
 // BenchmarkInternThroughput measures the symbol table on the token stream the
 // blocking index actually sees: every token of every movies profile, in
 // stream order, interned against one growing table. The mix matters — early

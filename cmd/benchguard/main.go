@@ -1,13 +1,17 @@
 // Command benchguard is the performance-regression gate for the benchmark
 // smoke job: it reads `go test -bench ... -benchmem` output on stdin,
-// extracts allocs/op and ns/op per benchmark, and compares each against a
-// committed baseline (the guard_baseline and guard_ns_baseline sections of
-// BENCH_intern.json). Allocations are the primary guarded metric because they
-// are stable across runner hardware — an allocs/op jump is a real code change
-// every time. ns/op is gated too, but with a deliberately generous limit
-// (default 200% over baseline): on shared CI machines wall time is noisy, so
-// the ns gate only catches catastrophic slowdowns — an accidental O(n²), a
-// lock on the hot path — not ordinary jitter.
+// extracts allocs/op, B/op and ns/op per benchmark, and compares each against
+// a committed baseline (the guard_baseline, guard_bytes_baseline and
+// guard_ns_baseline sections of BENCH_intern.json). Allocations are the
+// primary guarded metric because they are stable across runner hardware — an
+// allocs/op jump is a real code change every time. B/op is gated where the
+// count cannot see the cost: one allocation per batch sized by findK's K is a
+// single alloc and 12.8 MB (guard_bytes_baseline, a fixed 25% over baseline).
+// ns/op is gated too, but with a deliberately generous limit (default 200%
+// over baseline): on shared CI machines wall time is noisy, so the ns gate
+// only catches catastrophic slowdowns — an accidental O(n²), a lock on the
+// hot path — not
+// ordinary jitter.
 //
 // Usage:
 //
@@ -15,9 +19,10 @@
 //	    go run ./cmd/benchguard -baseline BENCH_intern.json
 //
 // The run fails (exit 1) when any guarded benchmark exceeds its baseline by
-// more than -max-regress (allocs/op, default 10%) or -max-ns-regress (ns/op,
-// default 200%), and when a guarded benchmark is missing from the input — a
-// gate that silently stops measuring is worse than no gate.
+// more than -max-regress (allocs/op, default 10%), 25% (B/op) or
+// -max-ns-regress (ns/op, default 200%), and when a guarded benchmark is
+// missing from the input — a gate that silently stops measuring is worse than
+// no gate.
 package main
 
 import (
@@ -35,13 +40,25 @@ import (
 // baselineFile is the slice of BENCH_intern.json the guard consumes; other
 // sections are recording, not gating.
 type baselineFile struct {
-	GuardBaseline   map[string]float64 `json:"guard_baseline"`
-	GuardNsBaseline map[string]float64 `json:"guard_ns_baseline"`
+	GuardBaseline      map[string]float64 `json:"guard_baseline"`
+	GuardBytesBaseline map[string]float64 `json:"guard_bytes_baseline"`
+	GuardNsBaseline    map[string]float64 `json:"guard_ns_baseline"`
 }
+
+// maxBytesRegress is the allowed fractional B/op increase over
+// guard_bytes_baseline. Wider than the allocs/op limit because bytes follow
+// the runtime's size classes and map layout from one toolchain to the next
+// (about 10% between map implementations on the guarded benchmark); the
+// regression it exists for, a buffer sized by K, is a multiple, not a
+// percentage.
+const maxBytesRegress = 0.25
 
 // benchAllocs matches one -benchmem result line, capturing the benchmark name
 // (with sub-benchmark path, GOMAXPROCS suffix still attached) and allocs/op.
 var benchAllocs = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+.*?\s(\d+)\s+allocs/op`)
+
+// benchBytes matches the B/op column of a -benchmem result line.
+var benchBytes = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+.*?\s(\d+)\s+B/op`)
 
 // benchNs matches any benchmark result line's ns/op column (present with or
 // without -benchmem).
@@ -64,34 +81,35 @@ func stripProcs(name string) string {
 }
 
 // parseBench scans benchmark output, echoing every line to echo (so CI logs
-// keep the raw numbers) and collecting allocs/op and ns/op per raw benchmark
-// name. When -count repeats a benchmark the worst (highest) observation wins.
-func parseBench(r io.Reader, echo io.Writer) (allocs, ns map[string]float64, err error) {
+// keep the raw numbers) and collecting allocs/op, B/op and ns/op per raw
+// benchmark name. When -count repeats a benchmark the worst (highest)
+// observation wins.
+func parseBench(r io.Reader, echo io.Writer) (allocs, bytes, ns map[string]float64, err error) {
 	allocs = make(map[string]float64)
+	bytes = make(map[string]float64)
 	ns = make(map[string]float64)
-	worst := func(m map[string]float64, name string, v float64) {
-		if prev, ok := m[name]; !ok || v > prev {
-			m[name] = v
-		}
-	}
+	columns := []struct {
+		re   *regexp.Regexp
+		into map[string]float64
+	}{{benchAllocs, allocs}, {benchBytes, bytes}, {benchNs, ns}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Fprintln(echo, line)
-		if m := benchAllocs.FindStringSubmatch(line); m != nil {
-			v, _ := strconv.ParseFloat(m[2], 64)
-			worst(allocs, m[1], v)
-		}
-		if m := benchNs.FindStringSubmatch(line); m != nil {
-			v, _ := strconv.ParseFloat(m[2], 64)
-			worst(ns, m[1], v)
+		for _, col := range columns {
+			if m := col.re.FindStringSubmatch(line); m != nil {
+				v, _ := strconv.ParseFloat(m[2], 64)
+				if prev, ok := col.into[m[1]]; !ok || v > prev {
+					col.into[m[1]] = v
+				}
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return allocs, ns, nil
+	return allocs, bytes, ns, nil
 }
 
 // resolveNames maps raw benchmark names onto baseline keys. A raw name that
@@ -149,7 +167,7 @@ func gate(base, resolved map[string]float64, maxRegress float64, unit string, ou
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_intern.json", "JSON file with guard_baseline (allocs/op) and/or guard_ns_baseline (ns/op) maps")
+	baselinePath := flag.String("baseline", "BENCH_intern.json", "JSON file with guard_baseline (allocs/op), guard_bytes_baseline (B/op) and/or guard_ns_baseline (ns/op) maps")
 	maxRegress := flag.Float64("max-regress", 0.10, "maximum allowed fractional allocs/op increase over baseline")
 	maxNsRegress := flag.Float64("max-ns-regress", 2.00, "maximum allowed fractional ns/op increase over baseline (generous: wall time is noisy)")
 	flag.Parse()
@@ -164,24 +182,28 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchguard: parse %s: %v\n", *baselinePath, err)
 		os.Exit(2)
 	}
-	if len(base.GuardBaseline) == 0 && len(base.GuardNsBaseline) == 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: %s has neither guard_baseline nor guard_ns_baseline entries\n", *baselinePath)
+	if len(base.GuardBaseline) == 0 && len(base.GuardBytesBaseline) == 0 && len(base.GuardNsBaseline) == 0 {
+		fmt.Fprintf(os.Stderr, "benchguard: %s has no guard_baseline, guard_bytes_baseline or guard_ns_baseline entries\n", *baselinePath)
 		os.Exit(2)
 	}
 
-	allocs, ns, err := parseBench(os.Stdin, os.Stdout)
+	allocs, bytes, ns, err := parseBench(os.Stdin, os.Stdout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchguard: read stdin: %v\n", err)
 		os.Exit(2)
 	}
 	failed := false
-	if len(base.GuardBaseline) > 0 {
-		resolved := resolveNames(allocs, base.GuardBaseline)
-		failed = gate(base.GuardBaseline, resolved, *maxRegress, "allocs/op", os.Stdout, os.Stderr) || failed
-	}
-	if len(base.GuardNsBaseline) > 0 {
-		resolved := resolveNames(ns, base.GuardNsBaseline)
-		failed = gate(base.GuardNsBaseline, resolved, *maxNsRegress, "ns/op", os.Stdout, os.Stderr) || failed
+	for _, g := range []struct {
+		base, got  map[string]float64
+		maxRegress float64
+		unit       string
+	}{
+		{base.GuardBaseline, allocs, *maxRegress, "allocs/op"},
+		{base.GuardBytesBaseline, bytes, maxBytesRegress, "B/op"},
+		{base.GuardNsBaseline, ns, *maxNsRegress, "ns/op"},
+	} {
+		resolved := resolveNames(g.got, g.base)
+		failed = gate(g.base, resolved, g.maxRegress, g.unit, os.Stdout, os.Stderr) || failed
 	}
 	if failed {
 		os.Exit(1)

@@ -31,7 +31,7 @@ func TestParseBench(t *testing.T) {
 		"BenchmarkStrategyUpdateIndex/I-PCS/p1         	       5	   1100000 ns/op	  400000 B/op	    1600 allocs/op",
 		"PASS",
 	}, "\n")
-	got, ns, err := parseBench(strings.NewReader(input), io.Discard)
+	got, bytes, ns, err := parseBench(strings.NewReader(input), io.Discard)
 	if err != nil {
 		t.Fatalf("parseBench: %v", err)
 	}
@@ -45,7 +45,10 @@ func TestParseBench(t *testing.T) {
 	if got["BenchmarkStrategyUpdateIndex/I-PCS/p1"] != 1600 {
 		t.Errorf("repeated benchmark allocs = %v, want the worst (1600)", got["BenchmarkStrategyUpdateIndex/I-PCS/p1"])
 	}
-	// ns/op is captured from the same lines, worst-wins as well.
+	// B/op and ns/op are captured from the same lines, worst-wins as well.
+	if bytes["BenchmarkShardedUpdateIndex/shards-4"] != 500000 || bytes["BenchmarkStrategyUpdateIndex/I-PCS/p1"] != 400000 {
+		t.Errorf("B/op = %v, want 500000 and 400000", bytes)
+	}
 	if ns["BenchmarkShardedUpdateIndex/shards-4"] != 1200000 {
 		t.Errorf("shards-4 ns = %v, want 1200000", ns["BenchmarkShardedUpdateIndex/shards-4"])
 	}
@@ -61,12 +64,12 @@ func TestParseBenchWithoutBenchmem(t *testing.T) {
 		"BenchmarkCounterIncAtomic-2    	   50000	        13.80 ns/op",
 		"PASS",
 	}, "\n")
-	allocs, ns, err := parseBench(strings.NewReader(input), io.Discard)
+	allocs, bytes, ns, err := parseBench(strings.NewReader(input), io.Discard)
 	if err != nil {
 		t.Fatalf("parseBench: %v", err)
 	}
-	if len(allocs) != 0 {
-		t.Errorf("allocs parsed from a non-benchmem line: %v", allocs)
+	if len(allocs) != 0 || len(bytes) != 0 {
+		t.Errorf("allocs %v, bytes %v parsed from a non-benchmem line", allocs, bytes)
 	}
 	if ns["BenchmarkCounterIncAtomic-2"] != 13.80 {
 		t.Errorf("ns = %v, want 13.80 (fractional ns/op must parse)", ns["BenchmarkCounterIncAtomic-2"])

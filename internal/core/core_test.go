@@ -399,6 +399,38 @@ func TestEmitBatch(t *testing.T) {
 	}
 }
 
+func TestAppendBatch(t *testing.T) {
+	s := NewIPCS(testConfig())
+	col, ps := tinyWorld(t)
+	s.UpdateIndex(col, ps)
+	pending := s.Pending()
+	if pending < 2 {
+		t.Fatalf("tinyWorld queued %d comparisons, want at least 2", pending)
+	}
+	sentinel := metablocking.Comparison{X: -1, Y: -2}
+	dst := append(make([]metablocking.Comparison, 0, 1), sentinel)
+
+	for _, k := range []int{0, -3} {
+		if got := AppendBatch(dst, s, k); len(got) != 1 || cap(got) != 1 || got[0] != sentinel || s.Pending() != pending {
+			t.Errorf("AppendBatch(k=%d) = %v (cap %d), %d pending; want dst untouched and nothing dequeued", k, got, cap(got), s.Pending())
+		}
+	}
+	got := AppendBatch(dst, s, 1)
+	if len(got) != 2 || got[0] != sentinel || s.Pending() != pending-1 {
+		t.Fatalf("AppendBatch(k=1) = %v, %d pending; want the sentinel plus one comparison", got, s.Pending())
+	}
+	// A k far above what is queued appends what is queued, after the
+	// existing elements, and no more.
+	rest := pending - 1
+	got = AppendBatch(got, s, KMax)
+	if len(got) != 2+rest || got[0] != sentinel || s.Pending() != 0 {
+		t.Errorf("AppendBatch(k=KMax) returned %d elements with %d pending; want %d and 0", len(got), s.Pending(), 2+rest)
+	}
+	if got := AppendBatch(nil, s, KMax); got != nil {
+		t.Errorf("AppendBatch(nil) on an empty index = %v (cap %d), want nil: growth follows Pending, not k", got, cap(got))
+	}
+}
+
 func TestAdaptiveKGrowsWithFastMatcher(t *testing.T) {
 	a := NewAdaptiveK()
 	for i := 0; i < 50; i++ {

@@ -14,6 +14,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"pier/internal/blocking"
@@ -101,19 +102,27 @@ func DefaultConfig() Config {
 	}
 }
 
-// EmitBatch implements the emission loop of Algorithm 1 (lines 3–8): it
-// dequeues up to k comparisons from the strategy's index in priority order.
-func EmitBatch(s Strategy, k int) []metablocking.Comparison {
+// AppendBatch implements the emission loop of Algorithm 1 (lines 3–8): it
+// dequeues up to k comparisons from the strategy's index in priority order
+// and appends them to dst, so a caller that emits every round can reuse one
+// buffer. dst grows by at most min(k, s.Pending()) elements — by what is
+// queued, never by what findK would allow.
+func AppendBatch(dst []metablocking.Comparison, s Strategy, k int) []metablocking.Comparison {
 	if k <= 0 {
-		return nil
+		return dst
 	}
-	out := make([]metablocking.Comparison, 0, min(k, s.Pending()))
-	for len(out) < k {
+	dst = slices.Grow(dst, min(k, s.Pending()))
+	for end := len(dst) + k; len(dst) < end; {
 		c, ok := s.Dequeue()
 		if !ok {
 			break
 		}
-		out = append(out, c)
+		dst = append(dst, c)
 	}
-	return out
+	return dst
+}
+
+// EmitBatch is AppendBatch into a fresh slice (nil when k <= 0).
+func EmitBatch(s Strategy, k int) []metablocking.Comparison {
+	return AppendBatch(nil, s, k)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -224,6 +225,7 @@ type liveMetrics struct {
 	incSize   *obsv.Histogram
 	ingestSec *obsv.Histogram
 	batchSize *obsv.Histogram
+	batchFill *obsv.Histogram // assembled jobs / K: how much of findK's allowance a batch used
 	seqSec    *obsv.Histogram
 	parSec    *obsv.Histogram
 	ckptSec   *obsv.Histogram
@@ -242,6 +244,9 @@ func newLiveMetrics(reg *obsv.Registry) *liveMetrics {
 	sizeBuckets := obsv.ExpBuckets(1, 4, 10)       // 1 .. 262144
 	latBuckets := obsv.ExpBuckets(1e-6, 10, 8)     // 1µs .. 10s
 	serviceBuckets := obsv.ExpBuckets(1e-6, 10, 8) // per-batch matcher time
+	// K reaches 200 000, so a three-job batch fills 1.5e-5 of it: decades,
+	// written out so that a full batch lands on the 1 bound exactly.
+	fillBuckets := []float64{1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1}
 	return &liveMetrics{
 		profiles:      reg.Counter("pier_profiles_ingested_total", "profiles ingested into the live pipeline"),
 		increments:    reg.Counter("pier_increments_total", "data increments pushed into the live pipeline"),
@@ -265,6 +270,7 @@ func newLiveMetrics(reg *obsv.Registry) *liveMetrics {
 		incSize:       reg.Histogram("pier_increment_size", "profiles per pushed increment", sizeBuckets),
 		ingestSec:     reg.Histogram("pier_ingest_seconds", "wall time to block and index one increment", latBuckets),
 		batchSize:     reg.Histogram("pier_batch_size", "comparisons per emitted batch (after dedup and eviction skips)", sizeBuckets),
+		batchFill:     reg.Histogram("pier_batch_fill_ratio", "batch size divided by K, per non-idle batch: low values at a high pier_k mean findK allows far more than the index holds", fillBuckets),
 		seqSec:        reg.Histogram("pier_match_seq_seconds", "per-batch matcher service time, sequential path", serviceBuckets),
 		parSec:        reg.Histogram("pier_match_par_seconds", "per-batch matcher service time, parallel path", serviceBuckets),
 		ckptSec:       reg.Histogram("pier_checkpoint_seconds", "wall time to write one checkpoint", latBuckets),
@@ -299,9 +305,43 @@ type liveState struct {
 
 	retryQ []retryJob
 
+	scratch batchScratch
+
 	res         *liveCounters
 	start       time.Time
 	lastArrival time.Time
+}
+
+// scratchMax is the largest buffer, in elements, that batchScratch keeps
+// between batches: 16 Ki jobs are 1 MiB. It is pier_batch_size's le="16384"
+// bucket, and no batch of the four benchmark workloads leaves that bucket
+// (their largest is under 4 096 jobs). A batch beyond it — findK at its
+// ceiling over a deep queue — pays its own allocation, so a pipeline whose
+// index lives under a 1 MiB StorageBudget never sits on the 12.8 MB a
+// KMax-sized batch needs.
+const scratchMax = 16 << 10
+
+// batchScratch is the working memory of the batch loop, owned by the pipeline
+// goroutine through liveState and reused from one batch to the next, so that
+// a batch costs what it assembles and an idle tick allocates nothing. It is
+// not state: nothing in it outlives the call that filled it, and a checkpoint
+// ignores it.
+type batchScratch struct {
+	jobs    []job                     // processBatch's job slab; every slot zero between batches
+	emitted []metablocking.Comparison // what the strategy dequeued for the current batch
+	dead    []uint64                  // dedup keys the window sweep is about to delete
+}
+
+// recycle empties buf for the next batch, or drops it once it outgrew
+// scratchMax. A kept buffer goes back with every used slot zeroed: a job holds
+// two *profile.Profile, and a slot left filled would keep an evicted profile
+// reachable until some later batch happened to overwrite it.
+func recycle[T any](buf []T) []T {
+	if cap(buf) > scratchMax {
+		return nil
+	}
+	clear(buf)
+	return buf[:0]
 }
 
 // liveCounters are the loop-local result fields accumulated during a run.
@@ -594,7 +634,7 @@ func (l *Live) loop(st *liveState) {
 				st.evictedSinceSweep = 0
 				// Collect first, delete after: DedupStore.Range does not
 				// permit mutation from inside the callback.
-				var dead []uint64
+				dead := st.scratch.dead
 				st.executed.Range(func(key uint64) bool {
 					x, y := profile.SplitPairKey(key)
 					if st.col.Profile(x) == nil || st.col.Profile(y) == nil {
@@ -605,6 +645,7 @@ func (l *Live) loop(st *liveState) {
 				for _, key := range dead {
 					st.executed.Delete(key)
 				}
+				st.scratch.dead = recycle(dead)
 			}
 		}
 		// One atomic publication per increment: queries switch from the
@@ -758,19 +799,27 @@ type job struct {
 // processBatch executes one findK-sized batch: retry backlog first, then
 // fresh strategy work; similarity in parallel with panic isolation; then the
 // sequential classify/cluster/record phase. Failed comparisons are requeued,
-// a panicked batch is voided and fully requeued.
+// a panicked batch is voided and fully requeued. Its cost follows the
+// comparisons it assembles, never K: a call that assembles none allocates
+// nothing and touches neither pool.
 func (l *Live) processBatch(st *liveState, matchPool, serialPool *pool.Pool, prober interface{ BreakerOpen() bool }) {
 	k := l.cfg.K.K()
 	l.m.k.Set(int64(k))
-
-	// Phase 1 (sequential): assemble the batch. The retry backlog goes
-	// first — those pairs are already dedup-marked and must complete before
-	// new work competes for the matcher; then fresh strategy work up to k.
-	jobs := make([]job, 0, k)
-	nRetry := len(st.retryQ)
-	if nRetry > k {
-		nRetry = k
+	jobs := l.assembleBatch(st, k)
+	if len(jobs) > 0 {
+		l.matchBatch(st, jobs, matchPool, serialPool)
 	}
+	st.scratch.jobs = recycle(jobs)
+	l.finishBatch(st, prober)
+}
+
+// assembleBatch is phase 1 (sequential): it fills the scratch slab with up to
+// k jobs. The retry backlog goes first — those pairs are already dedup-marked
+// and must complete before new work competes for the matcher; then fresh
+// strategy work up to k. The slab grows with what is assembled, not with k.
+func (l *Live) assembleBatch(st *liveState, k int) []job {
+	jobs := st.scratch.jobs
+	nRetry := min(len(st.retryQ), k)
 	for _, rj := range st.retryQ[:nRetry] {
 		px, py := st.col.Profile(rj.x), st.col.Profile(rj.y)
 		if px == nil || py == nil {
@@ -783,13 +832,21 @@ func (l *Live) processBatch(st *liveState, matchPool, serialPool *pool.Pool, pro
 		}
 		jobs = append(jobs, job{key: rj.key, px: px, py: py, attempts: rj.attempts})
 	}
-	st.retryQ = append(st.retryQ[:0:0], st.retryQ[nRetry:]...)
+	if nRetry > 0 {
+		// Copied down in place; a queue that a failure storm grew past the
+		// scratch bound is let go once it has emptied.
+		st.retryQ = st.retryQ[:copy(st.retryQ, st.retryQ[nRetry:])]
+		if len(st.retryQ) == 0 {
+			st.retryQ = recycle(st.retryQ)
+		}
+	}
 
-	batch := core.EmitBatch(l.strategy, k-len(jobs))
+	emitted := core.AppendBatch(st.scratch.emitted, l.strategy, k-len(jobs))
+	jobs = slices.Grow(jobs, len(emitted))
 	// A pair is marked executed only once its profiles resolve — comparisons
 	// skipped because a profile was evicted must not count, or the final
 	// Summary would disagree with the Stats() counters.
-	for _, c := range batch {
+	for _, c := range emitted {
 		key := c.Key()
 		if st.executed.Has(key) {
 			continue
@@ -802,10 +859,16 @@ func (l *Live) processBatch(st *liveState, matchPool, serialPool *pool.Pool, pro
 		st.executed.Add(key)
 		jobs = append(jobs, job{key: key, px: px, py: py})
 	}
-	if len(batch) > 0 || nRetry > 0 {
+	if len(emitted) > 0 || nRetry > 0 {
 		l.m.batchSize.Observe(float64(len(jobs)))
+		l.m.batchFill.Observe(float64(len(jobs)) / float64(k))
 	}
+	st.scratch.emitted = recycle(emitted)
+	return jobs
+}
 
+// matchBatch runs phases 2 and 3 over a non-empty batch.
+func (l *Live) matchBatch(st *liveState, jobs []job, matchPool, serialPool *pool.Pool) {
 	// Phase 2: similarity computation — the expensive, possibly fallible
 	// part — fanned out across the worker pool. Verdicts land in the jobs
 	// slice indexed by batch position, so phase 3 sees the same sequence
@@ -825,39 +888,28 @@ func (l *Live) processBatch(st *liveState, matchPool, serialPool *pool.Pool, pro
 			j.ok = j.sim >= l.cfg.Matcher.Threshold
 		}
 	}
-	var batchErr error
+	workers, sec := matchPool, l.m.parSec
 	if matchPool.Serial() || len(jobs) < 4*matchPool.Workers() {
-		t0 := time.Now()
-		batchErr = serialPool.TryForEach(len(jobs), evaluate)
-		if len(jobs) > 0 && batchErr == nil {
-			elapsed := time.Since(t0)
-			l.cfg.K.ObserveService(elapsed / time.Duration(len(jobs)))
-			l.m.seqSec.Observe(elapsed.Seconds())
-		}
-	} else {
-		t0 := time.Now()
-		batchErr = matchPool.TryForEach(len(jobs), evaluate)
-		if batchErr == nil {
-			// Service time per comparison as the matcher stage sees it:
-			// wall time divided by batch size (workers overlap).
-			elapsed := time.Since(t0)
-			l.cfg.K.ObserveService(elapsed / time.Duration(len(jobs)))
-			l.m.parSec.Observe(elapsed.Seconds())
-		}
+		workers, sec = serialPool, l.m.seqSec
 	}
-	if batchErr != nil {
+	t0 := time.Now()
+	if err := workers.TryForEach(len(jobs), evaluate); err != nil {
 		// A worker panicked: the batch fails deterministically as a whole.
 		// Partial verdicts are void (there is no record of which workers
 		// finished), nothing is counted, and every job is requeued — the
 		// panic poisons the batch, not the comparisons.
 		l.m.batchFailures.Inc()
-		l.setErr(batchErr)
+		l.setErr(err)
 		for _, j := range jobs {
 			l.requeue(st, j)
 		}
-		l.finishBatch(st, prober)
 		return
 	}
+	// Service time per comparison as the matcher stage sees it: wall time
+	// divided by batch size (workers overlap).
+	elapsed := time.Since(t0)
+	l.cfg.K.ObserveService(elapsed / time.Duration(len(jobs)))
+	sec.Observe(elapsed.Seconds())
 
 	// Phase 3 (sequential): classification, clustering, reporting. Failed
 	// comparisons are requeued, not classified — the matcher returned no
@@ -886,7 +938,6 @@ func (l *Live) processBatch(st *liveState, matchPool, serialPool *pool.Pool, pro
 			l.cfg.OnExecuted(j.key)
 		}
 	}
-	l.finishBatch(st, prober)
 }
 
 // requeue places a failed job back on the retry queue, or abandons it once

@@ -197,4 +197,13 @@ func TestLiveSnapshotAndSharedRegistry(t *testing.T) {
 	if reg.Histogram("pier_increment_size", "", nil).Count() != uint64(len(incs)) {
 		t.Error("increment-size histogram did not record every push")
 	}
+	// One fill ratio per non-idle batch, next to its size: jobs / K, so in
+	// (0, 1] on average for a run that executed comparisons.
+	fill := reg.Histogram("pier_batch_fill_ratio", "", nil)
+	if n := reg.Histogram("pier_batch_size", "", nil).Count(); fill.Count() == 0 || fill.Count() != n {
+		t.Errorf("pier_batch_fill_ratio has %d observations, pier_batch_size %d; want equal and > 0", fill.Count(), n)
+	}
+	if mean := fill.Mean(); mean <= 0 || mean > 1 {
+		t.Errorf("pier_batch_fill_ratio mean = %v, want in (0, 1]", mean)
+	}
 }

@@ -130,6 +130,7 @@ func Run(strategy core.Strategy, incs []Increment, cfg Config) *Result {
 	}
 	rec := metrics.NewRecorder(cfg.GroundTruth, cfg.SampleEvery)
 	executed := make(map[uint64]struct{})
+	var batch []metablocking.Comparison // emission buffer, reused every round
 
 	var now time.Duration
 	var lastArrival time.Duration
@@ -175,7 +176,7 @@ func Run(strategy core.Strategy, incs []Increment, cfg Config) *Result {
 			}
 		}
 
-		batch := core.EmitBatch(strategy, kPolicy.K())
+		batch = core.AppendBatch(batch[:0], strategy, kPolicy.K())
 		for _, c := range batch {
 			if !budgetLeft() {
 				break
