@@ -272,6 +272,18 @@ func BenchmarkResolveThroughput(b *testing.B) {
 	}
 }
 
+// benchStrategies are the strategies the per-strategy benchmarks build, in
+// report order: the three PIER strategies, then the non-progressive I-BASE.
+var benchStrategies = []struct {
+	name string
+	mk   func(core.Config) core.Strategy
+}{
+	{"I-PCS", func(cfg core.Config) core.Strategy { return core.NewIPCS(cfg) }},
+	{"I-PBS", func(cfg core.Config) core.Strategy { return core.NewIPBS(cfg) }},
+	{"I-PES", func(cfg core.Config) core.Strategy { return core.NewIPES(cfg) }},
+	{"I-BASE", func(cfg core.Config) core.Strategy { return baseline.NewIBase(cfg) }},
+}
+
 // BenchmarkStrategyUpdateIndex measures pure index-maintenance cost for each
 // PIER strategy on a growing collection: per increment, the profiles are
 // blocked, UpdateIndex integrates them (ghosting, candidate generation,
@@ -282,19 +294,13 @@ func BenchmarkResolveThroughput(b *testing.B) {
 func BenchmarkStrategyUpdateIndex(b *testing.B) {
 	d := dataset.Movies(0.08, 1)
 	incs := d.Increments(20)
-	mks := map[string]func(core.Config) core.Strategy{
-		"I-PCS":  func(cfg core.Config) core.Strategy { return core.NewIPCS(cfg) },
-		"I-PBS":  func(cfg core.Config) core.Strategy { return core.NewIPBS(cfg) },
-		"I-PES":  func(cfg core.Config) core.Strategy { return core.NewIPES(cfg) },
-		"I-BASE": func(cfg core.Config) core.Strategy { return baseline.NewIBase(cfg) },
-	}
-	for _, name := range []string{"I-PCS", "I-PBS", "I-PES", "I-BASE"} {
+	for _, m := range benchStrategies {
 		for _, par := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/p%d", name, par), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/p%d", m.name, par), func(b *testing.B) {
 				cfg := core.DefaultConfig()
 				cfg.Parallelism = par
 				for i := 0; i < b.N; i++ {
-					s := mks[name](cfg)
+					s := m.mk(cfg)
 					col := blocking.NewCollection(d.CleanClean, stream.DefaultMaxBlockSize)
 					for _, inc := range incs {
 						for _, p := range inc {
@@ -307,6 +313,53 @@ func BenchmarkStrategyUpdateIndex(b *testing.B) {
 				b.ReportMetric(float64(d.NumProfiles()*b.N)/b.Elapsed().Seconds(), "profiles/s")
 			})
 		}
+	}
+}
+
+// BenchmarkStrategyDequeue measures what one emitted comparison costs the
+// strategy once the stream has ended: the movies collection of
+// BenchmarkStrategyUpdateIndex is indexed with no emission in between (outside
+// the timer), then Algorithm 1's drain runs — batches of 512 into one reused
+// buffer, an empty-increment tick whenever the index runs dry, until a tick
+// finds nothing more. ns/cmp must not follow the size of the index: I-PES
+// started a round by walking every entity ever seen, once per low-weight
+// comparison, and read ~47 µs/cmp here; I-PBS's row prices its lazy CI heap.
+func BenchmarkStrategyDequeue(b *testing.B) {
+	d := dataset.Movies(0.08, 1)
+	incs := d.Increments(20)
+	for _, m := range benchStrategies[:3] { // the PIER strategies
+		b.Run(m.name, func(b *testing.B) {
+			cfg := core.DefaultConfig()
+			cfg.Parallelism = 1
+			var buf []metablocking.Comparison
+			cmps := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := m.mk(cfg)
+				col := blocking.NewCollection(d.CleanClean, stream.DefaultMaxBlockSize)
+				for _, inc := range incs {
+					for _, p := range inc {
+						col.Add(p)
+					}
+					s.UpdateIndex(col, inc)
+				}
+				b.StartTimer()
+				for {
+					if s.Pending() == 0 {
+						if s.UpdateIndex(col, nil); s.Pending() == 0 {
+							break
+						}
+					}
+					buf = core.AppendBatch(buf[:0], s, 512)
+					cmps += len(buf)
+				}
+			}
+			if cmps == 0 {
+				b.Fatal("drain emitted no comparisons")
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cmps), "ns/cmp")
+			b.ReportMetric(float64(cmps)/float64(b.N), "cmps/op")
+		})
 	}
 }
 

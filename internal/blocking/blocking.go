@@ -20,10 +20,13 @@
 package blocking
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -574,11 +577,14 @@ func (c *Collection) sortedStatsBySize() []blockStat {
 			return true
 		})
 	}
-	sort.Slice(stats, func(i, j int) bool {
-		if stats[i].size != stats[j].size {
-			return stats[i].size < stats[j].size
+	// Keys are unique, so the order is total and an unstable sort has one
+	// result. slices.SortFunc because this runs on every idle tick after the
+	// collection moved: sort.Slice's reflect-based swapper was most of it.
+	slices.SortFunc(stats, func(a, b blockStat) int {
+		if c := cmp.Compare(a.size, b.size); c != 0 {
+			return c
 		}
-		return stats[i].key < stats[j].key
+		return strings.Compare(a.key, b.key)
 	})
 	return stats
 }

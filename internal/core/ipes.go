@@ -5,6 +5,7 @@ import (
 
 	"pier/internal/blocking"
 	"pier/internal/metablocking"
+	"pier/internal/obsv"
 	"pier/internal/profile"
 	"pier/internal/queue"
 )
@@ -35,9 +36,22 @@ type IPES struct {
 	epq         map[int]*entityState
 	pq          *queue.Bounded[metablocking.Comparison]
 
+	// nonEmpty holds exactly the E_PQ entries whose queue is non-empty, each
+	// at index entityState.slot, in no particular order: a new round reads
+	// it instead of walking epq, whose entries outlive their comparisons
+	// (insSum/insCount keep feeding insert()'s pruning). The order cannot
+	// reach emission: the EntityQueue is empty when a round starts and
+	// entityLess is a total order on ⟨weight, id⟩, so the heap pops one
+	// sequence whatever order the tuples were pushed in.
+	nonEmpty []*entityState
+
 	total   float64 // running sum of all inserted comparison weights
 	count   int     // running count of all inserted comparisons
 	pending int     // comparisons currently held across E_PQ and PQ
+
+	// Set at the end of every UpdateIndex, never per Dequeue; nil without
+	// Config.Metrics.
+	entitiesGauge, entitiesPendingGauge, lowWeightGauge *obsv.Gauge
 }
 
 type entityEntry struct {
@@ -60,17 +74,25 @@ type entityState struct {
 	q        queue.Bounded[metablocking.Comparison] // by value: one alloc per entity
 	insSum   float64
 	insCount int
+	id       int
+	slot     int // index in IPES.nonEmpty; -1 while q is empty
 }
 
 // NewIPES returns an I-PES strategy with the given configuration.
 func NewIPES(cfg Config) *IPES {
-	return &IPES{
+	s := &IPES{
 		cfg:         cfg,
 		gen:         newGenerator(cfg),
 		entityQueue: queue.NewHeap(entityLess),
 		epq:         make(map[int]*entityState),
 		pq:          queue.NewBounded(cfg.IndexCapacity, metablocking.Less),
 	}
+	if cfg.Metrics != nil {
+		s.entitiesGauge = cfg.Metrics.Gauge("pier_ipes_entities", "entities tracked in I-PES's E_PQ, with or without pending comparisons")
+		s.entitiesPendingGauge = cfg.Metrics.Gauge("pier_ipes_entities_pending", "I-PES entities whose queue holds at least one comparison")
+		s.lowWeightGauge = cfg.Metrics.Gauge("pier_ipes_low_weight_pending", "comparisons in I-PES's low-weight queue PQ")
+	}
+	return s
 }
 
 // Name implements Strategy.
@@ -100,14 +122,17 @@ func (s *IPES) UpdateIndex(col *blocking.Collection, delta []*profile.Profile) t
 		// *fresh* candidates; by the time the scan runs, the index is empty
 		// and these comparisons are the only remaining work.
 		for _, c := range cmpList {
-			if _, dropped := s.pq.Push(c); !dropped {
-				s.pending++
-			}
+			s.pushLowWeight(c)
 		}
-		return cost
+	} else {
+		for _, c := range cmpList {
+			s.route(c)
+		}
 	}
-	for _, c := range cmpList {
-		s.route(c)
+	if s.entitiesGauge != nil {
+		s.entitiesGauge.Set(int64(len(s.epq)))
+		s.entitiesPendingGauge.Set(int64(len(s.nonEmpty)))
+		s.lowWeightGauge.Set(int64(s.pq.Len()))
 	}
 	return cost
 }
@@ -134,9 +159,14 @@ func (s *IPES) route(c metablocking.Comparison) {
 		}
 		s.insert(c, target)
 	default:
-		if _, dropped := s.pq.Push(c); !dropped {
-			s.pending++
-		}
+		s.pushLowWeight(c)
+	}
+}
+
+// pushLowWeight queues c in the bounded low-weight queue PQ.
+func (s *IPES) pushLowWeight(c metablocking.Comparison) {
+	if _, dropped := s.pq.Push(c); !dropped {
+		s.pending++
 	}
 }
 
@@ -165,7 +195,7 @@ func (s *IPES) queueLen(id int) int {
 func (s *IPES) epqPush(id int, c metablocking.Comparison) {
 	st, ok := s.epq[id]
 	if !ok {
-		st = &entityState{}
+		st = &entityState{id: id, slot: -1}
 		st.q.Init(s.cfg.PerEntityCapacity, metablocking.Less)
 		s.epq[id] = st
 	}
@@ -173,6 +203,10 @@ func (s *IPES) epqPush(id int, c metablocking.Comparison) {
 	st.insCount++
 	if _, dropped := st.q.Push(c); !dropped {
 		s.pending++
+	}
+	if st.slot < 0 { // empty → non-empty: a push into an empty queue never drops
+		st.slot = len(s.nonEmpty)
+		s.nonEmpty = append(s.nonEmpty, st)
 	}
 }
 
@@ -209,6 +243,9 @@ func (s *IPES) Dequeue() (metablocking.Comparison, bool) {
 			continue // stale tuple
 		}
 		c, _ := st.q.PopBest()
+		if st.q.Len() == 0 {
+			s.dropEmptied(st)
+		}
 		s.pending--
 		s.gen.markExecuted(c.Key())
 		return c, true
@@ -221,22 +258,29 @@ func (s *IPES) Dequeue() (metablocking.Comparison, bool) {
 	return metablocking.Comparison{}, false
 }
 
+// dropEmptied swap-removes an entity whose queue just emptied from nonEmpty;
+// its epq entry and pruning statistics stay.
+func (s *IPES) dropEmptied(st *entityState) {
+	last := len(s.nonEmpty) - 1
+	moved := s.nonEmpty[last]
+	s.nonEmpty[st.slot] = moved
+	moved.slot = st.slot
+	s.nonEmpty[last] = nil
+	s.nonEmpty = s.nonEmpty[:last]
+	st.slot = -1
+}
+
 // refillEntityQueue pushes ⟨e, top.weight⟩ for every entity with pending
-// comparisons; it reports whether anything was pushed.
+// comparisons; it reports whether anything was pushed. The cost follows the
+// entities that have work, not the entities ever seen: while only PQ holds
+// comparisons it is a length check.
 func (s *IPES) refillEntityQueue() bool {
-	pushed := false
-	for id, st := range s.epq {
-		if top, ok := st.q.PeekBest(); ok {
-			s.entityQueue.Push(entityEntry{id: id, weight: top.Weight})
-			pushed = true
-		}
+	for _, st := range s.nonEmpty {
+		top, _ := st.q.PeekBest()
+		s.entityQueue.Push(entityEntry{id: st.id, weight: top.Weight})
 	}
-	return pushed
+	return len(s.nonEmpty) > 0
 }
 
 // Pending implements Strategy.
 func (s *IPES) Pending() int { return s.pending }
-
-// Entities returns the number of entities currently tracked in E_PQ (for
-// observability and tests).
-func (s *IPES) Entities() int { return len(s.epq) }

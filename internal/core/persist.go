@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"pier/internal/bloom"
 	"pier/internal/intern"
@@ -253,6 +255,16 @@ func (s *IPES) LoadState(r io.Reader) error {
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {
 		return fmt.Errorf("core: load I-PES: %w", err)
 	}
+	// The counter gates the fallback scan (indexEmpty), so an image whose
+	// Pending disagrees with the comparisons it carries would starve or
+	// flood the matcher for the rest of the run.
+	held := len(img.PQ)
+	for _, sti := range img.EPQ {
+		held += len(sti.Items)
+	}
+	if held != img.Pending {
+		return fmt.Errorf("core: load I-PES: image records %d pending comparisons but carries %d in E_PQ+PQ", img.Pending, held)
+	}
 	s.gen.restore(img.Gen)
 	eq := make([]entityEntry, len(img.EntityQueue))
 	for i, e := range img.EntityQueue {
@@ -260,11 +272,20 @@ func (s *IPES) LoadState(r io.Reader) error {
 	}
 	s.entityQueue.Restore(eq)
 	s.epq = make(map[int]*entityState, len(img.EPQ))
+	s.nonEmpty = nil
 	for id, sti := range img.EPQ {
-		st := &entityState{insSum: sti.InsSum, insCount: sti.InsCount}
+		st := &entityState{insSum: sti.InsSum, insCount: sti.InsCount, id: id, slot: -1}
 		st.q.Init(s.cfg.PerEntityCapacity, metablocking.Less)
 		st.q.Restore(sti.Items)
 		s.epq[id] = st
+		if st.q.Len() > 0 {
+			s.nonEmpty = append(s.nonEmpty, st)
+		}
+	}
+	// Ascending id, so a restored instance does not inherit gob's map order.
+	slices.SortFunc(s.nonEmpty, func(a, b *entityState) int { return cmp.Compare(a.id, b.id) })
+	for i, st := range s.nonEmpty {
+		st.slot = i
 	}
 	s.pq.Restore(img.PQ)
 	s.total = img.Total

@@ -49,15 +49,37 @@ func (s *ISN) verify() {
 
 // verify checks I-PES's triple index: the pending counter must equal the
 // comparisons actually held across E_PQ and PQ (the counter gates the
-// fallback scan, so drift either starves or floods the matcher), and every
-// queue must satisfy its heap order.
+// fallback scan, so drift either starves or floods the matcher), every queue
+// must satisfy its heap order, and nonEmpty must hold exactly the entities
+// whose queue is non-empty, each once, at its recorded slot (rounds start
+// from it: an entity it misses is scheduled by no round, one it lists twice
+// gets two turns).
 func (s *IPES) verify() {
 	held := s.pq.Len()
+	nonEmpty := 0
 	for id, st := range s.epq {
 		if err := st.q.Verify(); err != nil {
 			panic(fmt.Sprintf("core: I-PES entity %d queue invariant violated: %v", id, err))
 		}
 		held += st.q.Len()
+		if st.id != id {
+			panic(fmt.Sprintf("core: I-PES entity %d state records id %d", id, st.id))
+		}
+		switch {
+		case st.q.Len() == 0:
+			if st.slot != -1 {
+				panic(fmt.Sprintf("core: I-PES entity %d has an empty queue but slot %d in the non-empty set", id, st.slot))
+			}
+		case st.slot < 0 || st.slot >= len(s.nonEmpty) || s.nonEmpty[st.slot] != st:
+			panic(fmt.Sprintf("core: I-PES entity %d holds %d comparisons but is not at its slot %d of the non-empty set", id, st.q.Len(), st.slot))
+		default:
+			nonEmpty++
+		}
+	}
+	// Every non-empty entity owns a distinct slot, so equal counts leave no
+	// room for a duplicate or a stranger.
+	if nonEmpty != len(s.nonEmpty) {
+		panic(fmt.Sprintf("core: I-PES non-empty set lists %d entities but %d have pending comparisons", len(s.nonEmpty), nonEmpty))
 	}
 	if held != s.pending {
 		panic(fmt.Sprintf("core: I-PES pending counter %d but %d comparisons held in E_PQ+PQ", s.pending, held))
