@@ -371,7 +371,21 @@ func BenchmarkStrategyDequeue(b *testing.B) {
 // so the batch sequence does not follow findK's clock or the runner's speed,
 // and a per-batch allocation sized by K rather than by the batch costs
 // 12.8 MB a batch here.
-func BenchmarkLiveBurst(b *testing.B) {
+func BenchmarkLiveBurst(b *testing.B) { benchLiveBurst(b, storage.Config{}) }
+
+// BenchmarkLiveBurstSpill is BenchmarkLiveBurst's burst under a
+// StorageBudget below its index: the burst's priced index ends at about
+// 1.09 MB, and the postings get 3/4 of the 512 KiB budget. Its B/op is the
+// spill path's tripwire: a store that decodes and re-encodes whole shards
+// per increment, instead of faulting in and rewriting only the blocks an
+// increment touches, allocates several times as much.
+func BenchmarkLiveBurstSpill(b *testing.B) {
+	benchLiveBurst(b, storage.Config{Budget: 512 << 10, Dir: b.TempDir()})
+}
+
+// benchLiveBurst pushes the quick preset's census dataset back to back into
+// a serial pipeline on the given storage backend and drains it with Stop.
+func benchLiveBurst(b *testing.B, scfg storage.Config) {
 	d := dataset.Census(experiments.Quick().CensusScale, 1)
 	incs := d.Increments(100)
 	b.ResetTimer()
@@ -383,6 +397,7 @@ func BenchmarkLiveBurst(b *testing.B) {
 			TickEvery:    time.Hour,
 			Parallelism:  1,
 			Shards:       1,
+			Storage:      scfg,
 		})
 		for _, inc := range incs {
 			if err := l.Push(inc); err != nil {
@@ -391,6 +406,9 @@ func BenchmarkLiveBurst(b *testing.B) {
 		}
 		if res := l.Stop(); res.Comparisons == 0 {
 			b.Fatal("run executed no comparisons")
+		}
+		if err := l.Close(); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(d.NumProfiles()*b.N)/b.Elapsed().Seconds(), "profiles/s")

@@ -94,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rate := fs.Float64("rate", 16, "increments per second (0 = as fast as possible)")
 	nIncs := fs.Int("increments", 100, "number of increments to split the stream into")
 	window := fs.Int("window", 0, "profile window for unbounded streams (0 keeps everything)")
-	memBudget := fs.Int64("mem-budget", 0, "resident-byte budget for the blocking index and dedup set; cold shards spill to temp files (0 keeps everything in memory; results are identical for every value)")
+	memBudget := fs.Int64("mem-budget", 0, "resident-byte budget for the blocking index and dedup set; cold index blocks spill to temp files (0 keeps everything in memory; results are identical for every value)")
 	metricsAddr := fs.String("metrics", "", "serve /metrics and /debug/vars on this address (e.g. :9090; empty disables)")
 	parallelism := fs.Int("parallelism", 0, "worker count of the parallel pipeline stages (0 = one per CPU, 1 = exact serial)")
 	shards := fs.Int("shards", 0, "blocking-index shard count, rounded up to a power of two (0 = heuristic, 1 = unsharded; results are identical for every value)")

@@ -627,7 +627,7 @@ func (c *Collection) SortedKeysByName() []string {
 
 // TotalComparisons returns the aggregate comparison count across all live
 // blocks (with cross-block redundancy, i.e. the BC measure of blocking). A
-// meta-only read: it never faults spilled shards in.
+// meta-only read: it never faults spilled blocks in.
 func (c *Collection) TotalComparisons() int {
 	total := 0
 	for si := 0; si < c.store.NumShards(); si++ {

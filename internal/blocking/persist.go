@@ -68,18 +68,8 @@ func (c *Collection) Save(w io.Writer) error {
 		img.Symbols[i] = c.tab.StringOf(intern.Sym(i))
 	}
 	for si := 0; si < c.store.NumShards(); si++ {
-		if fz := c.store.Frozen(si); fz != nil {
-			// Spilled shard: read its segment image directly instead of
-			// faulting it in, so checkpointing never disturbs residency.
-			m, err := fz.Load()
-			if err != nil {
-				return fmt.Errorf("blocking: save checkpoint: %w", err)
-			}
-			for sym, b := range m {
-				img.Blocks = append(img.Blocks, persistedBlock{Sym: sym, A: b.A, B: b.B})
-			}
-			continue
-		}
+		// Range reads spilled blocks from the segment without faulting them
+		// in, so checkpointing never disturbs residency.
 		c.store.Range(si, func(sym uint32, b *Block) bool {
 			img.Blocks = append(img.Blocks, persistedBlock{Sym: sym, A: b.A, B: b.B})
 			return true

@@ -2,6 +2,7 @@ package blocking
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"pier/internal/intern"
@@ -64,44 +65,51 @@ type Snap struct {
 	xreg      map[int]regEntry // overflow for negative / non-dense profile IDs
 
 	// shardMask and redirects serve the storage seam: a chunk slot holding
-	// spilledMarker means the symbol's shard was on disk at publish time, and
-	// its posting is materialized on demand from the frozen segment of its
-	// shard (redirects is keyed by shard index, sym & shardMask). Both are
-	// empty under the in-memory backend.
+	// spilledMarker means the symbol's block is unchanged since the segment
+	// its shard had at publish time, and its posting is materialized on
+	// demand from that segment (redirects is keyed by shard index,
+	// sym & shardMask). Both are empty under the in-memory backend.
 	shardMask int
 	redirects map[int]*frozenShard
 }
 
-// spilledMarker is the sentinel posting installed in slots whose shard was
-// spilled at publish time; PostingOf resolves it through Snap.redirects.
-// NumBlocksOf counts it as live without touching disk.
+// spilledMarker is the sentinel posting installed in slots whose block is
+// unchanged since its shard's segment; PostingOf resolves it through
+// Snap.redirects. NumBlocksOf counts it as live without touching disk.
 var spilledMarker = &Posting{}
 
-// frozenShard lazily materializes the postings of one retired spill segment.
-// It is shared across consecutive snapshots until the shard re-spills (new
-// segment, new frozenShard) or faults back in (the publish path retires the
-// redirect), so each segment is decoded at most once per spill generation.
+// frozenShard lazily materializes the postings of one spill segment. It is
+// shared across consecutive snapshots until the shard's segment is
+// rewritten (new segment, new frozenShard), so each segment is decoded at
+// most once. The decode is flat — postings in fence order beside the sorted
+// keys, found by binary search — so the read path holds no map.
 type frozenShard struct {
 	fz    *storage.Frozen[*Block]
 	once  sync.Once
-	posts map[intern.Sym]*Posting
+	keys  []uint32
+	posts []Posting
 }
 
 // posting returns the frozen posting of sym (nil if the segment has none),
 // decoding the whole segment on first use. Safe for concurrent use.
 func (f *frozenShard) posting(sym intern.Sym) *Posting {
 	f.once.Do(func() {
-		m, err := f.fz.Load()
+		keys, blocks, err := f.fz.Load()
 		if err != nil {
 			panic(fmt.Sprintf("storage: loading retired spill segment: %v", err))
 		}
-		f.posts = make(map[intern.Sym]*Posting, len(m))
-		for key, b := range m {
+		f.keys = keys
+		f.posts = make([]Posting, len(blocks))
+		for i, b := range blocks {
 			// Decoded blocks are private to this handle: alias their arrays.
-			f.posts[intern.Sym(key)] = &Posting{Sym: intern.Sym(key), Key: b.Key, A: b.A, B: b.B}
+			f.posts[i] = Posting{Sym: b.Sym, Key: b.Key, A: b.A, B: b.B}
 		}
 	})
-	return f.posts[sym]
+	i, ok := slices.BinarySearch(f.keys, uint32(sym))
+	if !ok {
+		return nil
+	}
+	return &f.posts[i]
 }
 
 // Version returns the collection version this snapshot was published at.
@@ -122,8 +130,9 @@ func (s *Snap) rawPostingOf(sym intern.Sym) *Posting {
 }
 
 // PostingOf returns the snapshot's posting for sym, or nil if the symbol has
-// no live block in this view. Symbols whose shard was spilled at publish time
-// are materialized from the shard's frozen segment on first access.
+// no live block in this view. Symbols whose block was unchanged since its
+// shard's segment at publish time are materialized from that segment on
+// first access.
 func (s *Snap) PostingOf(sym intern.Sym) *Posting {
 	p := s.rawPostingOf(sym)
 	if p == spilledMarker {
@@ -168,7 +177,7 @@ func (s *Snap) Profile(id int) *profile.Profile { return s.regOf(id).p }
 // |B(p)| term of meta-blocking schemes; 0 for unknown IDs), counted against
 // this snapshot's posting view (a block purged before publication counts as
 // dead for every profile listing it, mirroring the owner's NumBlocksOf). A
-// spilled-shard marker counts as live without materializing the segment —
+// spill marker counts as live without materializing the segment —
 // weighting's |B(p)| terms stay disk-free.
 func (s *Snap) NumBlocksOf(id int) int {
 	n := 0
@@ -250,24 +259,41 @@ func (c *Collection) regView(id int) regEntry {
 }
 
 // buildFullSnap walks the whole collection. Used once, at the first publish.
-// Shards already spilled to disk are skipped here; finishSnapSpill installs
-// their redirect markers without faulting them in.
+// A shard with a spill segment is served from it — every live symbol gets a
+// marker, read from always-resident metadata without faulting anything in —
+// except for the blocks newer than the segment, which are frozen directly
+// like every block of a shard without one.
 func (c *Collection) buildFullSnap() *Snap {
 	s := &Snap{version: c.version, shardMask: int(c.mask)}
 	nSyms := c.tab.Len()
 	s.posts = make([]*postChunk, (nSyms+postChunkSize-1)>>postChunkBits)
-	for si := 0; si < c.store.NumShards(); si++ {
-		if c.store.Spilled(si) {
-			continue
+	put := func(sym intern.Sym, p *Posting) {
+		ci := int(sym) >> postChunkBits
+		if s.posts[ci] == nil {
+			s.posts[ci] = new(postChunk)
 		}
-		c.store.Range(si, func(key uint32, b *Block) bool {
-			sym := intern.Sym(key)
-			ci := int(sym) >> postChunkBits
-			if s.posts[ci] == nil {
-				s.posts[ci] = new(postChunk)
-			}
-			s.posts[ci][int(sym)&(postChunkSize-1)] = freezePosting(sym, b)
+		slot := &s.posts[ci][int(sym)&(postChunkSize-1)]
+		if *slot == nil {
 			s.numBlocks++
+		}
+		*slot = p
+	}
+	// Rewrites logged before tracking began are covered by reading every
+	// shard's current segment below.
+	c.store.TakeRewritten()
+	for si := 0; si < c.store.NumShards(); si++ {
+		if fz := c.store.Frozen(si); fz != nil {
+			if s.redirects == nil {
+				s.redirects = make(map[int]*frozenShard)
+			}
+			s.redirects[si] = &frozenShard{fz: fz}
+			c.store.RangeMeta(si, func(key uint32, _ storage.Meta) bool {
+				put(intern.Sym(key), spilledMarker)
+				return true
+			})
+		}
+		c.store.RangeNewer(si, func(key uint32, b *Block) bool {
+			put(intern.Sym(key), freezePosting(intern.Sym(key), b))
 			return true
 		})
 	}
@@ -393,87 +419,52 @@ func (c *Collection) buildIncrementalSnap(prev *Snap) *Snap {
 }
 
 // finishSnapSpill is the storage half of a publish: it lets the spill
-// backend enforce its budget now that the snapshot no longer pins the
-// posting arrays of cold shards, then patches the snapshot so spilled
-// shards are served from their frozen segments. The order matters — build
-// first (dirty shards are resident, having just been mutated), evict
-// second, redirect third — so the published view never retains the heap
-// image of a shard the store just dropped. Under the in-memory backend the
-// whole call is a no-op.
+// backend enforce its budget now that the snapshot is built, then re-marks
+// the slots of every shard whose overlay was evicted into a new segment and
+// points the shard's redirect at that segment. The order matters — build
+// first (the blocks the increment dirtied are resident, having just been
+// mutated), evict second, re-mark third — so the published view never
+// retains the heap image of blocks the store just dropped. Until its next
+// rewrite a shard's direct views are exactly its blocks newer than its
+// segment, and its markers the rest. Under the in-memory backend the whole
+// call is a no-op.
 func (c *Collection) finishSnapSpill(s *Snap) {
 	c.store.Maintain()
-	newly := c.store.TakeSpilled()
-	// Redirects whose shard faulted back in since the last publish can be
-	// retired: their marker slots are rebuilt as direct views below, which
-	// releases the materialized segment cache.
-	var retire []int
-	for si := range s.redirects {
-		if !c.store.Spilled(si) {
-			retire = append(retire, si)
-		}
-	}
-	if len(newly) == 0 && len(retire) == 0 {
+	rewritten := c.store.TakeRewritten()
+	if len(rewritten) == 0 {
 		return
 	}
-	redirects := make(map[int]*frozenShard, len(s.redirects)+len(newly))
+	redirects := make(map[int]*frozenShard, len(s.redirects)+len(rewritten))
 	for si, fs := range s.redirects {
 		redirects[si] = fs
 	}
 	s.redirects = redirects
-	// set overwrites one chunk slot, cloning each touched chunk once (chunks
-	// may be structurally shared with the previous snapshot).
+	// mark sets one live symbol's slot — already filled, with a view or a
+	// marker — to spilledMarker, cloning each touched chunk once (chunks may
+	// be structurally shared with the previous snapshot).
 	cloned := make(map[int]struct{})
-	set := func(sym intern.Sym, p *Posting) {
+	mark := func(sym intern.Sym) {
 		ci := int(sym) >> postChunkBits
 		if _, ok := cloned[ci]; !ok {
-			if ci >= len(s.posts) {
-				grown := make([]*postChunk, ci+1)
-				copy(grown, s.posts)
-				s.posts = grown
-			}
 			nc := new(postChunk)
-			if s.posts[ci] != nil {
-				*nc = *s.posts[ci]
-			}
+			*nc = *s.posts[ci]
 			s.posts[ci] = nc
 			cloned[ci] = struct{}{}
 		}
-		if s.posts[ci][int(sym)&(postChunkSize-1)] == nil {
-			s.numBlocks++
-		}
-		s.posts[ci][int(sym)&(postChunkSize-1)] = p
+		s.posts[ci][int(sym)&(postChunkSize-1)] = spilledMarker
 	}
-	for _, si := range newly {
+	for _, si := range rewritten {
 		fz := c.store.Frozen(si)
 		if fz == nil {
-			// The shard is resident again by the time its segment is asked
-			// for: serve direct views of the resident blocks.
-			c.store.Range(si, func(key uint32, b *Block) bool {
-				set(intern.Sym(key), freezePosting(intern.Sym(key), b))
-				return true
-			})
-			delete(redirects, si)
+			delete(redirects, si) // the rewrite dropped the shard's last block
 			continue
 		}
-		// Mark every live symbol of the spilled shard via its always-resident
-		// metadata — no disk access on the publish path.
+		// Every live symbol of the shard, via its always-resident metadata —
+		// no disk access on the publish path.
 		c.store.RangeMeta(si, func(key uint32, _ storage.Meta) bool {
-			set(intern.Sym(key), spilledMarker)
+			mark(intern.Sym(key))
 			return true
 		})
 		redirects[si] = &frozenShard{fz: fz}
-	}
-	for _, si := range retire {
-		if _, still := redirects[si]; !still {
-			continue // already handled by the fault-in fallback above
-		}
-		c.store.Range(si, func(key uint32, b *Block) bool {
-			sym := intern.Sym(key)
-			if s.rawPostingOf(sym) == spilledMarker {
-				set(sym, freezePosting(sym, b))
-			}
-			return true
-		})
-		delete(redirects, si)
 	}
 }

@@ -3,9 +3,12 @@ package blocking
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
+	"pier/internal/dataset"
 	"pier/internal/intern"
 	"pier/internal/pool"
 	"pier/internal/profile"
@@ -37,7 +40,14 @@ func randomIncrement(rng *rand.Rand, firstID, n int) []*profile.Profile {
 // Only valid at a quiescent point, right after a publish.
 func assertSnapEqualsOwner(t *testing.T, c *Collection, ids []int) {
 	t.Helper()
-	s := c.ProbeView()
+	assertSnapEquals(t, c.ProbeView(), c, ids)
+}
+
+// assertSnapEquals cross-checks a snapshot against the accessors of c, a
+// collection in the state the snapshot was published from — the publisher
+// itself, or a twin with the same symbol numbering.
+func assertSnapEquals(t *testing.T, s *Snap, c *Collection, ids []int) {
+	t.Helper()
 	if got, want := s.NumBlocks(), c.NumBlocks(); got != want {
 		t.Fatalf("snapshot NumBlocks = %d, owner = %d", got, want)
 	}
@@ -110,6 +120,60 @@ func TestSnapshotMatchesOwner(t *testing.T) {
 		}
 		c.PublishSnapshot()
 		assertSnapEqualsOwner(t, c, ids)
+	}
+}
+
+// TestSnapshotMatchesOwnerUnderSpill publishes a windowed stream from one
+// spill-backed shard at half the final index: the overlay outlives some
+// publishes and is evicted at others, so snapshots mix spill markers with
+// direct views of blocks newer than the segment. Each must read exactly what
+// an in-memory twin fed the same operations reads. The twin, not the
+// publisher, is the reference because reading every block through the
+// publisher would fault them all in and force the next publish to evict.
+func TestSnapshotMatchesOwnerUnderSpill(t *testing.T) {
+	ds := dataset.DA(0.02, 1)
+	incs := ds.Increments(20)
+	final := NewCollection(ds.CleanClean, 0)
+	for _, inc := range incs {
+		final.AddBatch(inc, nil)
+	}
+	budget := final.StorageResidentBytes() / 2
+	c := NewCollectionStorage(ds.CleanClean, 0, nil, 1, storage.Config{Budget: budget, Dir: t.TempDir()})
+	defer c.Close()
+	twin := NewCollection(ds.CleanClean, 0)
+	c.PublishSnapshot()
+	var ids []int
+	mixed := 0
+	for _, inc := range incs {
+		for _, col := range []*Collection{c, twin} {
+			col.AddBatch(inc, nil)
+		}
+		for _, p := range inc {
+			ids = append(ids, p.ID)
+		}
+		for len(ids) > 60 {
+			c.Remove(ids[0])
+			twin.Remove(ids[0])
+			ids = ids[1:]
+		}
+		c.PublishSnapshot()
+		s := c.ProbeView()
+		markers, views := 0, 0
+		for sym := intern.Sym(0); int(sym) < c.Interner().Len(); sym++ {
+			switch p := s.rawPostingOf(sym); {
+			case p == spilledMarker:
+				markers++
+			case p != nil:
+				views++
+			}
+		}
+		if markers > 0 && views > 0 {
+			mixed++
+		}
+		assertSnapEquals(t, s, twin, ids)
+	}
+	if mixed == 0 {
+		t.Fatal("no snapshot mixed spill markers with direct views; the test is vacuous")
 	}
 }
 
@@ -273,6 +337,65 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestSnapshotSurvivesSegmentRewrites pins a snapshot whose slots are spill
+// markers, rewrites the shard's segment twice, and only then reads the pinned
+// view — after its segment file was unlinked. It must return its own version
+// of every posting, and the current snapshot the owner's.
+func TestSnapshotSurvivesSegmentRewrites(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(3))
+	// A one-byte budget evicts the overlay at every publish.
+	c := NewCollectionStorage(false, 0, nil, 1, storage.Config{Budget: 1, Dir: dir})
+	defer c.Close()
+	var ids []int
+	inc := randomIncrement(rng, 0, 40)
+	c.AddBatch(inc, nil)
+	for _, p := range inc {
+		ids = append(ids, p.ID)
+	}
+	c.PublishSnapshot()
+	pinned := c.ProbeView()
+
+	type frozen struct{ a, b []int }
+	want := make(map[intern.Sym]frozen)
+	for sym := intern.Sym(0); int(sym) < c.Interner().Len(); sym++ {
+		if pinned.rawPostingOf(sym) != spilledMarker {
+			t.Fatalf("sym %d: slot is not a spill marker after a full eviction", sym)
+		}
+		b := c.BlockBySym(sym)
+		want[sym] = frozen{a: append([]int(nil), b.A...), b: append([]int(nil), b.B...)}
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "*", "*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one segment file, found %v (%v)", segs, err)
+	}
+
+	for round := 1; round <= 2; round++ {
+		more := randomIncrement(rng, 100*round, 20)
+		c.AddBatch(more, nil)
+		for _, p := range more {
+			ids = append(ids, p.ID)
+		}
+		c.Remove(ids[0])
+		ids = ids[1:]
+		c.PublishSnapshot()
+	}
+	if _, err := os.Stat(segs[0]); !os.IsNotExist(err) {
+		t.Fatalf("the pinned snapshot's segment %s was not unlinked (stat: %v)", segs[0], err)
+	}
+	if st := c.StorageStats(); st.SegmentWrites < 3 {
+		t.Fatalf("want the first segment plus two rewrites, stats %+v", st)
+	}
+
+	for sym, w := range want {
+		p := pinned.PostingOf(sym)
+		if p == nil || fmt.Sprint(p.A) != fmt.Sprint(w.a) || fmt.Sprint(p.B) != fmt.Sprint(w.b) {
+			t.Fatalf("sym %d: pinned snapshot reads %+v, want A=%v B=%v", sym, p, w.a, w.b)
+		}
+	}
+	assertSnapEqualsOwner(t, c, ids)
 }
 
 // firstMember returns an arbitrary member ID of the posting (test helper for

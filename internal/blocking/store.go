@@ -1,10 +1,7 @@
 package blocking
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
-	"sort"
 
 	"pier/internal/intern"
 	"pier/internal/profile"
@@ -16,10 +13,11 @@ import (
 // storage.PostingStore keyed by raw symbol value, sharded exactly like the
 // lock shards (shard of sym is sym & mask). The default backend is the same
 // in-memory map as before; a positive storage.Config.Budget swaps in the
-// disk-spill backend, which keeps cold shards in temp-file gob segments so an
-// unbounded stream runs in bounded RSS. The always-resident storage.Meta per
-// symbol carries the two member counts, so the strategies' meta-only reads —
-// liveness, block sizes, comparison counts — never fault spilled shards in.
+// disk-spill backend, which keeps cold blocks in a temp-file segment per
+// shard so an unbounded stream runs in bounded RSS. The always-resident
+// storage.Meta per symbol carries the two member counts, so the strategies'
+// meta-only reads — liveness, block sizes, comparison counts — never fault
+// spilled blocks in.
 
 // blockResidentBytes approximates the fixed per-block heap cost charged
 // against the storage budget: the Block struct, its map slot, the key header
@@ -30,50 +28,39 @@ const blockResidentBytes = 96
 // amortized slice growth slack.
 const blockMemberBytes = 16
 
-// wireBlock is the gob image of one block inside a spill segment. The key
-// string is not persisted — it is recovered from the collection's symbol
-// table on fault-in, mirroring the checkpoint format (persist.go).
-type wireBlock struct {
-	Sym  uint32
-	A, B []int
-}
-
-// blockCodec serializes one posting shard for the storage layer and prices
-// entries for its budget. It carries the owning collection for the symbol
-// table; the table is append-only and concurrency-safe, so the codec is too.
+// blockCodec serializes single blocks for the storage layer's spill segments
+// and prices entries for its budget. It carries the owning collection for
+// the symbol table; the table is append-only and concurrency-safe, so the
+// codec is too.
 type blockCodec struct{ c *Collection }
 
-// Encode writes the shard's blocks sorted by symbol, so segment bytes are
-// reproducible for a given shard state.
-func (bc blockCodec) Encode(w io.Writer, shard map[uint32]*Block) error {
-	wire := make([]wireBlock, 0, len(shard))
-	for sym, b := range shard {
-		wire = append(wire, wireBlock{Sym: sym, A: b.A, B: b.B})
-	}
-	sort.Slice(wire, func(i, j int) bool { return wire[i].Sym < wire[j].Sym })
-	return gob.NewEncoder(w).Encode(wire)
+// AppendValue writes a block as two posting runs, A then B. The key string
+// is not stored: it is recovered from the symbol table on decode, mirroring
+// the checkpoint format (persist.go).
+func (bc blockCodec) AppendValue(buf []byte, b *Block) []byte {
+	return storage.AppendRun(storage.AppendRun(buf, b.A), b.B)
 }
 
-// Decode rebuilds the shard map, re-deriving each key string from the symbol
-// table. Fresh Block values are allocated on every fault-in; pointers taken
-// before an eviction keep serving the pre-eviction image.
-func (bc blockCodec) Decode(r io.Reader) (map[uint32]*Block, error) {
-	var wire []wireBlock
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, err
+// DecodeValue rebuilds the block stored under key. Every decode allocates a
+// fresh Block; pointers taken before an eviction keep serving the
+// pre-eviction image.
+func (bc blockCodec) DecodeValue(key uint32, data []byte) (*Block, error) {
+	if int(key) >= bc.c.tab.Len() {
+		return nil, fmt.Errorf("segment names symbol %d outside table of %d", key, bc.c.tab.Len())
 	}
-	shard := make(map[uint32]*Block, len(wire))
-	for _, wb := range wire {
-		if int(wb.Sym) >= bc.c.tab.Len() {
-			return nil, fmt.Errorf("segment names symbol %d outside table of %d", wb.Sym, bc.c.tab.Len())
-		}
-		if _, dup := shard[wb.Sym]; dup {
-			return nil, fmt.Errorf("segment repeats symbol %d", wb.Sym)
-		}
-		sym := intern.Sym(wb.Sym)
-		shard[wb.Sym] = &Block{Key: bc.c.tab.StringOf(sym), Sym: sym, A: wb.A, B: wb.B}
+	a, rest, err := storage.ReadRun(data)
+	if err != nil {
+		return nil, fmt.Errorf("block %d side A: %w", key, err)
 	}
-	return shard, nil
+	b, rest, err := storage.ReadRun(rest)
+	if err != nil {
+		return nil, fmt.Errorf("block %d side B: %w", key, err)
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("block %d: %d trailing bytes", key, len(rest))
+	}
+	sym := intern.Sym(key)
+	return &Block{Key: bc.c.tab.StringOf(sym), Sym: sym, A: a, B: b}, nil
 }
 
 func (bc blockCodec) MetaOf(b *Block) storage.Meta {
@@ -88,7 +75,7 @@ func (bc blockCodec) Size(m storage.Meta) int {
 // blocking-key extractor (nil means token blocking), the shard count (see
 // normalizeShards; <= 0 selects the default), and the storage backend. A zero
 // config keeps the unbounded in-memory index; a positive Budget bounds the
-// resident bytes of the posting index, spilling cold shards to temp files
+// resident bytes of the posting index, spilling cold blocks to temp files
 // under Dir. Like the shard count, the backend is a residency knob, never a
 // semantic one: the observable collection state is identical for every config
 // (check.ShardedBatteryStorage pins this). Collections with a spill backend
@@ -115,7 +102,7 @@ func NewCollectionStorage(cleanClean bool, maxBlockSize int, keyer Keyer, shards
 	return c
 }
 
-// getBlock returns the live block of sym, faulting its shard in when spilled.
+// getBlock returns the live block of sym, faulting it in when spilled.
 func (c *Collection) getBlock(sym intern.Sym) (*Block, bool) {
 	return c.store.Get(int(sym&c.mask), uint32(sym))
 }
@@ -159,6 +146,15 @@ func (c *Collection) maintainStore() {
 // between Maintain points. The in-memory backend reports its (unbounded)
 // total.
 func (c *Collection) StorageResidentBytes() int64 { return c.store.ResidentBytes() }
+
+// StorageStats returns the spill backend's disk-traffic counters (zero under
+// the in-memory backend).
+func (c *Collection) StorageStats() storage.SpillStats { return c.store.Stats() }
+
+// StorageErr returns the spill backend's first failed segment write, or nil.
+// After one the index stays whole but fully resident: the budget no longer
+// holds.
+func (c *Collection) StorageErr() error { return c.store.Err() }
 
 // Close releases the storage backend's spill files. Collections on the
 // default in-memory backend need no Close, but calling it is always safe.

@@ -57,7 +57,7 @@ func (c *Collection) Verify() error {
 			}
 		}
 	}
-	c.maintainStore() // Verify faults spilled shards in; trim back to budget
+	c.maintainStore() // Verify faults spilled blocks in; trim back to budget
 	return nil
 }
 

@@ -36,15 +36,16 @@ import (
 // fresh copy with ID -1: the query path must key it by content, never by
 // identity in the registry.
 func QueryOracle(cleanClean bool, incs [][]*profile.Profile, nProbes int, seed int64) error {
-	return QueryOracleStorage(cleanClean, incs, nProbes, seed, storage.Config{})
+	return QueryOracleStorage(cleanClean, incs, nProbes, seed, 0, storage.Config{})
 }
 
-// QueryOracleStorage is QueryOracle with an explicit storage backend for the
-// pipeline under test: with a tight budget the queried index serves most
-// probes out of spilled shards via the snapshot redirect path, while the
-// batch reference stays fully in memory — so subset and completeness both
-// double as spill-backend differential checks.
-func QueryOracleStorage(cleanClean bool, incs [][]*profile.Profile, nProbes int, seed int64, scfg storage.Config) error {
+// QueryOracleStorage is QueryOracle with an explicit shard count (0 for the
+// default) and storage backend for the pipeline under test: with a tight
+// budget the queried index serves most probes out of spilled blocks via the
+// snapshot redirect path, while the batch reference stays fully in memory —
+// so subset and completeness both double as spill-backend differential
+// checks.
+func QueryOracleStorage(cleanClean bool, incs [][]*profile.Profile, nProbes int, seed int64, shards int, scfg storage.Config) error {
 	matcher := match.NewMatcher(match.JS)
 	l := stream.LiveRun(core.NewIPES(CoreConfig()), stream.LiveConfig{
 		CleanClean:      cleanClean,
@@ -52,6 +53,7 @@ func QueryOracleStorage(cleanClean bool, incs [][]*profile.Profile, nProbes int,
 		Matcher:         matcher,
 		Scheme:          metablocking.CBS,
 		Parallelism:     1,
+		Shards:          shards,
 		CheckInvariants: true,
 		Storage:         scfg,
 	})

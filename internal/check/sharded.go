@@ -48,7 +48,7 @@ func ShardedIngestTrace(s core.Strategy, cleanClean bool, incs [][]*profile.Prof
 }
 
 // ShardedIngestTraceStorage is ShardedIngestTrace with an explicit storage
-// backend: the strategy sees a collection that spills cold shards, and must
+// backend: the strategy sees a collection that spills cold blocks, and must
 // still emit the exact serial sequence.
 func ShardedIngestTraceStorage(s core.Strategy, cleanClean bool, incs [][]*profile.Profile, shards, workers int, scfg storage.Config) []Trace {
 	col := blocking.NewCollectionStorage(cleanClean, 0, nil, shards, scfg)

@@ -12,12 +12,21 @@ import (
 	"pier/internal/storage"
 )
 
+// pricedIndexBytes is the budget-priced size of the stream's final,
+// purge-free index: what a storage budget is measured against.
+func pricedIndexBytes(cleanClean bool, incs [][]*profile.Profile) int64 {
+	return FinalCollection(cleanClean, incs).StorageResidentBytes()
+}
+
 // TestShardedBatteryStorageSpill is the spill-backend differential cell: the
 // full strategy battery with the sharded side forced onto the disk-spill
-// backend at a budget tiny enough that nearly every shard is cold, against
-// the untouched in-memory serial reference. Any residency-dependent behavior
-// — a block mutated without a Put, a stale segment read, a fault-in changing
-// iteration order — diverges the trace and fails the oracle.
+// backend, against the untouched in-memory serial reference, in two cells.
+// At 4 KiB over four shards every overlay is evicted at every Maintain; at
+// half the index over one shard overlays outlive increments, so blocks
+// fault in alone next to dirty ones and segments are rewritten by merge.
+// Any residency-dependent behavior — a block mutated without a Put, a stale
+// segment read, a fault-in changing iteration order — diverges the trace and
+// fails the oracle.
 func TestShardedBatteryStorageSpill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spill differential battery is a long test")
@@ -30,14 +39,23 @@ func TestShardedBatteryStorageSpill(t *testing.T) {
 			if err := ShardedBatteryStorage(ds, nil, []int{4}, []int{1, 4}, scfg); err != nil {
 				t.Fatal(err)
 			}
+			// The battery's middle split is five increments.
+			half := storage.Config{Budget: pricedIndexBytes(ds.CleanClean, ds.Increments(5)) / 2, Dir: t.TempDir()}
+			if err := ShardedBatteryStorage(ds, nil, []int{1}, []int{1}, half); err != nil {
+				t.Fatalf("one shard at half the index: %v", err)
+			}
 		})
 	}
 }
 
 // TestQueryOracleStorageSpill runs the query-vs-batch oracle with the serving
-// pipeline on the spill backend: probes resolve largely out of spilled shards
+// pipeline on the spill backend: probes resolve largely out of spilled blocks
 // through the snapshot redirect path, and must still return exactly the
-// candidates batch blocking pairs them with.
+// candidates batch blocking pairs them with. At 8 KiB every publish evicts
+// every overlay, so snapshots hold markers only; at half the index over one
+// shard, with the stream cut finer, overlays outlive some publishes, so
+// snapshots mix markers with direct views of blocks newer than their
+// segment.
 func TestQueryOracleStorageSpill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spill query oracle is a long test")
@@ -46,9 +64,17 @@ func TestQueryOracleStorageSpill(t *testing.T) {
 		ds := ds
 		t.Run(ds.Name, func(t *testing.T) {
 			t.Parallel()
+			incs := ds.Increments(5)
 			scfg := storage.Config{Budget: 8 << 10, Dir: t.TempDir()}
-			if err := QueryOracleStorage(ds.CleanClean, ds.Increments(5), 25, 42, scfg); err != nil {
+			if err := QueryOracleStorage(ds.CleanClean, incs, 25, 42, 0, scfg); err != nil {
 				t.Fatal(err)
+			}
+			// A pipeline gives its postings 3/4 of the budget: 2/3 of the
+			// index leaves them half.
+			fine := ds.Increments(20)
+			half := storage.Config{Budget: pricedIndexBytes(ds.CleanClean, fine) * 2 / 3, Dir: t.TempDir()}
+			if err := QueryOracleStorage(ds.CleanClean, fine, 25, 42, 1, half); err != nil {
+				t.Fatalf("one shard at half the index: %v", err)
 			}
 		})
 	}
@@ -119,7 +145,7 @@ func soakDrive(incs [][]*profile.Profile, postCfg, dedCfg storage.Config) (trace
 			}
 		}
 	}
-	// The drain faults shards in at will; one final publication trims the
+	// The drain faults blocks in at will; one final publication trims the
 	// index back to budget so the caller measures steady state, not the
 	// transient of the last drain.
 	col.PublishSnapshot()

@@ -26,6 +26,10 @@ type DedupStore interface {
 	// Range calls fn for every key until fn returns false, in unspecified
 	// order. fn must not mutate the store.
 	Range(fn func(key uint64) bool)
+	// Err returns the first failed segment write, or nil. After one the set
+	// keeps new keys resident and stops spilling: membership stays exact,
+	// but the budget no longer holds.
+	Err() error
 	// Close releases spill files. The store must not be used afterwards.
 	Close() error
 }
@@ -53,6 +57,7 @@ func (d memDedup) Range(fn func(key uint64) bool) {
 		}
 	}
 }
+func (d memDedup) Err() error   { return nil }
 func (d memDedup) Close() error { return nil }
 
 // spillDedup bounds the resident set LSM-style: recent keys live in an
@@ -81,7 +86,8 @@ type spillDedup struct {
 	active map[uint64]struct{}
 	tombs  map[uint64]struct{}
 	segs   []*dedupSeg
-	n      int // exact live count
+	n      int   // exact live count
+	err    error // first failed segment write; sealing and merging stop once set
 	closed bool
 }
 
@@ -176,6 +182,8 @@ func (d *spillDedup) Range(fn func(key uint64) bool) {
 	}
 }
 
+func (d *spillDedup) Err() error { return d.err }
+
 func (d *spillDedup) Close() error {
 	if d.closed {
 		return nil
@@ -203,10 +211,16 @@ func (d *spillDedup) inSegs(key uint64) bool {
 }
 
 // maintain seals an over-budget active set and merges when segments or
-// tombstones pile up.
+// tombstones pile up. After a failed segment write it does nothing.
 func (d *spillDedup) maintain() {
+	if d.err != nil {
+		return
+	}
 	if len(d.active)+len(d.tombs) >= d.sealAt {
 		d.seal()
+		if d.err != nil {
+			return
+		}
 	}
 	sealed := 0
 	for _, sg := range d.segs {
@@ -217,7 +231,8 @@ func (d *spillDedup) maintain() {
 	}
 }
 
-// seal freezes the active set into a sorted segment.
+// seal freezes the active set into a sorted segment. A failed write keeps
+// the active set and records the error.
 func (d *spillDedup) seal() {
 	if len(d.active) == 0 {
 		return
@@ -233,14 +248,16 @@ func (d *spillDedup) seal() {
 		}
 	})
 	if err != nil {
-		panic(fmt.Sprintf("storage: sealing dedup segment: %v", err))
+		d.err = fmt.Errorf("storage: sealing dedup segment: %w", err)
+		return
 	}
 	d.segs = append(d.segs, sg)
 	d.active = make(map[uint64]struct{})
 }
 
 // merge rewrites every segment into one, dropping tombstoned keys. Segments
-// hold disjoint key sets, so the merge is a plain k-way minimum take.
+// hold disjoint key sets, so the merge is a plain k-way minimum take. A
+// failed write keeps the segments and tombstones and records the error.
 func (d *spillDedup) merge() {
 	if len(d.segs) == 0 {
 		return
@@ -277,7 +294,8 @@ func (d *spillDedup) merge() {
 		}
 	})
 	if err != nil {
-		panic(fmt.Sprintf("storage: merging dedup segments: %v", err))
+		d.err = fmt.Errorf("storage: merging dedup segments: %w", err)
+		return
 	}
 	for _, sg := range d.segs {
 		sg.f.Close()

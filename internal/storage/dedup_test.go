@@ -3,6 +3,7 @@ package storage
 import (
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 )
@@ -146,5 +147,33 @@ func TestSpillDedupCloseRemovesDir(t *testing.T) {
 	}
 	if _, err := os.Stat(sub); !os.IsNotExist(err) {
 		t.Fatalf("dedup dir %s survived Close (err=%v)", sub, err)
+	}
+}
+
+// TestSpillDedupWriteErrorKeepsActive points the dedup set's spill directory
+// at a regular file, so the first seal cannot write: the set must keep every
+// key in its active map with exact membership, stop sealing, and report the
+// failure through Err instead of panicking.
+func TestSpillDedupWriteErrorKeepsActive(t *testing.T) {
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	d := newSpillDedup(Config{Budget: 1, Dir: notDir})
+	d.sealAt = 8
+	defer d.Close()
+	for k := uint64(0); k < 40; k++ {
+		d.Add(k)
+	}
+	if d.Err() == nil {
+		t.Fatal("Err() is nil after the dedup segment could not be written")
+	}
+	if len(d.segs) != 0 || d.Len() != 40 {
+		t.Fatalf("after the failed seal: %d segments, Len %d; want 0 and 40", len(d.segs), d.Len())
+	}
+	for k := uint64(0); k < 45; k++ {
+		if got, want := d.Has(k), k < 40; got != want {
+			t.Fatalf("Has(%d) = %v, want %v", k, got, want)
+		}
 	}
 }

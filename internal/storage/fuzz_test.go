@@ -3,64 +3,239 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
+	"slices"
 	"testing"
 )
 
-// FuzzSpillSegmentRoundTrip checks the spill segment framing against the
-// in-memory posting-list model: any shard map the fuzzer constructs must
-// survive encodeSegment → decodeSegment bit-identically, and decoding
-// arbitrary bytes must fail cleanly (error, never panic) — a torn or foreign
-// spill file surfaces as a storage error, not silent index corruption.
+// lookup is a writeSegment value source backed by a model map.
+func lookup(m map[uint32][]int) func(uint32) ([]int, bool) {
+	return func(k uint32) ([]int, bool) {
+		v, ok := m[k]
+		return v, ok
+	}
+}
+
+// encodeModel writes model as a fresh segment — the merge with no old
+// segment — and returns its tables and bytes.
+func encodeModel(t *testing.T, model map[uint32][]int) (*segment, []byte) {
+	t.Helper()
+	keys := make([]uint32, 0, len(model))
+	for k := range model {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	var buf bytes.Buffer
+	fence, offs, size, err := writeSegment[[]int](&buf, listCodec{}, nil, nil, keys, lookup(model))
+	if err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if size != int64(buf.Len()) || !slices.Equal(fence, keys) {
+		t.Fatalf("write reported %d bytes and fence %v; wrote %d bytes of keys %v", size, fence, buf.Len(), keys)
+	}
+	return &segment{size: size, keys: fence, offs: offs}, buf.Bytes()
+}
+
+// checkImage decodes a segment image and compares it with the model.
+func checkImage(t *testing.T, model map[uint32][]int, img []byte) {
+	t.Helper()
+	keys, vals, err := decodeSegment(img, listCodec{})
+	if err != nil {
+		t.Fatalf("decode of own encoding: %v", err)
+	}
+	got := make(map[uint32][]int, len(keys))
+	for i, k := range keys {
+		got[k] = vals[i]
+	}
+	sameLists(t, model, got)
+}
+
+// FuzzSpillSegmentRoundTrip checks the flat segment layout against the
+// in-memory posting-list model. Any shard the fuzzer constructs must survive
+// writeSegment → decodeSegment bit-identically, both written whole and
+// merged over an older segment. Malformed bytes — raw fuzz input, unsorted
+// keys, decreasing or overrunning offsets, a truncated or trailing varint —
+// must fail cleanly with an error, never a panic: a torn or foreign spill
+// file surfaces as a storage error, not silent index corruption.
 func FuzzSpillSegmentRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 4, 2, 2, 9, 9, 9, 0, 0, 3, 1, 7})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
-	f.Add(append([]byte("PSG1"), 0x03, 0x7f, 0x00))
+	f.Add(append([]byte("PSG2"), 0x03, 0x7f, 0x00))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<14 {
 			return
 		}
 		// Part 1: build a model shard from the input and round-trip it.
+		// Members alternate in sign and grow, so deltas are signed and wide.
 		model := make(map[uint32][]int)
 		for i := 0; i+3 <= len(data) && len(model) < 256; i += 3 {
 			key := uint32(binary.LittleEndian.Uint16(data[i:]))
 			n := int(data[i+2]) % 8
 			members := make([]int, n)
 			for j := range members {
-				members[j] = int(data[i]) + j
+				members[j] = int(int8(data[i])) * (1 - 2*(j%2)) << (7 * j)
 			}
 			model[key] = members
 		}
-		var buf bytes.Buffer
-		if err := encodeSegment[[]int](&buf, listCodec{}, model); err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		got, err := decodeSegment[[]int](bytes.NewReader(buf.Bytes()), listCodec{})
-		if err != nil {
-			t.Fatalf("decode of own encoding: %v", err)
-		}
-		if len(got) != len(model) {
-			t.Fatalf("round trip: %d entries, want %d", len(got), len(model))
-		}
-		for k, w := range model {
-			g, ok := got[k]
-			if !ok || len(g) != len(w) {
-				t.Fatalf("round trip key %d: got %v, want %v", k, g, w)
+		seg, img := encodeModel(t, model)
+		checkImage(t, model, img)
+
+		// Part 2: merge over the segment just written — rewrite every third
+		// key, delete every fifth, add keys past the old range. Only the
+		// dirty keys are encoded; the rest are copied byte for byte.
+		next := maps.Clone(model)
+		var dirty []uint32
+		for i, k := range seg.keys {
+			switch {
+			case i%5 == 0:
+				delete(next, k)
+				dirty = append(dirty, k)
+			case i%3 == 0:
+				next[k] = append(slices.Clone(next[k]), i)
+				dirty = append(dirty, k)
 			}
-			for i := range w {
-				if g[i] != w[i] {
-					t.Fatalf("round trip key %d: got %v, want %v", k, g, w)
+		}
+		for k := uint32(1 << 16); k < 1<<16+uint32(len(data)%4); k++ {
+			next[k] = []int{int(k)}
+			dirty = append(dirty, k)
+		}
+		var buf bytes.Buffer
+		_, _, size, err := writeSegment[[]int](&buf, listCodec{}, seg, bytes.NewReader(img[seg.valuesAt():]), dirty, lookup(next))
+		if err != nil || size != int64(buf.Len()) {
+			t.Fatalf("merge: %v (reported %d bytes, wrote %d)", err, size, buf.Len())
+		}
+		checkImage(t, next, buf.Bytes())
+
+		// Part 3: targeted corruptions of a valid image must each error.
+		n := len(seg.keys)
+		offsAt := 8 + 4*n
+		mustFail := func(what string, bad []byte) {
+			t.Helper()
+			if _, _, err := decodeSegment(bad, listCodec{}); err == nil {
+				t.Fatalf("decode accepted %s", what)
+			}
+		}
+		if n >= 2 {
+			bad := slices.Clone(img)
+			copy(bad[8:12], img[12:16])
+			copy(bad[12:16], img[8:12])
+			mustFail("unsorted keys", bad)
+		}
+		if n >= 1 {
+			bad := slices.Clone(img)
+			binary.LittleEndian.PutUint32(bad[offsAt+4:], seg.offs[n]+1)
+			mustFail("a decreasing or overrunning offset", bad)
+			bad = slices.Clone(img)
+			binary.LittleEndian.PutUint32(bad[offsAt+4*n:], seg.offs[n]+1)
+			mustFail("an overrunning last offset", bad)
+		}
+		mustFail("a trailing byte", append(slices.Clone(img), 0))
+		mustFail("a truncated image", img[:len(img)-1])
+		for i, k := range seg.keys {
+			val := img[seg.valuesAt()+int64(seg.offs[i]) : seg.valuesAt()+int64(seg.offs[i+1])]
+			if _, err := (listCodec{}).DecodeValue(k, val[:len(val)-1]); err == nil {
+				t.Fatalf("key %d: a truncated varint decoded", k)
+			}
+			if _, err := (listCodec{}).DecodeValue(k, append(slices.Clone(val), 0)); err == nil {
+				t.Fatalf("key %d: a trailing varint decoded", k)
+			}
+		}
+
+		// Part 4: raw fuzz bytes as a segment, bare and behind the magic,
+		// must error or decode, never panic.
+		decodeSegment(data, listCodec{})
+		decodeSegment(append(append([]byte{}, segMagic[:]...), data...), listCodec{})
+	})
+}
+
+// FuzzSpillStoreOps drives a fuzzer-chosen script of Put, Touch, Get,
+// Delete, Maintain, Range and Frozen reads through the spill store and the
+// in-memory store side by side, over 1–4 shards at a budget of a few
+// entries, so blocks fault in alone, overlays are evicted clean and dirty,
+// and segments are rewritten by merge. Values, Meta and Len must agree after
+// every op; ResidentBytes must fit the budget after every Maintain; and a
+// Frozen handle must still read the image it was taken on after the store
+// rewrote that segment.
+func FuzzSpillStoreOps(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 1, 3, 0, 2, 5, 4, 0, 0, 6, 1, 0, 4, 0, 0, 2, 1, 0, 3, 2, 0, 6, 2, 0, 4, 0, 0})
+	f.Add(bytes.Repeat([]byte{0, 3, 9, 4, 0, 0, 1, 3, 1, 6, 3, 0, 2, 3, 0, 0, 7, 2, 5, 7, 0}, 12))
+	f.Fuzz(func(t *testing.T, script []byte) {
+		// Every dirty Maintain is a real file write; cap the script so a
+		// mutated input stays milliseconds, not seconds.
+		if len(script) == 0 || len(script) > 1<<10 {
+			return
+		}
+		shards := int(script[0])%4 + 1
+		budget := int64(3 * listCodec{}.Size(Meta{A: 3}))
+		mem := NewPostingStore[[]int](shards, listCodec{}, Config{})
+		sp := NewPostingStore[[]int](shards, listCodec{}, Config{Budget: budget, Dir: t.TempDir()})
+		defer sp.Close()
+		type pin struct {
+			fz    *Frozen[[]int]
+			image map[uint32][]int
+		}
+		var pins []pin
+		for i := 1; i+2 < len(script); i += 3 {
+			key := uint32(script[i+1] % 16)
+			si := int(key) % shards
+			arg := int(script[i+2])
+			switch script[i] % 7 {
+			case 0:
+				// Each store gets its own slice, so an in-place edit of one
+				// store's value never reaches the other.
+				v := make([]int, arg%5)
+				for j := range v {
+					v[j] = arg*7 - j*300
+				}
+				mem.Put(si, key, v)
+				sp.Put(si, key, slices.Clone(v))
+			case 1:
+				// Touch after an in-place edit through the value Get returned.
+				vm, ok := mem.Get(si, key)
+				vs, _ := sp.Get(si, key)
+				if ok && len(vm) > 0 {
+					vm[0], vs[0] = -arg, -arg
+					mem.Touch(si, key, vm)
+					sp.Touch(si, key, vs)
+				}
+			case 2:
+				vm, okm := mem.Get(si, key)
+				vs, oks := sp.Get(si, key)
+				if okm != oks || !slices.Equal(vm, vs) {
+					t.Fatalf("op %d: Get(%d, %d) = %v, %v; memory has %v, %v", i/3, si, key, vs, oks, vm, okm)
+				}
+			case 3:
+				mem.Delete(si, key)
+				sp.Delete(si, key)
+			case 4:
+				sp.Maintain()
+				if r := sp.ResidentBytes(); r > budget {
+					t.Fatalf("op %d: %d resident bytes after Maintain, budget %d", i/3, r, budget)
+				}
+			case 5:
+				want := make(map[uint32][]int)
+				mem.Range(si, func(k uint32, v []int) bool { want[k] = v; return true })
+				got := make(map[uint32][]int)
+				sp.Range(si, func(k uint32, v []int) bool { got[k] = v; return true })
+				sameLists(t, want, got)
+			case 6:
+				if fz := sp.Frozen(si); fz != nil {
+					pins = append(pins, pin{fz, frozenImage(t, fz)})
 				}
 			}
+			if mem.Len(si) != sp.Len(si) {
+				t.Fatalf("op %d: shard %d Len %d, memory %d", i/3, si, sp.Len(si), mem.Len(si))
+			}
+			mm, okm := mem.Meta(si, key)
+			ms, oks := sp.Meta(si, key)
+			if okm != oks || mm != ms {
+				t.Fatalf("op %d: Meta(%d, %d) = %v, %v; memory has %v, %v", i/3, si, key, ms, oks, mm, okm)
+			}
 		}
-		// Part 2: raw fuzz bytes as a segment — must error or succeed, never
-		// panic. Cover both the magic check and the codec payload path.
-		if m, err := decodeSegment[[]int](bytes.NewReader(data), listCodec{}); err == nil && m == nil {
-			t.Fatal("decode returned nil map without error")
-		}
-		framed := append(append([]byte{}, segMagic[:]...), data...)
-		if m, err := decodeSegment[[]int](bytes.NewReader(framed), listCodec{}); err == nil && m == nil {
-			t.Fatal("decode returned nil map without error")
+		for _, p := range pins {
+			sameLists(t, p.image, frozenImage(t, p.fz))
 		}
 	})
 }

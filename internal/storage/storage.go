@@ -2,15 +2,16 @@
 // index and the stream's executed-pair dedup set. It exists so the paper's
 // incremental setting — streams that never end — can run in bounded RSS: the
 // default backend keeps everything in process memory exactly as before, and
-// the memory-bounded backend spills cold shards to immutable temp-file gob
-// segments under a fixed byte budget with LRU shard residency (spill.go) and
-// keeps the dedup set in an LSM-style active-set + sorted-segment layout
-// (dedup.go).
+// the memory-bounded backend keeps each shard as a resident overlay of blocks
+// over one immutable flat segment file under a fixed byte budget, faulting
+// single blocks in and rewriting only the blocks that changed, with LRU shard
+// residency (spill.go); it keeps the dedup set in an LSM-style active-set +
+// sorted-segment layout (dedup.go).
 //
 // The package is deliberately stdlib-only and knows nothing about blocks,
 // profiles, or symbols: PostingStore is generic over the value type and the
-// owner supplies a Codec that serializes one shard's map and prices entries
-// for the budget. That dependency inversion is what internal/arch enforces —
+// owner supplies a Codec that serializes one value and prices entries for
+// the budget. That dependency inversion is what internal/arch enforces —
 // substrates must not reach upward into domain packages.
 //
 // Concurrency contract: PostingStore implementations do not add locking of
@@ -20,13 +21,12 @@
 // backend serializes every call on one internal leaf mutex because residency
 // and the byte budget are global state. Callers must never re-enter the store
 // from a Range/RangeMeta callback. Eviction happens only inside Maintain —
-// Get and Put fault shards in but never out — so pointers obtained between
+// Get and Put fault blocks in but never out — so pointers obtained between
 // two Maintain calls stay backed by resident state.
 package storage
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 )
 
@@ -34,7 +34,7 @@ import (
 type Config struct {
 	// Budget is the approximate resident-byte budget in bytes. <= 0 selects
 	// the unbounded in-memory backend; > 0 selects the spill backend, which
-	// keeps resident posting shards (or the dedup active set) at or under
+	// keeps resident posting blocks (or the dedup active set) at or under
 	// the budget and spills the excess to disk. The budget prices the bulk
 	// data (posting-list members, dedup keys); small always-resident
 	// bookkeeping — per-key metadata, bloom filters, fence indexes — rides
@@ -52,7 +52,7 @@ func (c Config) Enabled() bool { return c.Budget > 0 }
 
 // Meta is the always-resident per-entry metadata of a PostingStore: the two
 // per-source member counts of a posting list. It answers size, liveness, and
-// comparison-count queries without faulting spilled shards in, which keeps
+// comparison-count queries without faulting spilled blocks in, which keeps
 // the strategies' sorted-scan and weighting paths from thrashing the budget.
 type Meta struct {
 	// A and B are the per-source member counts (B is 0 for dirty ER).
@@ -73,15 +73,18 @@ func (m Meta) Comparisons(cleanClean bool) int {
 	return n * (n - 1) / 2
 }
 
-// Codec serializes one shard of values and prices entries for the byte
-// budget. Implementations must be safe for concurrent use (they are called
-// from AddBatch shard workers) and Encode must be deterministic for a given
-// map so spill segments are reproducible.
+// Codec serializes single values for spill segments and prices entries for
+// the byte budget. Implementations must be safe for concurrent use (they are
+// called from AddBatch shard workers) and AppendValue must be deterministic
+// for a given value so spill segments are reproducible.
 type Codec[V any] interface {
-	// Encode writes the shard's entries to w.
-	Encode(w io.Writer, shard map[uint32]V) error
-	// Decode reads back what Encode wrote.
-	Decode(r io.Reader) (map[uint32]V, error)
+	// AppendValue appends the encoding of v to buf and returns the extended
+	// slice.
+	AppendValue(buf []byte, v V) []byte
+	// DecodeValue decodes the value stored under key from exactly the bytes
+	// AppendValue wrote: missing or leftover bytes are an error. The result
+	// must not alias data, which the store reuses.
+	DecodeValue(key uint32, data []byte) (V, error)
 	// MetaOf extracts the resident metadata of a value. It is captured at
 	// Put time, so values mutated in place must be re-Put (see
 	// PostingStore.Put).
@@ -103,12 +106,13 @@ type Codec[V any] interface {
 type PostingStore[V any] interface {
 	// NumShards returns the shard count fixed at construction.
 	NumShards() int
-	// Get returns the value under key, faulting the shard in if it is
-	// spilled. A key absent from the shard returns the zero value and false
-	// without any fault-in (metadata is always resident).
+	// Get returns the value under key, faulting that one entry in from its
+	// shard's segment when it is not resident. A key absent from the shard
+	// returns the zero value and false without touching disk (metadata is
+	// always resident).
 	Get(shard int, key uint32) (V, bool)
-	// Put inserts or replaces the value under key and refreshes its
-	// metadata. Putting into a spilled shard faults it in first.
+	// Put inserts or replaces the value under key, makes it resident, and
+	// refreshes its metadata.
 	Put(shard int, key uint32, v V)
 	// Touch is Put for a value that is already stored under key and was
 	// mutated in place through the pointer Get returned: it refreshes the
@@ -118,8 +122,8 @@ type PostingStore[V any] interface {
 	// a key that is absent (or maps to a different value) is a contract
 	// violation.
 	Touch(shard int, key uint32, v V)
-	// Delete removes the key if present (faulting the shard in when needed);
-	// absent keys are a no-op without fault-in.
+	// Delete removes the key if present; absent keys are a no-op. It never
+	// touches disk.
 	Delete(shard int, key uint32)
 	// Contains reports whether the key is present, without fault-in.
 	Contains(shard int, key uint32) bool
@@ -127,31 +131,41 @@ type PostingStore[V any] interface {
 	Meta(shard int, key uint32) (Meta, bool)
 	// Len returns the number of entries in the shard, without fault-in.
 	Len(shard int) int
-	// Range calls fn for every entry of the shard (faulting it in) until fn
-	// returns false. Iteration order is unspecified. fn must not call back
-	// into the store.
+	// Range calls fn for every entry of the shard until fn returns false,
+	// reading spilled entries from the segment without making them
+	// resident. Iteration order is unspecified. fn must not call back into
+	// the store.
 	Range(shard int, fn func(key uint32, v V) bool)
+	// RangeNewer is Range over the entries newer than the shard's current
+	// segment — every entry when the shard has none. They are the entries a
+	// reader cannot take from the segment Frozen returns.
+	RangeNewer(shard int, fn func(key uint32, v V) bool)
 	// RangeMeta is Range over the resident metadata only — never faults.
 	RangeMeta(shard int, fn func(key uint32, m Meta) bool)
-	// Maintain enforces the byte budget, evicting least-recently-used
-	// resident shards to disk until resident bytes fit. Only the owner
+	// Maintain enforces the byte budget, evicting least-recently-used shard
+	// overlays until resident bytes fit; an overlay holding entries newer
+	// than its segment is merged into a new segment first. Only the owner
 	// goroutine calls it, at quiescent points (never during an AddBatch
-	// fan-out). A no-op for the in-memory backend.
+	// fan-out). A no-op for the in-memory backend, and after a failed
+	// segment write (see Err).
 	Maintain()
-	// Spilled reports whether the shard currently lives on disk only.
-	Spilled(shard int) bool
-	// Frozen returns an immutable handle on the shard's current spill
-	// segment, or nil if the shard is resident. The handle stays readable
-	// even after the shard faults back in or re-spills (it owns its own
-	// file descriptor); the RCU snapshot path uses it to serve reads from
-	// retired segments.
+	// Frozen returns an immutable handle on the shard's current segment, or
+	// nil if the shard has none. The handle stays readable after the store
+	// rewrites or unlinks the segment (it owns its own file descriptor); the
+	// RCU snapshot path serves unchanged entries through it.
 	Frozen(shard int) *Frozen[V]
-	// TakeSpilled returns the sorted indices of shards evicted since the
-	// previous TakeSpilled call and resets the log. The publish path uses
-	// it to redirect snapshot entries at spilled shards.
-	TakeSpilled() []int
+	// TakeRewritten returns the sorted indices of shards given a new
+	// segment since the previous call and resets the log. The publish path
+	// re-marks their snapshot entries.
+	TakeRewritten() []int
 	// ResidentBytes returns the budget-priced bytes currently resident.
 	ResidentBytes() int64
+	// Stats returns the backend's disk-traffic counters.
+	Stats() SpillStats
+	// Err returns the first failed segment write or spill-directory
+	// creation, or nil. After one the store keeps everything resident and
+	// stops spilling: nothing is lost, but the budget no longer holds.
+	Err() error
 	// Close releases spill files and directories. The store must not be
 	// used afterwards; Frozen handles taken earlier stay valid until
 	// garbage-collected.
@@ -252,9 +266,13 @@ func (s *memStore[V]) RangeMeta(shard int, fn func(key uint32, m Meta) bool) {
 	}
 }
 
+// RangeNewer is Range: without a segment, every entry is newer than it.
+func (s *memStore[V]) RangeNewer(shard int, fn func(key uint32, v V) bool) { s.Range(shard, fn) }
+
 func (s *memStore[V]) Maintain()             {}
-func (s *memStore[V]) Spilled(int) bool      { return false }
 func (s *memStore[V]) Frozen(int) *Frozen[V] { return nil }
-func (s *memStore[V]) TakeSpilled() []int    { return nil }
+func (s *memStore[V]) TakeRewritten() []int  { return nil }
 func (s *memStore[V]) ResidentBytes() int64  { return s.bytes.Load() }
+func (s *memStore[V]) Stats() SpillStats     { return SpillStats{} }
+func (s *memStore[V]) Err() error            { return nil }
 func (s *memStore[V]) Close() error          { return nil }

@@ -1,55 +1,44 @@
 package storage
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 )
 
 // listCodec is the test codec: values are plain int slices — the in-memory
-// posting-list model the spill segments are checked against.
+// posting-list model the spill segments are checked against — stored as one
+// posting run.
 type listCodec struct{}
 
-type wireList struct {
-	Key     uint32
-	Members []int
-}
+func (listCodec) AppendValue(buf []byte, v []int) []byte { return AppendRun(buf, v) }
 
-func (listCodec) Encode(w io.Writer, shard map[uint32][]int) error {
-	keys := make([]uint32, 0, len(shard))
-	for k := range shard {
-		keys = append(keys, k)
+func (listCodec) DecodeValue(_ uint32, data []byte) ([]int, error) {
+	v, rest, err := ReadRun(data)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%d trailing bytes after the run", len(rest))
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	lists := make([]wireList, len(keys))
-	for i, k := range keys {
-		lists[i] = wireList{Key: k, Members: shard[k]}
-	}
-	return gob.NewEncoder(w).Encode(lists)
-}
-
-func (listCodec) Decode(r io.Reader) (map[uint32][]int, error) {
-	var lists []wireList
-	if err := gob.NewDecoder(r).Decode(&lists); err != nil {
-		return nil, err
-	}
-	m := make(map[uint32][]int, len(lists))
-	for _, l := range lists {
-		if _, dup := m[l.Key]; dup {
-			return nil, fmt.Errorf("duplicate key %d in segment", l.Key)
-		}
-		m[l.Key] = l.Members
-	}
-	return m, nil
+	return v, err
 }
 
 func (listCodec) MetaOf(v []int) Meta { return Meta{A: int32(len(v))} }
 func (listCodec) Size(m Meta) int     { return 16 + 8*m.Size() }
+
+// frozenImage loads everything a Frozen handle reads.
+func frozenImage(t *testing.T, fz *Frozen[[]int]) map[uint32][]int {
+	t.Helper()
+	keys, vals, err := fz.Load()
+	if err != nil {
+		t.Fatalf("Frozen.Load: %v", err)
+	}
+	m := make(map[uint32][]int, len(keys))
+	for i, k := range keys {
+		m[k] = vals[i]
+	}
+	return m
+}
 
 func sameLists(t *testing.T, want, got map[uint32][]int) {
 	t.Helper()
@@ -107,7 +96,7 @@ func TestMemStoreBasics(t *testing.T) {
 	if s.Contains(1, 9) {
 		t.Fatal("Delete left key behind")
 	}
-	if s.Spilled(1) || s.Frozen(1) != nil || s.TakeSpilled() != nil {
+	if s.Frozen(1) != nil || s.TakeRewritten() != nil || s.Stats() != (SpillStats{}) || s.Err() != nil {
 		t.Fatal("mem store pretends to spill")
 	}
 	n := 0
@@ -149,7 +138,7 @@ func TestSpillStoreSpillsAndFaultsIn(t *testing.T) {
 	}
 	spilledAny := false
 	for si := 0; si < shards; si++ {
-		if s.Spilled(si) {
+		if s.Frozen(si) != nil {
 			spilledAny = true
 		}
 		// Metadata stays resident: no fault-in for counts and sizes.
@@ -160,12 +149,13 @@ func TestSpillStoreSpillsAndFaultsIn(t *testing.T) {
 	if !spilledAny {
 		t.Fatal("nothing spilled under a tiny budget")
 	}
-	if log := s.TakeSpilled(); len(log) == 0 {
-		t.Fatal("TakeSpilled empty after evictions")
-	} else if again := s.TakeSpilled(); again != nil {
-		t.Fatalf("TakeSpilled not consumed: %v", again)
+	if log := s.TakeRewritten(); len(log) == 0 {
+		t.Fatal("TakeRewritten empty after evictions")
+	} else if again := s.TakeRewritten(); again != nil {
+		t.Fatalf("TakeRewritten not consumed: %v", again)
 	}
 	// Every value faults back in intact.
+	before := s.Stats().FaultIns
 	for si := 0; si < shards; si++ {
 		for k, w := range model[si] {
 			g, ok := s.Get(si, k)
@@ -173,6 +163,9 @@ func TestSpillStoreSpillsAndFaultsIn(t *testing.T) {
 				t.Fatalf("shard %d key %d: got %v, want %v", si, k, g, w)
 			}
 		}
+	}
+	if st := s.Stats(); st.FaultIns == before || st.SegmentWrites == 0 || st.SegmentBytes == 0 {
+		t.Fatalf("stats %+v after faulting spilled blocks in", st)
 	}
 }
 
@@ -183,35 +176,114 @@ func TestFrozenSurvivesFaultInAndMutation(t *testing.T) {
 	s.Put(0, 2, []int{10, 20})
 	s.Put(0, 4, []int{30})
 	s.Maintain()
-	if !s.Spilled(0) {
-		t.Fatal("shard 0 not spilled")
-	}
 	fz := s.Frozen(0)
 	if fz == nil {
 		t.Fatal("Frozen returned nil for a spilled shard")
 	}
-	// Fault the shard back in, mutate, and re-spill: the frozen handle must
-	// keep serving the original image.
+	// Mutate and re-spill: the frozen handle must keep serving the original
+	// image after the store rewrote the segment and unlinked the old file.
 	s.Put(0, 2, []int{99})
 	s.Delete(0, 4)
 	s.Maintain()
-	got, err := fz.Load()
-	if err != nil {
-		t.Fatalf("Frozen.Load: %v", err)
-	}
-	sameLists(t, map[uint32][]int{2: {10, 20}, 4: {30}}, got)
-	// A resident shard has no frozen view.
+	sameLists(t, map[uint32][]int{2: {10, 20}, 4: {30}}, frozenImage(t, fz))
+	// A shard that never spilled has no frozen view.
 	s.Put(1, 3, []int{1})
 	if s.Frozen(1) != nil {
-		t.Fatal("Frozen non-nil for a resident shard")
+		t.Fatal("Frozen non-nil for a shard without a segment")
 	}
 	// The new frozen view reflects the mutation.
-	fz2 := s.Frozen(0)
-	got2, err := fz2.Load()
-	if err != nil {
-		t.Fatalf("Frozen.Load (new): %v", err)
+	sameLists(t, map[uint32][]int{2: {99}}, frozenImage(t, s.Frozen(0)))
+}
+
+// TestSpillStoreFaultsInOneBlock pins the unit of residency: a Get of a
+// spilled key reads that one block back — one fault-in, one entry's price —
+// an eviction that finds nothing newer than the segment writes nothing, and
+// a rewrite after a write and a delete carries every untouched block over
+// intact.
+func TestSpillStoreFaultsInOneBlock(t *testing.T) {
+	s := NewPostingStore[[]int](1, listCodec{}, Config{Budget: 1, Dir: t.TempDir()})
+	defer s.Close()
+	fillStore(s, 1, 50)
+	s.Maintain()
+	if st := s.Stats(); st.SegmentWrites != 1 || s.ResidentBytes() != 0 {
+		t.Fatalf("after the first eviction: %+v, resident %d", st, s.ResidentBytes())
 	}
-	sameLists(t, map[uint32][]int{2: {99}}, got2)
+	if v, ok := s.Get(0, 7); !ok || len(v) != 4 || v[0] != 7 {
+		t.Fatalf("Get(0, 7) = %v, %v", v, ok)
+	}
+	if got := s.Stats().FaultIns; got != 1 {
+		t.Fatalf("one Get faulted in %d blocks", got)
+	}
+	if got, want := s.ResidentBytes(), int64(listCodec{}.Size(Meta{A: 4})); got != want {
+		t.Fatalf("resident %d bytes after one fault-in, want one entry's %d", got, want)
+	}
+	s.Maintain()
+	if st := s.Stats(); st.SegmentWrites != 1 || st.CleanEvictions != 1 {
+		t.Fatalf("an eviction with nothing dirty wrote a segment: %+v", st)
+	}
+	s.Put(0, 7, []int{70})
+	s.Delete(0, 8)
+	s.Maintain()
+	if st := s.Stats(); st.SegmentWrites != 2 {
+		t.Fatalf("a dirty eviction did not rewrite: %+v", st)
+	}
+	if s.Len(0) != 49 {
+		t.Fatalf("Len = %d after one delete of 50", s.Len(0))
+	}
+	for k := uint32(0); k < 50; k++ {
+		v, ok := s.Get(0, k)
+		switch {
+		case k == 8:
+			if ok {
+				t.Fatalf("deleted key 8 reads %v", v)
+			}
+		case k == 7:
+			if !ok || len(v) != 1 || v[0] != 70 {
+				t.Fatalf("rewritten key 7 reads %v, %v", v, ok)
+			}
+		default:
+			i := int(k)
+			if !ok || len(v) != 4 || v[0] != i || v[3] != i+3 {
+				t.Fatalf("untouched key %d reads %v, %v", k, v, ok)
+			}
+		}
+	}
+}
+
+// TestSpillStoreWriteErrorKeepsOverlay points the spill directory at a
+// regular file — root ignores permission bits, a file is never a directory —
+// so the first eviction cannot create it. The store must keep every entry
+// resident and readable, stop spilling, and report the failure through Err
+// instead of panicking.
+func TestSpillStoreWriteErrorKeepsOverlay(t *testing.T) {
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	const budget = 64
+	s := NewPostingStore[[]int](2, listCodec{}, Config{Budget: budget, Dir: notDir})
+	defer s.Close()
+	model := fillStore(s, 2, 40)
+	s.Maintain()
+	if s.Err() == nil {
+		t.Fatal("Err() is nil after the spill directory could not be created")
+	}
+	s.Put(0, 100, []int{1})
+	model[0][100] = []int{1}
+	s.Maintain()
+	if st := s.Stats(); st.SegmentWrites != 0 || s.Frozen(0) != nil || s.Frozen(1) != nil {
+		t.Fatalf("a failed store kept spilling: %+v", st)
+	}
+	if s.ResidentBytes() <= budget {
+		t.Fatalf("resident %d bytes: the overlay was dropped", s.ResidentBytes())
+	}
+	for si, m := range model {
+		for k, w := range m {
+			if g, ok := s.Get(si, k); !ok || len(g) != len(w) || g[0] != w[0] {
+				t.Fatalf("shard %d key %d: got %v, %v, want %v", si, k, g, ok, w)
+			}
+		}
+	}
 }
 
 // TestSpillStoreMatchesMemStore drives an identical randomized op sequence

@@ -120,7 +120,9 @@ type LiveConfig struct {
 	// pre-seam behavior; either way the observable pipeline results are
 	// bit-identical (the backend is a residency knob, never a semantic
 	// one). Pipelines with a budget should be Closed after Stop/Interrupt
-	// so spill files are removed promptly.
+	// so spill files are removed promptly. A spill file that cannot be
+	// written does not stop the run: that store keeps its state resident,
+	// stops spilling, and Err reports the failure.
 	Storage storage.Config
 }
 
@@ -235,6 +237,12 @@ type liveMetrics struct {
 	queryMatches *obsv.Counter   // matched candidates across all queries
 	querySec     *obsv.Histogram // end-to-end query latency
 	queryCands   *obsv.Histogram // candidates considered per query
+
+	// spill instruments of the posting index, advanced once per publish
+	spillFaultIns   *obsv.Counter
+	spillSegWrites  *obsv.Counter
+	spillSegBytes   *obsv.Counter
+	storageResident *obsv.Gauge
 }
 
 // newLiveMetrics registers the pipeline's instruments in reg. Registration is
@@ -278,6 +286,11 @@ func newLiveMetrics(reg *obsv.Registry) *liveMetrics {
 		queryMatches:  reg.Counter("pier_query_matches_total", "matched candidates returned by online queries"),
 		querySec:      reg.Histogram("pier_query_seconds", "end-to-end online query latency", latBuckets),
 		queryCands:    reg.Histogram("pier_query_candidates", "candidate partners considered per online query", sizeBuckets),
+
+		spillFaultIns:   reg.Counter("pier_spill_faultins_total", "index blocks read back from spill segments"),
+		spillSegWrites:  reg.Counter("pier_spill_segment_writes_total", "index spill segments written"),
+		spillSegBytes:   reg.Counter("pier_spill_segment_bytes_total", "bytes of index spill segments written"),
+		storageResident: reg.Gauge("pier_storage_resident_bytes", "budget-priced resident bytes of the posting index"),
 	}
 }
 
@@ -306,6 +319,11 @@ type liveState struct {
 	retryQ []retryJob
 
 	scratch batchScratch
+
+	// spillSeen is the index's spill traffic already added to the metrics;
+	// storageErrSeen is set once a storage failure went to Err.
+	spillSeen      storage.SpillStats
+	storageErrSeen bool
 
 	res         *liveCounters
 	start       time.Time
@@ -498,9 +516,11 @@ func (l *Live) Stats() (comparisons, matches int) {
 
 // Err returns the first abnormal condition observed so far, or nil: a
 // batch-voiding worker panic (as a *pool.PanicError; not fatal — the batch's
-// comparisons were requeued and the pipeline keeps running) or a Drive that
-// lost increments to a concurrent shutdown (wrapping ErrStopped). Embedders
-// may want to log or alert on it.
+// comparisons were requeued and the pipeline keeps running), a spill file
+// that could not be written (not fatal either — the store keeps its state
+// resident and stops spilling), or a Drive that lost increments to a
+// concurrent shutdown (wrapping ErrStopped). Embedders may want to log or
+// alert on it.
 func (l *Live) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -513,6 +533,33 @@ func (l *Live) setErr(err error) {
 		l.batchErr = err
 	}
 	l.mu.Unlock()
+}
+
+// observeStorage reports the storage backends after a publication: the
+// spill counters advance by the index's disk traffic since the previous
+// call, the resident gauge is set, and the first failed spill write of
+// either store goes to Err once. A no-op without a storage budget.
+func (l *Live) observeStorage(st *liveState) {
+	if !l.cfg.Storage.Enabled() {
+		return
+	}
+	now := st.col.StorageStats()
+	l.m.spillFaultIns.Add(int(now.FaultIns - st.spillSeen.FaultIns))
+	l.m.spillSegWrites.Add(int(now.SegmentWrites - st.spillSeen.SegmentWrites))
+	l.m.spillSegBytes.Add(int(now.SegmentBytes - st.spillSeen.SegmentBytes))
+	st.spillSeen = now
+	l.m.storageResident.Set(st.col.StorageResidentBytes())
+	if st.storageErrSeen {
+		return
+	}
+	err := st.col.StorageErr()
+	if err == nil {
+		err = st.executed.Err()
+	}
+	if err != nil {
+		st.storageErrSeen = true
+		l.setErr(err)
+	}
 }
 
 // Snapshot returns a point-in-time view of the pipeline's internals. It is
@@ -653,6 +700,7 @@ func (l *Live) loop(st *liveState) {
 		// increment. Publishing before UpdateIndex lets queries see the new
 		// profiles while the strategy is still weighing.
 		st.col.PublishSnapshot()
+		l.observeStorage(st)
 		l.strategy.UpdateIndex(st.col, inc)
 		now := time.Now()
 		if !st.lastArrival.IsZero() {
@@ -763,6 +811,9 @@ func (l *Live) loop(st *liveState) {
 			break
 		}
 	}
+	// The final drain faulted blocks in and may have sealed dedup segments
+	// since the last publication.
+	l.observeStorage(st)
 	// The executed map is pruned under Window, so the counter — not the
 	// map size — is the source of truth for total comparisons. It equals
 	// len(executed) exactly when no pruning happened.
@@ -1267,6 +1318,7 @@ func RestoreLive(r io.Reader, strategy core.Strategy, cfg LiveConfig) (*Live, er
 	// Republish the restored index so post-restore queries see it from the
 	// first call, exactly as after LiveRun.
 	st.col.PublishSnapshot()
+	l.observeStorage(st)
 	l.st = st
 	go l.prep(st.col)
 	go l.loop(st)

@@ -341,9 +341,10 @@ type Options struct {
 	// StorageBudget bounds the resident memory, in bytes, of the pipeline's
 	// two stream-proportional structures — the blocking index's posting
 	// lists and the executed-pair dedup set. State beyond the budget spills
-	// to temp files (cold shards first) and is read back transparently on
-	// access. 0 (the default) keeps everything in memory. The budget is a
-	// residency knob, never a semantic one: every result, match, and query
+	// to temp files (the least recently used shard's blocks first) and is
+	// read back transparently, block by block, on access. 0 (the default)
+	// keeps everything in memory. The budget is a residency knob, never a
+	// semantic one: every result, match, and query
 	// answer is bit-identical for every setting. Pipelines with a budget
 	// should be finished with Close after Stop so spill files are removed
 	// promptly.
