@@ -77,6 +77,11 @@ func Restore(r io.Reader, opt Options) (*Pipeline, error) {
 	if err := sr.Gob("pipeline", &img); err != nil {
 		return nil, fmt.Errorf("pier: restore: %w", err)
 	}
+	// The registry is indexed by internal ID, and every ID the stream
+	// ingested was registered first (see Checkpoint).
+	if len(img.Profiles) != img.NextID {
+		return nil, fmt.Errorf("pier: restore: profile registry holds %d profiles for %d IDs", len(img.Profiles), img.NextID)
+	}
 	p.profiles, p.nextID = img.Profiles, img.NextID
 	if err := sr.Section("live", func(body io.Reader) error {
 		live, err := stream.RestoreLive(body, strategy, cfg)
@@ -87,6 +92,11 @@ func Restore(r io.Reader, opt Options) (*Pipeline, error) {
 		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("pier: restore: %w", err)
+	}
+	if n := p.live.Snapshot().Profiles; n > p.nextID {
+		p.live.Interrupt()
+		p.live.Close()
+		return nil, fmt.Errorf("pier: restore: stream ingested %d profiles, registry holds %d", n, p.nextID)
 	}
 	return p, nil
 }

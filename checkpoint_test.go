@@ -323,3 +323,36 @@ func TestCustomFallibleMatcher(t *testing.T) {
 		t.Error("fallible matcher found no duplicates")
 	}
 }
+
+// FuzzRestore feeds pier.Restore damaged checkpoints, seeded with the v2
+// fixture and truncations of it. Every input must either fail with an error
+// or restore a pipeline that then stops; none may panic.
+func FuzzRestore(f *testing.F) {
+	snap, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v2.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap)
+	for _, n := range []int{0, 8, 64, len(snap) / 4, len(snap) / 2, len(snap) - 1} {
+		f.Add(snap[:n])
+	}
+	// One flipped bit in the pipeline section decodes to an empty profile
+	// registry beside a stream that ingested profiles; Restore used to
+	// accept it, and Stop then panicked resolving cluster members.
+	flipped := bytes.Clone(snap)
+	flipped[253] ^= 1
+	f.Add(flipped)
+	opt := pier.Options{Algorithm: pier.IPES, CleanClean: true}
+	p, err := pier.Restore(bytes.NewReader(snap), opt)
+	if err != nil {
+		f.Fatalf("the intact fixture does not restore: %v", err)
+	}
+	p.Stop()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := pier.Restore(bytes.NewReader(data), opt)
+		if err != nil {
+			return
+		}
+		p.Stop()
+	})
+}

@@ -1,8 +1,9 @@
 // Package arch enforces the repository's layering as executable rules: it
 // parses every package with go/parser (test files excluded) and the tests in
-// this package fail the build on forbidden import edges and on production
-// code calling an identifier that exists only for tests to compare against.
-// The rules live in one allowed-import table — the "Golden Rule" idiom — so
+// this package fail the build on forbidden import edges, and — type-checking
+// the module with go/types (see Reachability) — on a declaration that nothing
+// reaches or on production code reaching one that exists only for tests.
+// The import rules live in one allowed-import table — the "Golden Rule" idiom — so
 // adding a dependency edge is a deliberate, reviewed table change, never an
 // accident that quietly couples layers. DESIGN.md §13 documents the layer
 // model the table encodes:
@@ -106,100 +107,6 @@ func ImportGraph(root string) (map[string][]string, error) {
 		graph[pkg] = list
 	}
 	return graph, nil
-}
-
-// UsesOfTestOnly checks a table of test-only identifiers, each written
-// "import/path.Name": package-level names that exist for tests to compare
-// against (reference implementations) and that production code must not
-// call. It returns one "file: path.Name" line per non-test file outside the
-// declaring package that selects a listed identifier, and the table entries
-// whose package no longer declares the name at top level. The scan is
-// syntactic (go/parser, no type checking): a use is a selector expression on
-// the local name the file imports the declaring package under.
-func UsesOfTestOnly(root string, table []string) (uses, missing []string, err error) {
-	names := make(map[string]map[string]bool) // declaring package -> name -> declared
-	for _, entry := range table {
-		i := strings.LastIndexByte(entry, '.')
-		if i < 0 {
-			return nil, nil, fmt.Errorf("arch: test-only entry %q is not of the form import/path.Name", entry)
-		}
-		if names[entry[:i]] == nil {
-			names[entry[:i]] = make(map[string]bool)
-		}
-		names[entry[:i]][entry[i+1:]] = false
-	}
-	err = walkFiles(root, 0, func(pkg, path string, f *ast.File) {
-		if own := names[pkg]; own != nil {
-			for _, name := range topLevelNames(f) {
-				if _, listed := own[name]; listed {
-					own[name] = true
-				}
-			}
-			return
-		}
-		for _, imp := range f.Imports {
-			impPath := strings.Trim(imp.Path.Value, `"`)
-			listed := names[impPath]
-			if listed == nil {
-				continue
-			}
-			local := impPath[strings.LastIndexByte(impPath, '/')+1:]
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
-					if _, hit := listed[sel.Sel.Name]; hit {
-						uses = append(uses, fmt.Sprintf("%s: %s.%s", path, impPath, sel.Sel.Name))
-					}
-				}
-				return true
-			})
-		}
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for pkg, own := range names {
-		for name, declared := range own {
-			if !declared {
-				missing = append(missing, pkg+"."+name)
-			}
-		}
-	}
-	sort.Strings(uses)
-	sort.Strings(missing)
-	return uses, missing, nil
-}
-
-// topLevelNames lists the package-level identifiers a file declares (methods
-// excluded: they are not selectable on the package).
-func topLevelNames(f *ast.File) []string {
-	var out []string
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if d.Recv == nil {
-				out = append(out, d.Name.Name)
-			}
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				switch sp := spec.(type) {
-				case *ast.ValueSpec:
-					for _, n := range sp.Names {
-						out = append(out, n.Name)
-					}
-				case *ast.TypeSpec:
-					out = append(out, sp.Name.Name)
-				}
-			}
-		}
-	}
-	return out
 }
 
 // neverBuilt reports whether a file's build constraint excludes it from every

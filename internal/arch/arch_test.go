@@ -1,10 +1,10 @@
 package arch
 
 import (
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -119,14 +119,36 @@ var allowedImports = map[string][]string{
 	"pier/examples/quickstart":   {"pier"},
 }
 
-// testOnly lists the package-level identifiers that exist for tests to
-// compare against — the executable specification of edge weighting — and that
-// no production code outside their package may call: the sweep Kernel is the
-// only production weigher, and a second caller of the reference would be a
-// second weighting path.
-var testOnly = []string{
-	"pier/internal/metablocking.Candidates",
-	"pier/internal/metablocking.SharedBlocks",
+// testOnly lists the declarations that exist for tests, each with the one
+// line that earns its place. Only four kinds qualify: a reference
+// implementation or an oracle that tests check production against, a fixture
+// tests build their inputs with, and an observer tests read a reached type's
+// state through. Production code must not reach any of them (the sweep Kernel
+// is the only production weigher, so a second caller of the reference would
+// be a second weighting path), and every entry must still be declared.
+var testOnly = []struct{ name, why string }{
+	{"pier/internal/metablocking.Candidates", "reference: the map-accumulator weigher the sweep Kernel is checked against"},
+	{"pier/internal/metablocking.SharedBlocks", "reference: the exact CBS weight of one pair, by sorted symbol intersection"},
+	{"pier/internal/blocking.Collection.Verify", "oracle: the collection's structural invariants, checked by blocking's tests after mutations"},
+	{"pier/internal/profile.New", "fixture: builds the hand-written profiles of tests in every package"},
+	{"pier/internal/stream.Drive", "fixture: pushes increments into a Live run at a rate, for stream's tests"},
+	{"pier/internal/queue.NewDEPQ", "fixture: builds the bare interval heap that queue's tests and fuzz targets drive"},
+	{"pier/internal/match.Fallible.State", "observer: the breaker's three-state machine, which the reached BreakerOpen collapses to two"},
+}
+
+// reachRoots are where the reachability walk starts besides every main and
+// init: package pier's API, the harness packages, the benchmark module's
+// files, and the testOnly table.
+func reachRoots() Roots {
+	r := Roots{
+		API:   []string{"pier"},
+		Whole: []string{"pier/internal/arch", "pier/internal/check", "pier/internal/fault"},
+		Uses:  []string{"benchmark"},
+	}
+	for _, e := range testOnly {
+		r.Extra = append(r.Extra, e.name)
+	}
+	return r
 }
 
 func moduleGraph(t *testing.T) map[string][]string {
@@ -257,61 +279,83 @@ func TestStoragePackageIsALeaf(t *testing.T) {
 	}
 }
 
-// TestReferencesStayReferences is the test-only rule: no non-test file
-// outside the declaring package selects an identifier of the testOnly table,
-// and every entry still names a declared identifier (so the table cannot rot
-// into fiction either).
-func TestReferencesStayReferences(t *testing.T) {
+// moduleReach runs the reachability walk over the module once for the two
+// tests that read it.
+var moduleReach = sync.OnceValues(func() (reach [2][]string, err error) {
 	root, err := ModuleRoot()
 	if err != nil {
-		t.Fatalf("locating module root: %v", err)
+		return reach, err
 	}
-	uses, missing, err := UsesOfTestOnly(root, testOnly)
+	reach[0], reach[1], err = Reachability(root, reachRoots())
+	return reach, err
+})
+
+// TestEverythingReached is the dead-code rule: every declaration of the
+// module is reached from a binary, package pier's API, the benchmark module,
+// a harness package or the testOnly table.
+func TestEverythingReached(t *testing.T) {
+	reach, err := moduleReach()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, u := range uses {
-		t.Errorf("production code calls a test-only reference: %s\nUse the production implementation (metablocking.Kernel); the reference exists for tests to compare against.", u)
-	}
-	for _, m := range missing {
-		t.Errorf("stale test-only entry: %s is no longer declared; remove it", m)
+	for _, u := range reach[0] {
+		t.Errorf("unreached declaration: %s\nDelete it, or — if a test needs it as a reference, oracle, fixture or observer — list it in testOnly with its reason.", u)
 	}
 }
 
-// TestUsesOfTestOnlyFires proves the rule on a synthetic module: a production
-// selection is reported (under an import alias too), selections from test
-// files, from the declaring package, and of same-named methods are not, and an
-// entry naming an identifier that no longer exists comes back as missing.
-func TestUsesOfTestOnlyFires(t *testing.T) {
-	root := t.TempDir()
-	write := func(rel, src string) {
-		t.Helper()
-		path := filepath.Join(root, rel)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("internal/ref/ref.go", "package ref\nfunc Spec() int { return 1 }\nfunc wrap() int { return Spec() }\ntype K struct{}\nfunc (K) Spec() int { return 2 }\n")
-	write("internal/ok/ok.go", "package ok\nimport \"pier/internal/ref\"\nvar V = ref.K{}.Spec()\n")
-	write("internal/ok/ok_test.go", "package ok\nimport \"pier/internal/ref\"\nvar T = ref.Spec()\n")
-	write("internal/bad/bad.go", "package bad\nimport \"pier/internal/ref\"\nvar V = ref.Spec()\n")
-	write("internal/bad/alias.go", "package bad\nimport r \"pier/internal/ref\"\nvar W = r.Spec()\n")
-
-	uses, missing, err := UsesOfTestOnly(root, []string{"pier/internal/ref.Spec", "pier/internal/ref.Gone"})
+// TestReferencesStayReferences is the test-only rule: production code
+// reaches no testOnly entry without the table, and every entry still names a
+// declaration, so the table cannot rot into fiction.
+func TestReferencesStayReferences(t *testing.T) {
+	reach, err := moduleReach()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantUses := []string{
-		filepath.Join(root, "internal/bad/alias.go") + ": pier/internal/ref.Spec",
-		filepath.Join(root, "internal/bad/bad.go") + ": pier/internal/ref.Spec",
+	why := make(map[string]string)
+	for _, e := range testOnly {
+		why[e.name] = e.why
 	}
-	if strings.Join(uses, "\n") != strings.Join(wantUses, "\n") {
-		t.Errorf("uses = %q, want %q", uses, wantUses)
+	for _, s := range reach[1] {
+		name := s[:strings.Index(s, ": ")]
+		t.Errorf("stale testOnly entry: %s (listed as %s)\nIf production now reaches it, use the production implementation or drop the entry; if it is gone, drop the entry.", s, why[name])
 	}
-	if len(missing) != 1 || missing[0] != "pier/internal/ref.Gone" {
-		t.Errorf("missing = %q, want the stale Gone entry only", missing)
+}
+
+// TestReachabilityFires proves the rule on a fixture module: a dead function,
+// a dead method, an unreached type with its methods and an unexported helper
+// of the API package are flagged, even when a test calls them; a method
+// reached only through an interface, a generic method reached through an
+// instantiation, and names only a separate module's test files use are not;
+// and table entries that are undeclared or reached by production come back
+// stale.
+func TestReachabilityFires(t *testing.T) {
+	unreached, stale, err := Reachability(filepath.Join("testdata", "reach"), Roots{
+		API:   []string{"pier"},
+		Uses:  []string{"bench"},
+		Extra: []string{"pier/internal/lib.Spec", "pier/internal/lib.Gone", "pier/internal/lib.Used"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, u := range unreached {
+		names = append(names, u[:strings.Index(u, " (")])
+	}
+	want := []string{
+		"pier.unexported",
+		"pier/internal/lib.Circle",
+		"pier/internal/lib.Circle.Area",
+		"pier/internal/lib.Dead",
+		"pier/internal/lib.Square.Perimeter",
+	}
+	if strings.Join(names, "\n") != strings.Join(want, "\n") {
+		t.Errorf("unreached = %q, want %q", names, want)
+	}
+	wantStale := []string{
+		"pier/internal/lib.Gone: not declared",
+		"pier/internal/lib.Used: reached without the entry",
+	}
+	if strings.Join(stale, "\n") != strings.Join(wantStale, "\n") {
+		t.Errorf("stale = %q, want %q", stale, wantStale)
 	}
 }

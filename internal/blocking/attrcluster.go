@@ -120,10 +120,6 @@ func (c *AttrClusterer) Cluster(name string) int {
 	return c.unknown
 }
 
-// Clusters returns the number of learned clusters (excluding the glue
-// cluster for unseen names).
-func (c *AttrClusterer) Clusters() int { return c.unknown }
-
 // Keyer returns a blocking.Keyer that emits cluster-prefixed tokens:
 // "<cluster>:<token>" for every token of every attribute value.
 func (c *AttrClusterer) Keyer() Keyer {

@@ -33,8 +33,8 @@ func TestAttrClustererJoinsEquivalentColumns(t *testing.T) {
 	if c.Cluster("title") == c.Cluster("director") {
 		t.Error("title and director vocabularies are disjoint; they must not merge")
 	}
-	if c.Clusters() < 3 {
-		t.Errorf("Clusters = %d, want >= 3 (title/name, director/directed_by, year-ish)", c.Clusters())
+	if c.unknown < 3 {
+		t.Errorf("Clusters = %d, want >= 3 (title/name, director/directed_by, year-ish)", c.unknown)
 	}
 }
 
@@ -43,7 +43,7 @@ func TestAttrClustererUnknownNamesShareGlueCluster(t *testing.T) {
 	if c.Cluster("brand_new_attr") != c.Cluster("other_new_attr") {
 		t.Error("unseen attribute names must share the glue cluster")
 	}
-	if c.Cluster("brand_new_attr") != c.Clusters() {
+	if c.Cluster("brand_new_attr") != c.unknown {
 		t.Error("glue cluster id must be Clusters()")
 	}
 }
@@ -125,8 +125,8 @@ func TestAttrClusterKeyerEndToEnd(t *testing.T) {
 
 func TestAttrClustererDefaults(t *testing.T) {
 	c := NewAttrClusterer(nil, 0) // empty sample, default threshold
-	if c.Clusters() != 0 {
-		t.Errorf("empty sample Clusters = %d", c.Clusters())
+	if c.unknown != 0 {
+		t.Errorf("empty sample Clusters = %d", c.unknown)
 	}
 	if c.Cluster("anything") != 0 {
 		t.Error("all names must fall into the glue cluster")

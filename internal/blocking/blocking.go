@@ -162,11 +162,6 @@ func normalizeShards(shards int) int {
 // CleanClean reports whether the collection runs a Clean-Clean ER task.
 func (c *Collection) CleanClean() bool { return c.cleanClean }
 
-// Interner returns the collection's symbol table. Symbols are append-only
-// and survive Save/Load, so callers may persist raw symbol values alongside
-// the collection.
-func (c *Collection) Interner() *intern.Table { return c.tab }
-
 // NumShards returns the number of index shards (a power of two).
 func (c *Collection) NumShards() int { return len(c.shards) }
 
@@ -625,32 +620,14 @@ func (c *Collection) SortedKeysByName() []string {
 	return keys
 }
 
-// TotalComparisons returns the aggregate comparison count across all live
-// blocks (with cross-block redundancy, i.e. the BC measure of blocking). A
-// meta-only read: it never faults spilled blocks in.
-func (c *Collection) TotalComparisons() int {
-	total := 0
-	for si := 0; si < c.store.NumShards(); si++ {
-		c.store.RangeMeta(si, func(_ uint32, m storage.Meta) bool {
-			total += m.Comparisons(c.cleanClean)
-			return true
-		})
-	}
-	return total
-}
-
-// FilterTopR implements block filtering (Papadakis et al., PVLDB 2016, the
-// paper's survey reference [29]): keep a profile only in the ceil(r·|B(p)|)
-// smallest of its blocks, removing it from the largest — least informative —
-// ones. Like Ghost it is applied per profile at candidate-generation time;
-// ratio >= 1 or <= 0 disables filtering. The input slice is not modified.
-func FilterTopR(blocks []*Block, ratio float64) []*Block {
-	return FilterTopRAppend(nil, blocks, ratio)
-}
-
-// FilterTopRAppend is FilterTopR building its result in buf (which may be
-// nil); when filtering is disabled it returns blocks unchanged without
-// touching buf. Reusing buf makes per-profile filtering allocation-free.
+// FilterTopRAppend implements block filtering (Papadakis et al., PVLDB 2016,
+// the paper's survey reference [29]): keep a profile only in the
+// ceil(r·|B(p)|) smallest of its blocks, removing it from the largest — least
+// informative — ones. Like Ghost it is applied per profile at
+// candidate-generation time; ratio >= 1 or <= 0 disables filtering, and then
+// it returns blocks unchanged without touching buf. Otherwise the result is
+// built in buf (which may be nil), so reusing buf makes per-profile filtering
+// allocation-free. The input slice is not modified.
 func FilterTopRAppend(buf, blocks []*Block, ratio float64) []*Block {
 	if ratio <= 0 || ratio >= 1 || len(blocks) == 0 {
 		return blocks

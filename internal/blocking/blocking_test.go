@@ -260,17 +260,6 @@ func TestVersionBumps(t *testing.T) {
 	}
 }
 
-func TestTotalComparisons(t *testing.T) {
-	c := NewCollection(true, 0)
-	c.Add(mk(1, profile.SourceA, "xx yy"))
-	c.Add(mk(2, profile.SourceB, "xx yy"))
-	c.Add(mk(3, profile.SourceB, "xx"))
-	// block xx: 1*2 = 2; block yy: 1*1 = 1
-	if got := c.TotalComparisons(); got != 3 {
-		t.Errorf("TotalComparisons = %d, want 3", got)
-	}
-}
-
 func keysOf(blocks []*Block) []string {
 	out := make([]string, len(blocks))
 	for i, b := range blocks {
@@ -285,22 +274,22 @@ func TestFilterTopR(t *testing.T) {
 		{Key: "tiny", A: []int{1, 2}},
 		{Key: "mid", A: []int{1, 2, 3, 4}},
 	}
-	got := FilterTopR(blocks, 0.5) // ceil(0.5*3) = 2 smallest
+	got := FilterTopRAppend(nil, blocks, 0.5) // ceil(0.5*3) = 2 smallest
 	if len(got) != 2 || got[0].Key != "tiny" || got[1].Key != "mid" {
-		t.Errorf("FilterTopR(0.5) = %v", keysOf(got))
+		t.Errorf("FilterTopRAppend(0.5) = %v", keysOf(got))
 	}
-	if got := FilterTopR(blocks, 0); len(got) != 3 {
+	if got := FilterTopRAppend(nil, blocks, 0); len(got) != 3 {
 		t.Errorf("ratio 0 must disable filtering, kept %d", len(got))
 	}
-	if got := FilterTopR(blocks, 1); len(got) != 3 {
+	if got := FilterTopRAppend(nil, blocks, 1); len(got) != 3 {
 		t.Errorf("ratio 1 must disable filtering, kept %d", len(got))
 	}
-	if got := FilterTopR(nil, 0.5); len(got) != 0 {
-		t.Errorf("FilterTopR(nil) = %v", got)
+	if got := FilterTopRAppend(nil, nil, 0.5); len(got) != 0 {
+		t.Errorf("FilterTopRAppend(nil) = %v", got)
 	}
 	// Input order must be preserved.
 	if blocks[0].Key != "big" {
-		t.Error("FilterTopR mutated its input")
+		t.Error("FilterTopRAppend mutated its input")
 	}
 }
 
@@ -312,7 +301,7 @@ func TestFilterTopRKeepsSmallestAlways(t *testing.T) {
 		{Key: "d", A: make([]int, 3)},
 	}
 	for _, r := range []float64{0.25, 0.5, 0.75, 0.9} {
-		got := FilterTopR(blocks, r)
+		got := FilterTopRAppend(nil, blocks, r)
 		found := false
 		for _, b := range got {
 			if b.Key == "b" {

@@ -112,9 +112,6 @@ func (f *frozenShard) posting(sym intern.Sym) *Posting {
 	return &f.posts[i]
 }
 
-// Version returns the collection version this snapshot was published at.
-func (s *Snap) Version() uint64 { return s.version }
-
 // NumBlocks returns the number of live blocks in the snapshot (the |B| term
 // of ECBS).
 func (s *Snap) NumBlocks() int { return s.numBlocks }

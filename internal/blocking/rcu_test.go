@@ -51,15 +51,15 @@ func assertSnapEquals(t *testing.T, s *Snap, c *Collection, ids []int) {
 	if got, want := s.NumBlocks(), c.NumBlocks(); got != want {
 		t.Fatalf("snapshot NumBlocks = %d, owner = %d", got, want)
 	}
-	if got, want := s.Version(), c.Version(); got != want {
+	if got, want := s.version, c.Version(); got != want {
 		t.Fatalf("snapshot Version = %d, collection = %d", got, want)
 	}
-	for sym := intern.Sym(0); int(sym) < c.Interner().Len(); sym++ {
+	for sym := intern.Sym(0); int(sym) < c.tab.Len(); sym++ {
 		w := c.BlockBySym(sym)
 		got := s.AppendPostings(nil, []intern.Sym{sym})
 		if (len(got) == 1) != (w != nil) {
 			t.Fatalf("sym %d (%q): snapshot has %d postings, owner block %v",
-				sym, c.Interner().StringOf(sym), len(got), w)
+				sym, c.tab.StringOf(sym), len(got), w)
 		}
 		if w == nil {
 			continue
@@ -159,7 +159,7 @@ func TestSnapshotMatchesOwnerUnderSpill(t *testing.T) {
 		c.PublishSnapshot()
 		s := c.ProbeView()
 		markers, views := 0, 0
-		for sym := intern.Sym(0); int(sym) < c.Interner().Len(); sym++ {
+		for sym := intern.Sym(0); int(sym) < c.tab.Len(); sym++ {
 			switch p := s.rawPostingOf(sym); {
 			case p == spilledMarker:
 				markers++
@@ -184,7 +184,7 @@ func TestProbeViewBeforePublish(t *testing.T) {
 	c := NewCollection(false, 0)
 	c.Add(mk(0, profile.SourceA, "alpha beta"))
 	s := c.ProbeView()
-	sym, _ := c.Interner().Sym("alpha")
+	sym, _ := c.tab.Sym("alpha")
 	if s.NumBlocks() != 0 || s.Profile(0) != nil || s.NumBlocksOf(0) != 0 ||
 		len(s.AppendPostings(nil, []intern.Sym{sym})) != 0 {
 		t.Fatalf("unpublished collection reads non-empty through ProbeView: %+v", s)
@@ -209,7 +209,7 @@ func TestSnapshotImmutable(t *testing.T) {
 		a, b []int
 	}
 	before := make(map[intern.Sym]frozen)
-	for sym := intern.Sym(0); int(sym) < c.Interner().Len(); sym++ {
+	for sym := intern.Sym(0); int(sym) < c.tab.Len(); sym++ {
 		if p := pinned.PostingOf(sym); p != nil {
 			before[sym] = frozen{a: append([]int(nil), p.A...), b: append([]int(nil), p.B...)}
 		}
@@ -261,7 +261,7 @@ func TestSnapshotPurgeVisible(t *testing.T) {
 		c.Add(mk(id, profile.SourceA, "hot"))
 	}
 	c.PublishSnapshot()
-	sym, ok := c.Interner().Sym("hot")
+	sym, ok := c.tab.Sym("hot")
 	if !ok {
 		t.Fatal("token not interned")
 	}
@@ -360,7 +360,7 @@ func TestSnapshotSurvivesSegmentRewrites(t *testing.T) {
 
 	type frozen struct{ a, b []int }
 	want := make(map[intern.Sym]frozen)
-	for sym := intern.Sym(0); int(sym) < c.Interner().Len(); sym++ {
+	for sym := intern.Sym(0); int(sym) < c.tab.Len(); sym++ {
 		if pinned.rawPostingOf(sym) != spilledMarker {
 			t.Fatalf("sym %d: slot is not a spill marker after a full eviction", sym)
 		}

@@ -22,9 +22,8 @@ import (
 //     each ofProf symbol is live-and-containing or dead, and each block
 //     member lists the block's symbol in its ofProf entry.
 //
-// Verify is O(total block memberships); the correctness harness calls it on
-// final states, and strategies call it per increment under
-// core.Config.CheckInvariants.
+// Verify is O(total block memberships); blocking's tests call it to check a
+// collection after mutations.
 func (c *Collection) Verify() error {
 	for si := 0; si < c.store.NumShards(); si++ {
 		sh := &c.shards[si]
@@ -130,8 +129,9 @@ func containsID(ids []int, id int) bool {
 // VerifyGhost checks the block-ghosting post-condition of [17]: with b_min
 // the smallest input block, every kept block must satisfy |b| <= |b_min|/beta
 // and every dropped block must violate it. It returns nil for beta <= 0
-// (ghosting disabled). The harness uses it as the ghosting-consistency
-// invariant; it is exact because Ghost never modifies block contents.
+// (ghosting disabled). The candidate generator checks every profile's
+// ghosting with it under core.Config.CheckInvariants; it is exact because
+// Ghost never modifies block contents.
 func VerifyGhost(in, kept []*Block, beta float64) error {
 	if beta <= 0 || len(in) == 0 {
 		return nil

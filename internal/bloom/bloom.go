@@ -146,18 +146,3 @@ func (f *Filter) AddIfNew(key uint64) bool {
 	f.Add(key)
 	return true
 }
-
-// Count returns the number of Add calls performed.
-func (f *Filter) Count() uint64 { return f.count }
-
-// Slices returns the number of underlying filter slices (for observability).
-func (f *Filter) Slices() int { return len(f.slices) }
-
-// BitsUsed returns the total number of bits allocated across slices.
-func (f *Filter) BitsUsed() uint64 {
-	var total uint64
-	for _, s := range f.slices {
-		total += s.m
-	}
-	return total
-}

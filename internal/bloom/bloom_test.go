@@ -58,8 +58,8 @@ func TestAddIfNew(t *testing.T) {
 	if f.AddIfNew(7) {
 		t.Error("second AddIfNew(7) = true, want false")
 	}
-	if f.Count() != 1 {
-		t.Errorf("Count = %d, want 1", f.Count())
+	if f.count != 1 {
+		t.Errorf("count = %d, want 1", f.count)
 	}
 }
 
@@ -68,14 +68,11 @@ func TestGrowth(t *testing.T) {
 	for i := uint64(0); i < 1000; i++ {
 		f.Add(i)
 	}
-	if f.Slices() < 2 {
-		t.Errorf("Slices = %d, want >= 2 after exceeding capacity", f.Slices())
+	if len(f.slices) < 2 {
+		t.Errorf("%d slices, want >= 2 after exceeding capacity", len(f.slices))
 	}
-	if f.Count() != 1000 {
-		t.Errorf("Count = %d, want 1000", f.Count())
-	}
-	if f.BitsUsed() == 0 {
-		t.Error("BitsUsed = 0")
+	if f.count != 1000 {
+		t.Errorf("count = %d, want 1000", f.count)
 	}
 }
 

@@ -50,6 +50,3 @@ func (e *Exact) AddIfNew(key uint64) bool {
 	e.m[key] = struct{}{}
 	return true
 }
-
-// Count returns the number of distinct keys added.
-func (e *Exact) Count() uint64 { return uint64(len(e.m)) }

@@ -70,18 +70,8 @@ func (s *Set) Merge(x, y int) bool {
 	return true
 }
 
-// Same reports whether x and y are currently in the same cluster.
-func (s *Set) Same(x, y int) bool { return s.Find(x) == s.Find(y) }
-
 // Len returns the number of registered profiles.
 func (s *Set) Len() int { return len(s.parent) }
-
-// Count returns the number of clusters among registered profiles.
-func (s *Set) Count() int { return s.clusters }
-
-// SizeOf returns the size of id's cluster (1 for unregistered IDs, which
-// become singletons).
-func (s *Set) SizeOf(id int) int { return s.size[s.Find(id)] }
 
 // Clusters materializes all clusters with at least minSize members, each
 // sorted ascending, the whole result sorted by the smallest member for
@@ -102,24 +92,5 @@ func (s *Set) Clusters(minSize int) [][]int {
 		out = append(out, members)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
-// Pairs expands the current clustering into its implied duplicate pairs
-// (the transitive closure of all Merge calls), capped at limit pairs
-// (limit <= 0 means no cap). Large clusters imply quadratically many pairs;
-// the cap protects callers that only need a sample.
-func (s *Set) Pairs(limit int) [][2]int {
-	var out [][2]int
-	for _, members := range s.Clusters(2) {
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				out = append(out, [2]int{members[i], members[j]})
-				if limit > 0 && len(out) >= limit {
-					return out
-				}
-			}
-		}
-	}
 	return out
 }

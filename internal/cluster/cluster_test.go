@@ -10,13 +10,13 @@ func TestSingletons(t *testing.T) {
 	if s.Find(5) != 5 {
 		t.Error("fresh ID must be its own root")
 	}
-	if s.Len() != 1 || s.Count() != 1 {
-		t.Errorf("Len=%d Count=%d, want 1/1", s.Len(), s.Count())
+	if s.Len() != 1 || s.clusters != 1 {
+		t.Errorf("Len=%d Count=%d, want 1/1", s.Len(), s.clusters)
 	}
-	if s.SizeOf(5) != 1 {
-		t.Errorf("SizeOf = %d", s.SizeOf(5))
+	if s.size[s.Find(5)] != 1 {
+		t.Errorf("SizeOf = %d", s.size[s.Find(5)])
 	}
-	if s.Same(1, 2) {
+	if s.Find(1) == s.Find(2) {
 		t.Error("distinct singletons reported same")
 	}
 }
@@ -35,14 +35,14 @@ func TestMergeReportsNewLinks(t *testing.T) {
 	if s.Merge(1, 3) {
 		t.Error("transitive merge must not report a new link")
 	}
-	if !s.Same(1, 3) {
+	if s.Find(1) != s.Find(3) {
 		t.Error("1 and 3 must co-refer after transitive merges")
 	}
-	if s.Count() != 1 || s.Len() != 3 {
-		t.Errorf("Count=%d Len=%d, want 1/3", s.Count(), s.Len())
+	if s.clusters != 1 || s.Len() != 3 {
+		t.Errorf("Count=%d Len=%d, want 1/3", s.clusters, s.Len())
 	}
-	if s.SizeOf(2) != 3 {
-		t.Errorf("SizeOf(2) = %d, want 3", s.SizeOf(2))
+	if s.size[s.Find(2)] != 3 {
+		t.Errorf("SizeOf(2) = %d, want 3", s.size[s.Find(2)])
 	}
 }
 
@@ -66,19 +66,6 @@ func TestClustersMaterialization(t *testing.T) {
 	}
 	if len(dups[1]) != 3 {
 		t.Errorf("cluster {3,4,5} = %v", dups[1])
-	}
-}
-
-func TestPairsClosure(t *testing.T) {
-	s := New()
-	s.Merge(1, 2)
-	s.Merge(2, 3)
-	pairs := s.Pairs(0)
-	if len(pairs) != 3 { // {1,2},{1,3},{2,3}
-		t.Fatalf("Pairs = %v, want 3", pairs)
-	}
-	if got := s.Pairs(2); len(got) != 2 {
-		t.Errorf("Pairs(2) = %v, want capped at 2", got)
 	}
 }
 
@@ -128,8 +115,8 @@ func TestAgainstNaiveReference(t *testing.T) {
 				if _, ok := ref[y]; !ok {
 					continue
 				}
-				if s.Same(x, y) != (ref[x] == ref[y]) {
-					t.Fatalf("trial %d: Same(%d,%d) = %v disagrees with reference", trial, x, y, s.Same(x, y))
+				if same := s.Find(x) == s.Find(y); same != (ref[x] == ref[y]) {
+					t.Fatalf("trial %d: same cluster(%d,%d) = %v disagrees with reference", trial, x, y, same)
 				}
 			}
 		}
@@ -138,8 +125,8 @@ func TestAgainstNaiveReference(t *testing.T) {
 		for _, g := range ref {
 			labels[g] = true
 		}
-		if s.Count() != len(labels) {
-			t.Fatalf("trial %d: Count = %d, reference %d", trial, s.Count(), len(labels))
+		if s.clusters != len(labels) {
+			t.Fatalf("trial %d: Count = %d, reference %d", trial, s.clusters, len(labels))
 		}
 	}
 }
@@ -150,20 +137,5 @@ func BenchmarkMergeFind(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Merge(rng.Intn(100000), rng.Intn(100000))
-	}
-}
-
-func TestPairsUnlimitedMatchesClosureSize(t *testing.T) {
-	s := New()
-	// Cluster of 5: C(5,2) = 10 pairs; plus a pair cluster: 1 pair.
-	for i := 1; i < 5; i++ {
-		s.Merge(0, i)
-	}
-	s.Merge(10, 11)
-	if got := len(s.Pairs(0)); got != 11 {
-		t.Errorf("Pairs(0) = %d, want 11", got)
-	}
-	if got := len(s.Pairs(11)); got != 11 {
-		t.Errorf("Pairs(11) = %d, want 11 (limit equals closure)", got)
 	}
 }

@@ -230,7 +230,7 @@ func TestIPBSEmitsSmallestBlockFirst(t *testing.T) {
 			seen[c.Key()] = true
 		}
 		s.UpdateIndex(col, nil)
-		if s.Pending() == 0 && s.ActiveBlocks() == 0 {
+		if s.Pending() == 0 && len(s.ci) == 0 {
 			break
 		}
 	}
@@ -268,7 +268,7 @@ func TestIPBSNoRedundantEmissions(t *testing.T) {
 			seen[c.Key()]++
 		}
 		s.UpdateIndex(col, nil)
-		if s.Pending() == 0 && s.ActiveBlocks() == 0 {
+		if s.Pending() == 0 && len(s.ci) == 0 {
 			break
 		}
 	}
@@ -558,11 +558,11 @@ func TestIPBSHandlesPurgedBlocks(t *testing.T) {
 			t.Fatalf("comparison %v emitted from purged/singleton blocks", c)
 		}
 		s.UpdateIndex(col, nil)
-		if s.Pending() == 0 && s.ActiveBlocks() == 0 {
+		if s.Pending() == 0 && len(s.ci) == 0 {
 			return
 		}
 	}
-	t.Fatalf("I-PBS did not converge; %d active blocks", s.ActiveBlocks())
+	t.Fatalf("I-PBS did not converge; %d active blocks", len(s.ci))
 }
 
 func TestStrategiesRespectCleanClean(t *testing.T) {

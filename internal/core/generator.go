@@ -119,7 +119,8 @@ func (g *generator) scratchFor(n int) []genScratch {
 
 // perProfile runs lines 1–9 of Algorithm 2 for one profile — block filtering,
 // ghosting, candidate weighing, I-WNP — appending the pruned comparisons to
-// sc.out and the modeled cost to sc.cost.
+// sc.out and the modeled cost to sc.cost. Under Config.CheckInvariants it
+// verifies each step's output against its input (see mustHold).
 func (g *generator) perProfile(sc *genScratch, col *blocking.Collection, p *profile.Profile) {
 	sc.blocks = col.AppendBlocksOf(p.ID, sc.blocks[:0])
 	blocks := sc.blocks
@@ -129,11 +130,23 @@ func (g *generator) perProfile(sc *genScratch, col *blocking.Collection, p *prof
 	}
 	if g.cfg.Beta > 0 && len(blocks) > 0 {
 		sc.ghosted = blocking.GhostAppend(sc.ghosted[:0], blocks, g.cfg.Beta)
+		if g.cfg.CheckInvariants {
+			mustHold("ghosting", blocking.VerifyGhost(blocks, sc.ghosted, g.cfg.Beta))
+		}
 		blocks = sc.ghosted
 	}
 	cands := sc.kern.Candidates(col, p, blocks, g.cfg.Scheme)
 	sc.cost += g.cfg.Costs.Generate(len(cands))
+	var in []metablocking.Comparison
+	if g.cfg.CheckInvariants {
+		mustHold("candidate order", metablocking.VerifyDescending(cands))
+		in = append(in, cands...) // IWNP prunes in place
+	}
+	off := len(sc.out)
 	sc.out = append(sc.out, metablocking.IWNP(cands)...)
+	if g.cfg.CheckInvariants {
+		mustHold("I-WNP pruning", metablocking.VerifyPruned(in, sc.out[off:]))
+	}
 }
 
 // profRun locates one profile's pruned comparisons inside its worker's

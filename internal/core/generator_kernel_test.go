@@ -76,7 +76,8 @@ func referenceCandidates(cfg Config, col *blocking.Collection, delta []*profile.
 // built from the reference implementations: for every scheme, with filtering
 // and ghosting on, the emitted ⟨X, Y, Weight, BSize⟩ sequence must be
 // bit-identical at Parallelism 1 and 4 — so neither the sweep kernel nor the
-// worker fan-out can perturb emission.
+// worker fan-out can perturb emission. CheckInvariants is on, so every
+// profile's ghosting, candidate order and I-WNP pruning are verified too.
 func TestGeneratorCandidatesMatchKernelFreeReference(t *testing.T) {
 	for _, cleanClean := range []bool{false, true} {
 		for _, scheme := range []metablocking.Scheme{metablocking.CBS, metablocking.JSScheme, metablocking.ECBS, metablocking.ARCS} {
@@ -85,6 +86,7 @@ func TestGeneratorCandidatesMatchKernelFreeReference(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Scheme = scheme
 				cfg.FilterRatio = 0.8
+				cfg.CheckInvariants = true
 				var want []metablocking.Comparison
 				for _, inc := range incs {
 					want = append(want, referenceCandidates(cfg, col, inc)...)

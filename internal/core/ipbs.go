@@ -252,7 +252,3 @@ func (s *IPBS) Dequeue() (metablocking.Comparison, bool) {
 
 // Pending implements Strategy.
 func (s *IPBS) Pending() int { return s.index.Len() }
-
-// ActiveBlocks returns the number of blocks currently awaiting emission (for
-// observability and tests).
-func (s *IPBS) ActiveBlocks() int { return len(s.ci) }

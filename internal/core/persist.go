@@ -11,7 +11,6 @@ import (
 	"pier/internal/intern"
 	"pier/internal/metablocking"
 	"pier/internal/profile"
-	"pier/internal/queue"
 	"pier/internal/skiplist"
 )
 
@@ -334,11 +333,4 @@ func (s *ISN) LoadState(r io.Reader) error {
 	}
 	s.queue.Restore(img.Queue)
 	return nil
-}
-
-// queueOf builds a bounded queue preloaded with a heap-layout snapshot.
-func queueOf(capacity int, items []metablocking.Comparison) *queue.Bounded[metablocking.Comparison] {
-	q := queue.NewBounded(capacity, metablocking.Less)
-	q.Restore(items)
-	return q
 }

@@ -52,7 +52,7 @@ type Config struct {
 	Beta float64
 	// FilterRatio applies block filtering before ghosting: each profile
 	// keeps only this fraction of its smallest blocks (see
-	// blocking.FilterTopR); <= 0 or >= 1 disables filtering.
+	// blocking.FilterTopRAppend); <= 0 or >= 1 disables filtering.
 	FilterRatio float64
 	// IndexCapacity bounds the main comparison index (I-PCS queue, I-PBS
 	// queue, and the low-weight queue PQ of I-PES); <= 0 means unbounded.

@@ -8,6 +8,14 @@ import "fmt"
 // bug in the strategy itself, not bad input, and continuing would silently
 // corrupt prioritization order.
 
+// mustHold panics on a candidate-generation contract violation: ghosting,
+// candidate order or I-WNP pruning (the generator checks each per profile).
+func mustHold(step string, err error) {
+	if err != nil {
+		panic(fmt.Sprintf("core: %s invariant violated: %v", step, err))
+	}
+}
+
 // verify checks I-PCS's single bounded queue: interval-heap order and the
 // capacity bound.
 func (s *IPCS) verify() {

@@ -46,12 +46,6 @@ func (d *Dataset) SourceCounts() (a, b int) {
 	return a, b
 }
 
-// IsMatch reports whether the profile pair is a ground-truth duplicate.
-func (d *Dataset) IsMatch(x, y int) bool {
-	_, ok := d.GroundTruth[profile.PairKey(x, y)]
-	return ok
-}
-
 // Increments splits the stream into n contiguous, equi-sized increments
 // (the last one absorbs the remainder), the way the paper splits datasets
 // for the incremental experiments.

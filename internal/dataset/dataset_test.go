@@ -179,25 +179,6 @@ func TestIncrementsPartition(t *testing.T) {
 	}
 }
 
-func TestIsMatch(t *testing.T) {
-	d := DA(0.05, 2)
-	found := false
-	for key := range d.GroundTruth {
-		x, y := profile.SplitPairKey(key)
-		if !d.IsMatch(x, y) || !d.IsMatch(y, x) {
-			t.Fatalf("IsMatch(%d,%d) false for ground-truth pair", x, y)
-		}
-		found = true
-		break
-	}
-	if !found {
-		t.Fatal("no ground truth generated")
-	}
-	if d.IsMatch(-1, -2) {
-		t.Error("IsMatch on bogus IDs = true")
-	}
-}
-
 func TestStringSummaries(t *testing.T) {
 	d := DA(0.05, 2)
 	s := d.String()

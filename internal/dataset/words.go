@@ -55,11 +55,6 @@ func newVocab(rng *rand.Rand, n int, s float64) *vocab {
 // sample draws one word Zipfian-distributed over the pool.
 func (v *vocab) sample() string { return v.words[v.zipf.Uint64()] }
 
-// sampleUniform draws one word uniformly (for highly selective fields).
-func (v *vocab) sampleUniform(rng *rand.Rand) string {
-	return v.words[rng.Intn(len(v.words))]
-}
-
 // phrase draws k Zipfian words joined by spaces.
 func (v *vocab) phrase(rng *rand.Rand, k int) string {
 	parts := make([]string, k)

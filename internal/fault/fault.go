@@ -1,7 +1,7 @@
 // Package fault implements the seeded fault injector of the correctness
-// harness: a deterministic source of matcher errors, added latency, worker
-// panics, and crash points, used to drive the fault-tolerant runtime through
-// its failure paths on demand. Everything is derived from one seed, so a
+// harness: a deterministic source of matcher errors, worker panics, and crash
+// points, used to drive the fault-tolerant runtime through its failure paths
+// on demand. Everything is derived from one seed, so a
 // failing recovery-equivalence case replays exactly from its seed — the same
 // property the data generator and fuzz corpus already have.
 package fault
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"pier/internal/match"
 	"pier/internal/profile"
@@ -30,9 +29,6 @@ type Config struct {
 	// MatcherErrorRate is the probability in [0, 1] that a matcher call
 	// fails with ErrInjected instead of returning a verdict.
 	MatcherErrorRate float64
-	// MatcherLatency is added to every matcher call (before any failure),
-	// simulating a slow remote matcher for timeout testing.
-	MatcherLatency time.Duration
 	// PanicRate is the probability in [0, 1] that a wrapped worker task
 	// panics, exercising the pool's panic isolation.
 	PanicRate float64
@@ -118,21 +114,12 @@ func (f *Injector) InjectedPanics() int {
 	return f.injectedPanics
 }
 
-// Matcher wraps inner with this injector's matcher faults: added latency
-// first, then a possible injected error, then — only on the healthy path —
-// the real verdict. The wrapper sits *under* any retry/breaker layer, playing
+// Matcher wraps inner with this injector's matcher faults: a possible
+// injected panic, then a possible injected error, then — only on the healthy
+// path — the real verdict. The wrapper sits *under* any retry/breaker layer, playing
 // the role of the unreliable remote matcher.
 func (f *Injector) Matcher(inner match.ContextMatcher) match.ContextMatcher {
 	return match.ContextFunc(func(ctx context.Context, a, b *profile.Profile) (bool, error) {
-		if f.cfg.MatcherLatency > 0 {
-			t := time.NewTimer(f.cfg.MatcherLatency)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return false, ctx.Err()
-			}
-		}
 		f.MaybePanic()
 		if err := f.MatchErr(); err != nil {
 			return false, err

@@ -8,7 +8,7 @@
 //
 // The table is concurrency-safe and append-only: symbols are never removed or
 // renumbered, so a Sym handed out once stays valid for the lifetime of the
-// table — and, via gob persistence, across checkpoint/restore. Numbering is
+// table — and, via FromSymbols, across checkpoint/restore. Numbering is
 // assignment order: the first distinct string interned gets Sym 0. Components
 // that need deterministic behavior independent of arrival order (block scans,
 // tie-breaks) must therefore order by the resolved string, not by the raw
@@ -25,9 +25,7 @@
 package intern
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 )
@@ -208,35 +206,8 @@ func (t *Table) Len() int {
 	return int(t.n.Load())
 }
 
-// tableImage is the gob image of a table: the dense string slice alone fully
-// determines the mapping (Symbols[i] ↔ Sym(i)).
-type tableImage struct {
-	Symbols []string
-}
-
-// Save writes a gob checkpoint of the table to w. Symbols keep their numbering
-// across Save/Load, which is what lets checkpointed structures persist raw
-// symbol values.
-func (t *Table) Save(w io.Writer) error {
-	t.mu.Lock()
-	img := tableImage{Symbols: t.strs[:len(t.strs):len(t.strs)]}
-	t.mu.Unlock()
-	if err := gob.NewEncoder(w).Encode(&img); err != nil {
-		return fmt.Errorf("intern: save table: %w", err)
-	}
-	return nil
-}
-
-// Load reconstructs a table from a checkpoint written by Save.
-func Load(r io.Reader) (*Table, error) {
-	var img tableImage
-	if err := gob.NewDecoder(r).Decode(&img); err != nil {
-		return nil, fmt.Errorf("intern: load table: %w", err)
-	}
-	return FromSymbols(img.Symbols), nil
-}
-
-// FromSymbols builds a table whose symbol i resolves to symbols[i]. Duplicate
+// FromSymbols builds a table whose symbol i resolves to symbols[i], the
+// restore half of a checkpoint that saved StringOf(0..Len-1). Duplicate
 // strings are a programming error and panic (the mapping would be ambiguous).
 func FromSymbols(symbols []string) *Table {
 	t := New(len(symbols))

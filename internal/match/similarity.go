@@ -56,7 +56,8 @@ func jaccardSyms(a, b []uint32) float64 {
 	return float64(inter) / float64(union)
 }
 
-// overlapSyms is the overlap coefficient over symbol sets; see Overlap.
+// overlapSyms is the overlap coefficient |a ∩ b| / min(|a|, |b|) of two
+// sorted, deduplicated symbol sets. Both empty yields 1.
 func overlapSyms(a, b []uint32) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
@@ -68,7 +69,8 @@ func overlapSyms(a, b []uint32) float64 {
 	return float64(inter) / float64(min(len(a), len(b)))
 }
 
-// cosineSyms is the set cosine similarity over symbol sets; see Cosine.
+// cosineSyms is the set cosine similarity |a ∩ b| / sqrt(|a|·|b|) of two
+// sorted, deduplicated symbol sets. Both empty yields 1.
 func cosineSyms(a, b []uint32) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
@@ -155,32 +157,6 @@ func JaroWinkler(a, b string) float64 {
 		prefix++
 	}
 	return j + float64(prefix)*jaroWinklerPrefixScale*(1-j)
-}
-
-// Overlap returns the overlap coefficient |a ∩ b| / min(|a|, |b|) of two
-// sorted, deduplicated token slices. Both empty yields 1.
-func Overlap(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := intern.IntersectCount(a, b)
-	return float64(inter) / float64(min(len(a), len(b)))
-}
-
-// Cosine returns the set cosine similarity |a ∩ b| / sqrt(|a|·|b|) of two
-// sorted, deduplicated token slices. Both empty yields 1.
-func Cosine(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := intern.IntersectCount(a, b)
-	return float64(inter) / math.Sqrt(float64(len(a))*float64(len(b)))
 }
 
 // MongeElkan returns the (symmetrized) Monge-Elkan similarity of two token

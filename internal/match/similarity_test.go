@@ -2,7 +2,7 @@ package match
 
 import (
 	"math"
-	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -63,41 +63,36 @@ func TestJaroProperties(t *testing.T) {
 	}
 }
 
-func norm(xs []string) []string {
-	set := map[string]struct{}{}
-	for _, x := range xs {
-		set[x] = struct{}{}
-	}
-	out := make([]string, 0, len(set))
-	for x := range set {
-		out = append(out, x)
-	}
-	sort.Strings(out)
-	return out
+// tokenProfile is a profile whose token set is exactly tokens.
+func tokenProfile(id int, tokens []string) *profile.Profile {
+	return profile.New(id, profile.SourceA, "", "v", strings.Join(tokens, " "))
 }
 
 func TestOverlapAndCosine(t *testing.T) {
-	a := []string{"aa", "bb", "cc"}
-	b := []string{"bb", "cc", "dd", "ee"}
-	if got := Overlap(a, b); math.Abs(got-2.0/3.0) > 1e-12 {
-		t.Errorf("Overlap = %v, want 2/3", got)
+	cos, ovl := NewMatcher(COS), NewMatcher(OVL)
+	a := tokenProfile(1, []string{"aa", "bb", "cc"})
+	b := tokenProfile(2, []string{"bb", "cc", "dd", "ee"})
+	if got := ovl.Similarity(a, b); math.Abs(got-2.0/3.0) > 1e-12 {
+		t.Errorf("OVL = %v, want 2/3", got)
 	}
-	if got := Cosine(a, b); math.Abs(got-2.0/math.Sqrt(12)) > 1e-12 {
-		t.Errorf("Cosine = %v", got)
+	if got := cos.Similarity(a, b); math.Abs(got-2.0/math.Sqrt(12)) > 1e-12 {
+		t.Errorf("COS = %v", got)
 	}
-	if Overlap(nil, nil) != 1 || Cosine(nil, nil) != 1 {
+	empty1, empty2 := tokenProfile(3, nil), tokenProfile(4, nil)
+	if ovl.Similarity(empty1, empty2) != 1 || cos.Similarity(empty1, empty2) != 1 {
 		t.Error("empty-empty must be 1")
 	}
-	if Overlap(a, nil) != 0 || Cosine(nil, b) != 0 {
+	if ovl.Similarity(a, empty1) != 0 || cos.Similarity(empty1, b) != 0 {
 		t.Error("empty-vs-nonempty must be 0")
 	}
 }
 
 func TestTokenMeasuresBoundsAndOrder(t *testing.T) {
 	// For any sets: Jaccard <= Cosine <= Overlap (standard inequality).
+	js, cos, ovl := NewMatcher(JS), NewMatcher(COS), NewMatcher(OVL)
 	f := func(a, b []string) bool {
-		na, nb := norm(a), norm(b)
-		j, c, o := Jaccard(na, nb), Cosine(na, nb), Overlap(na, nb)
+		pa, pb := tokenProfile(1, a), tokenProfile(2, b)
+		j, c, o := js.Similarity(pa, pb), cos.Similarity(pa, pb), ovl.Similarity(pa, pb)
 		return j <= c+1e-12 && c <= o+1e-12 && o <= 1 && j >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

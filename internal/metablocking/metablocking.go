@@ -1,9 +1,8 @@
 // Package metablocking implements the meta-blocking machinery the paper
 // builds on (Papadakis et al., TKDE 2013): comparison candidates, edge
 // weighting schemes over the implicit blocking graph, candidate generation
-// for newly arrived profiles, and comparison cleaning — both the batch
-// Weighted Node Pruning (WNP) used by the progressive baselines and its
-// incremental variant I-WNP from the paper's framework reference [17].
+// for newly arrived profiles, and comparison cleaning by the incremental
+// Weighted Node Pruning (I-WNP) of the paper's framework reference [17].
 //
 // The blocking graph has one node per profile and an edge between two
 // profiles whenever they share at least one block; weighting schemes score

@@ -2,15 +2,15 @@ package metablocking
 
 import "fmt"
 
-// Verification helpers for the meta-blocking layer, used by the correctness
-// harness (internal/check) and by strategies running under
-// core.Config.CheckInvariants. They encode the contracts the prioritization
+// Verification helpers for the meta-blocking layer, run by the candidate
+// generator under core.Config.CheckInvariants (which the correctness harness
+// in internal/check turns on). They encode the contracts the prioritization
 // strategies rely on: candidate lists arrive in descending priority order,
 // and pruned graphs retain only above-average weights.
 
 // VerifyDescending checks that cs is sorted by descending priority under the
 // weight order (Less): each element must not order strictly before its
-// predecessor. Candidates and the pruning functions return such lists, and
+// predecessor. Candidates, Kernel.Candidates and IWNP return such lists, and
 // the strategies' sequential routing depends on the order.
 func VerifyDescending(cs []Comparison) error {
 	for i := 1; i < len(cs); i++ {
@@ -22,7 +22,7 @@ func VerifyDescending(cs []Comparison) error {
 }
 
 // VerifyPruned checks the weight-monotonicity contract of mean-threshold edge
-// pruning (IWNP, WEP): every retained comparison must weigh at least the mean
+// pruning (IWNP): every retained comparison must weigh at least the mean
 // weight of the original list, and every dropped one strictly less. in is the
 // pre-pruning list, kept the pruning output. Because IWNP reuses the input
 // slice for its result, callers must pass a copy of the input.

@@ -66,20 +66,6 @@ func (c *Curve) PCAtComparisons(n int) float64 {
 	return float64(c.Samples[idx-1].Found) / float64(c.TotalMatches)
 }
 
-// TimeToPC returns the earliest sampled time at which PC reached target.
-func (c *Curve) TimeToPC(target float64) (time.Duration, bool) {
-	if c.TotalMatches == 0 {
-		return 0, false
-	}
-	need := int(target * float64(c.TotalMatches))
-	for _, s := range c.Samples {
-		if s.Found >= need && s.Found > 0 {
-			return s.Time, true
-		}
-	}
-	return 0, false
-}
-
 // AUCComparisons returns the normalized area under the PC-over-comparisons
 // curve: 1 means every match was found immediately, 0 means none were found.
 // It summarizes how little effort an algorithm wastes on non-matching
@@ -157,12 +143,6 @@ func (r *Recorder) MarkStreamConsumed(t time.Duration) {
 		r.curve.StreamConsumed = t
 	}
 }
-
-// Found returns the number of distinct ground-truth pairs emitted so far.
-func (r *Recorder) Found() int { return len(r.found) }
-
-// Comparisons returns the number of comparisons observed so far.
-func (r *Recorder) Comparisons() int { return r.comparisons }
 
 // Finish seals and returns the curve.
 func (r *Recorder) Finish(t time.Duration) *Curve {

@@ -27,11 +27,8 @@ func TestRecorderCountsGroundTruthOnce(t *testing.T) {
 	if r.Observe(3*time.Second, profile.PairKey(2, 1)) {
 		t.Error("repeated GT pair reported as new again")
 	}
-	if r.Found() != 1 {
-		t.Errorf("Found = %d, want 1", r.Found())
-	}
-	if r.Comparisons() != 3 {
-		t.Errorf("Comparisons = %d, want 3", r.Comparisons())
+	if st := r.State(); len(st.Found) != 1 || st.Comparisons != 3 {
+		t.Errorf("found %d pairs in %d comparisons, want 1 in 3", len(st.Found), st.Comparisons)
 	}
 }
 
@@ -60,24 +57,6 @@ func TestCurvePCQueries(t *testing.T) {
 	}
 	if c.FinalPC() != 0.5 {
 		t.Errorf("FinalPC = %v, want 0.5", c.FinalPC())
-	}
-}
-
-func TestTimeToPC(t *testing.T) {
-	gt := gtSet([2]int{1, 2}, [2]int{3, 4})
-	r := NewRecorder(gt, 1)
-	r.Observe(5*time.Second, profile.PairKey(1, 2))
-	r.Observe(9*time.Second, profile.PairKey(3, 4))
-	c := r.Finish(10 * time.Second)
-	if d, ok := c.TimeToPC(0.5); !ok || d != 5*time.Second {
-		t.Errorf("TimeToPC(0.5) = %v,%v want 5s", d, ok)
-	}
-	if d, ok := c.TimeToPC(1.0); !ok || d != 9*time.Second {
-		t.Errorf("TimeToPC(1.0) = %v,%v want 9s", d, ok)
-	}
-	empty := NewRecorder(nil, 1).Finish(time.Second)
-	if _, ok := empty.TimeToPC(0.5); ok {
-		t.Error("TimeToPC on empty GT reported ok")
 	}
 }
 

@@ -152,47 +152,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// Quantiles returns the estimates for several quantiles in one call.
-func (h *Histogram) Quantiles(qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = h.Quantile(q)
-	}
-	return out
-}
-
-// Merge folds src's observations into h. Both histograms must have identical
-// bucket bounds (merge only makes sense between instances of the same series
-// — per-worker latency recordings folding into a global one); mismatched
-// bounds panic. Merge is safe under concurrent Observe on either histogram:
-// each bucket transfers atomically, though the merge as a whole is not a
-// snapshot — observations arriving mid-merge land in whichever side they hit.
-// Merging the same source twice double-counts; callers own that discipline.
-func (h *Histogram) Merge(src *Histogram) {
-	if len(h.bounds) != len(src.bounds) {
-		panic(fmt.Sprintf("obsv: merging histogram %q (%d buckets) into %q (%d buckets)",
-			src.name, len(src.bounds), h.name, len(h.bounds)))
-	}
-	for i, b := range h.bounds {
-		if b != src.bounds[i] {
-			panic(fmt.Sprintf("obsv: merging histogram %q into %q: bucket bound %d differs (%g vs %g)",
-				src.name, h.name, i, src.bounds[i], b))
-		}
-	}
-	for i := range src.buckets {
-		h.buckets[i].Add(src.buckets[i].Load())
-	}
-	h.count.Add(src.count.Load())
-	delta := src.Sum()
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // ExpBuckets returns n exponentially spaced bucket bounds starting at start
 // and growing by factor — the usual shape for latencies and sizes.
 func ExpBuckets(start, factor float64, n int) []float64 {

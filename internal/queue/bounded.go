@@ -30,9 +30,6 @@ func (b *Bounded[T]) Init(capacity int, less func(a, b T) bool) {
 // Len returns the number of queued elements.
 func (b *Bounded[T]) Len() int { return b.depq.Len() }
 
-// Cap returns the configured capacity (<= 0 means unbounded).
-func (b *Bounded[T]) Cap() int { return b.capacity }
-
 // Push inserts x. If the queue is full, the least element among the queued
 // ones and x is dropped and returned with dropped == true (x itself may be
 // the dropped element, in which case the queue is unchanged).
@@ -56,6 +53,3 @@ func (b *Bounded[T]) PopBest() (T, bool) { return b.depq.PopMax() }
 
 // PeekBest returns the highest-priority element without removing it.
 func (b *Bounded[T]) PeekBest() (T, bool) { return b.depq.Max() }
-
-// PeekWorst returns the lowest-priority element without removing it.
-func (b *Bounded[T]) PeekWorst() (T, bool) { return b.depq.Min() }

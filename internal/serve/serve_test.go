@@ -23,13 +23,13 @@ func TestGateBoundsInFlight(t *testing.T) {
 	if _, err := g.Admit(""); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("third admit: err = %v, want ErrOverloaded", err)
 	}
-	if g.InFlight() != 2 {
-		t.Errorf("InFlight = %d, want 2", g.InFlight())
+	if g.inFlight.Load() != 2 {
+		t.Errorf("InFlight = %d, want 2", g.inFlight.Load())
 	}
 	r1()
 	r1() // double release is a no-op, not a slot leak backwards
-	if g.InFlight() != 1 {
-		t.Errorf("InFlight after release = %d, want 1", g.InFlight())
+	if g.inFlight.Load() != 1 {
+		t.Errorf("InFlight after release = %d, want 1", g.inFlight.Load())
 	}
 	if _, err := g.Admit(""); err != nil {
 		t.Fatalf("admit after release: %v", err)
@@ -61,8 +61,8 @@ func TestGateDefaultAndUnbounded(t *testing.T) {
 	for _, r := range rels {
 		r()
 	}
-	if gu.InFlight() != 0 {
-		t.Errorf("InFlight after all releases = %d", gu.InFlight())
+	if gu.inFlight.Load() != 0 {
+		t.Errorf("InFlight after all releases = %d", gu.inFlight.Load())
 	}
 }
 
@@ -156,7 +156,7 @@ func TestGateConcurrentAdmission(t *testing.T) {
 				return
 			}
 			admitted.Store(i, true)
-			peak.max(int64(g.InFlight()))
+			peak.max(int64(g.inFlight.Load()))
 			time.Sleep(time.Millisecond)
 			r()
 		}()
@@ -165,8 +165,8 @@ func TestGateConcurrentAdmission(t *testing.T) {
 	if p := peak.load(); p > 8 {
 		t.Errorf("observed %d in flight, bound is 8", p)
 	}
-	if g.InFlight() != 0 {
-		t.Errorf("InFlight after drain = %d", g.InFlight())
+	if g.inFlight.Load() != 0 {
+		t.Errorf("InFlight after drain = %d", g.inFlight.Load())
 	}
 }
 

@@ -94,17 +94,6 @@ func (l *List[K]) Insert(key K) *Node[K] {
 	return node
 }
 
-// Seek returns the first node whose key is not less than key, or nil.
-func (l *List[K]) Seek(key K) *Node[K] {
-	cur := &l.head
-	for level := l.height - 1; level >= 0; level-- {
-		for cur.next[level] != nil && l.less(cur.next[level].Key, key) {
-			cur = cur.next[level]
-		}
-	}
-	return cur.next[0]
-}
-
 // Neighborhood collects up to w keys on each side of node (excluding the
 // node itself), nearest first: the sliding window of sorted-neighborhood ER.
 func Neighborhood[K any](node *Node[K], w int) (before, after []K) {

@@ -41,28 +41,6 @@ func TestEmptyList(t *testing.T) {
 	if l.First() != nil || l.Len() != 0 {
 		t.Error("empty list not empty")
 	}
-	if l.Seek(5) != nil {
-		t.Error("Seek on empty list returned a node")
-	}
-}
-
-func TestSeek(t *testing.T) {
-	l := New(intLess, 2)
-	for _, x := range []int{10, 20, 30, 40} {
-		l.Insert(x)
-	}
-	if n := l.Seek(25); n == nil || n.Key != 30 {
-		t.Errorf("Seek(25) = %v", n)
-	}
-	if n := l.Seek(20); n == nil || n.Key != 20 {
-		t.Errorf("Seek(20) = %v", n)
-	}
-	if n := l.Seek(5); n == nil || n.Key != 10 {
-		t.Errorf("Seek(5) = %v", n)
-	}
-	if n := l.Seek(45); n != nil {
-		t.Errorf("Seek(45) = %v, want nil", n)
-	}
 }
 
 func TestPrevChain(t *testing.T) {
@@ -130,20 +108,6 @@ func TestAgainstSortedReference(t *testing.T) {
 		for i := range ref {
 			if got[i] != ref[i] {
 				t.Fatalf("trial %d: position %d = %d, want %d", trial, i, got[i], ref[i])
-			}
-		}
-		// Seek must agree with sort.SearchInts.
-		for probe := 0; probe < 100; probe += 7 {
-			idx := sort.SearchInts(ref, probe)
-			n := l.Seek(probe)
-			if idx == len(ref) {
-				if n != nil {
-					t.Fatalf("trial %d: Seek(%d) = %v, want nil", trial, probe, n.Key)
-				}
-				continue
-			}
-			if n == nil || n.Key != ref[idx] {
-				t.Fatalf("trial %d: Seek(%d) wrong", trial, probe)
 			}
 		}
 	}

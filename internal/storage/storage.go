@@ -51,8 +51,8 @@ type Config struct {
 func (c Config) Enabled() bool { return c.Budget > 0 }
 
 // Meta is the always-resident per-entry metadata of a PostingStore: the two
-// per-source member counts of a posting list. It answers size, liveness, and
-// comparison-count queries without faulting spilled blocks in, which keeps
+// per-source member counts of a posting list. It answers size and liveness
+// queries without faulting spilled blocks in, which keeps
 // the strategies' sorted-scan and weighting paths from thrashing the budget.
 type Meta struct {
 	// A and B are the per-source member counts (B is 0 for dirty ER).
@@ -61,17 +61,6 @@ type Meta struct {
 
 // Size returns the number of members the entry holds.
 func (m Meta) Size() int { return int(m.A) + int(m.B) }
-
-// Comparisons returns the pairwise comparison count of the entry, mirroring
-// the blocking layer's ||b|| measure: |A|·|B| for Clean-Clean, n(n-1)/2 for
-// Dirty.
-func (m Meta) Comparisons(cleanClean bool) int {
-	if cleanClean {
-		return int(m.A) * int(m.B)
-	}
-	n := m.Size()
-	return n * (n - 1) / 2
-}
 
 // Codec serializes single values for spill segments and prices entries for
 // the byte budget. Implementations must be safe for concurrent use (they are

@@ -367,10 +367,3 @@ func TestConfigEnabled(t *testing.T) {
 		t.Fatal("positive budget must select the spill backend")
 	}
 }
-
-func TestMetaComparisons(t *testing.T) {
-	m := Meta{A: 3, B: 4}
-	if m.Size() != 7 || m.Comparisons(true) != 12 || m.Comparisons(false) != 21 {
-		t.Fatalf("Meta arithmetic wrong: %d/%d/%d", m.Size(), m.Comparisons(true), m.Comparisons(false))
-	}
-}

@@ -1059,8 +1059,7 @@ func (l *Live) verifyAccounting(st *liveState) {
 // cancellation — including during the inter-increment pause — then stops the
 // pipeline and returns the result. Cancellation interrupts rather than
 // drains: the result comes back promptly with Interrupted set, and the
-// pipeline remains checkpointable. It is a convenience used by the examples
-// and pierrun.
+// pipeline remains checkpointable. stream's tests drive runs with it.
 func Drive(ctx context.Context, l *Live, incs [][]*profile.Profile, rate float64) *LiveResult {
 	var interval time.Duration
 	if rate > 0 {
@@ -1323,57 +1322,4 @@ func RestoreLive(r io.Reader, strategy core.Strategy, cfg LiveConfig) (*Live, er
 	go l.prep(st.col)
 	go l.loop(st)
 	return l, nil
-}
-
-// SnapshotInfo is the inspectable summary of a checkpoint: its identity and
-// cumulative counters, without the heavyweight state.
-type SnapshotInfo struct {
-	Strategy     string
-	CleanClean   bool
-	Window       int
-	MaxBlockSize int
-
-	Profiles     int
-	Increments   int
-	Comparisons  int
-	Matches      int
-	RetryPending int
-	// Executed is the sorted dedup-map pair keys at checkpoint time (the
-	// counted comparisons plus the retry backlog).
-	Executed []uint64
-}
-
-// InspectSnapshot reads a checkpoint's metadata and accounting without
-// restoring it — for tooling, debugging, and the recovery oracles.
-func InspectSnapshot(r io.Reader) (*SnapshotInfo, error) {
-	sr, err := snapshot.NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	var meta liveMeta
-	if err := sr.Gob("meta", &meta); err != nil {
-		return nil, err
-	}
-	skip := func(io.Reader) error { return nil }
-	for _, name := range []string{"collection", "strategy", "findk", "clusters", "recorder"} {
-		if err := sr.Section(name, skip); err != nil {
-			return nil, err
-		}
-	}
-	var acc liveAccounting
-	if err := sr.Gob("accounting", &acc); err != nil {
-		return nil, err
-	}
-	return &SnapshotInfo{
-		Strategy:     meta.Strategy,
-		CleanClean:   meta.CleanClean,
-		Window:       meta.Window,
-		MaxBlockSize: meta.MaxBlockSize,
-		Profiles:     int(acc.Profiles),
-		Increments:   int(acc.Increments),
-		Comparisons:  int(acc.Cmps),
-		Matches:      int(acc.Matches),
-		RetryPending: len(acc.Retry),
-		Executed:     acc.Executed,
-	}, nil
 }
