@@ -1,9 +1,10 @@
 //go:build ignore
 
 // Generates testdata/checkpoint_v2.snap: a mid-run checkpoint of the movie
-// workload used by checkpoint_test.go, in container format v2. Run with
-// `go run genfixture.go` from the repo root whenever the format version is
-// bumped (and update the test's expectations).
+// workload used by checkpoint_test.go. Run with `go run genfixture.go` from
+// the repo root. The checked-in file was written in container format v2 and
+// pins that v2 images still restore; a build at a later format version writes
+// that version, so do not regenerate it until v2 support is dropped.
 package main
 
 import (

@@ -14,7 +14,6 @@ import (
 // pool-consumers and friends are mid-layer packages, governed by the
 // allowed-import table below instead.)
 var substrates = []string{
-	"pier/internal/bloom",
 	"pier/internal/cluster",
 	"pier/internal/intern",
 	"pier/internal/metrics",
@@ -64,7 +63,6 @@ var allowedImports = map[string][]string{
 	},
 	"pier/internal/core": {
 		"pier/internal/blocking",
-		"pier/internal/bloom",
 		"pier/internal/intern",
 		"pier/internal/match",
 		"pier/internal/metablocking",

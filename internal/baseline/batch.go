@@ -18,16 +18,18 @@ import (
 type Batch struct {
 	cfg core.Config
 
-	emission    []metablocking.Comparison
-	head        int
-	executed    map[uint64]struct{}
+	emission []metablocking.Comparison
+	head     int
+	// Executed is the executed-pair set Dequeue marks; a rebuild skips
+	// marked pairs.
+	core.Executed
 	lastVersion uint64
 	initialized bool
 }
 
 // NewBatch returns the batch ER baseline.
 func NewBatch(cfg core.Config) *Batch {
-	return &Batch{cfg: cfg, executed: make(map[uint64]struct{})}
+	return &Batch{cfg: cfg}
 }
 
 // Name implements core.Strategy.
@@ -51,7 +53,7 @@ func (s *Batch) UpdateIndex(col *blocking.Collection, delta []*profile.Profile) 
 			if _, dup := seen[k]; dup {
 				return
 			}
-			if _, done := s.executed[k]; done {
+			if s.Marked(k) {
 				return
 			}
 			seen[k] = struct{}{}
@@ -81,11 +83,9 @@ func (s *Batch) Dequeue() (metablocking.Comparison, bool) {
 	for s.head < len(s.emission) {
 		c := s.emission[s.head]
 		s.head++
-		if _, done := s.executed[c.Key()]; done {
-			continue
+		if s.Mark(c.Key()) {
+			return c, true
 		}
-		s.executed[c.Key()] = struct{}{}
-		return c, true
 	}
 	return metablocking.Comparison{}, false
 }

@@ -28,6 +28,9 @@ type IBase struct {
 	queue []metablocking.Comparison
 	head  int
 
+	// Executed is the executed-pair set Dequeue marks.
+	core.Executed
+
 	// Reusable per-profile generation scratch, mirroring the PIER strategies:
 	// UpdateIndex is single-writer per the Strategy contract, so the buffers
 	// are recycled across profiles and increments.
@@ -74,17 +77,19 @@ func (s *IBase) UpdateIndex(col *blocking.Collection, delta []*profile.Profile) 
 
 // Dequeue implements core.Strategy (FIFO order).
 func (s *IBase) Dequeue() (metablocking.Comparison, bool) {
-	if s.head >= len(s.queue) {
-		return metablocking.Comparison{}, false
+	for s.head < len(s.queue) {
+		c := s.queue[s.head]
+		s.head++
+		if s.head == len(s.queue) {
+			// Fully drained: release the backing array.
+			s.queue = s.queue[:0]
+			s.head = 0
+		}
+		if s.Mark(c.Key()) {
+			return c, true
+		}
 	}
-	c := s.queue[s.head]
-	s.head++
-	if s.head == len(s.queue) {
-		// Fully drained: release the backing array.
-		s.queue = s.queue[:0]
-		s.head = 0
-	}
-	return c, true
+	return metablocking.Comparison{}, false
 }
 
 // Pending implements core.Strategy.

@@ -23,9 +23,11 @@ type PBS struct {
 	scope Scope
 	label string
 
-	emission    []metablocking.Comparison
-	head        int
-	executed    map[uint64]struct{}
+	emission []metablocking.Comparison
+	head     int
+	// Executed is the executed-pair set Dequeue marks; a rebuild skips
+	// marked pairs.
+	core.Executed
 	weigher     metablocking.Kernel
 	lastVersion uint64
 	initialized bool
@@ -37,7 +39,7 @@ func NewPBS(cfg core.Config, scope Scope, label string) *PBS {
 	if label == "" {
 		label = "PBS-" + scope.String()
 	}
-	return &PBS{cfg: cfg, scope: scope, label: label, executed: make(map[uint64]struct{})}
+	return &PBS{cfg: cfg, scope: scope, label: label}
 }
 
 // Name implements core.Strategy.
@@ -85,7 +87,7 @@ func (s *PBS) build(col *blocking.Collection) time.Duration {
 			if _, dup := seen[k]; dup {
 				return
 			}
-			if _, done := s.executed[k]; done {
+			if s.Marked(k) {
 				return
 			}
 			seen[k] = struct{}{}
@@ -123,11 +125,9 @@ func (s *PBS) Dequeue() (metablocking.Comparison, bool) {
 	for s.head < len(s.emission) {
 		c := s.emission[s.head]
 		s.head++
-		if _, done := s.executed[c.Key()]; done {
-			continue
+		if s.Mark(c.Key()) {
+			return c, true
 		}
-		s.executed[c.Key()] = struct{}{}
-		return c, true
 	}
 	return metablocking.Comparison{}, false
 }

@@ -48,9 +48,11 @@ type PPS struct {
 	// label overrides the reported name (e.g. "PPS" on static data).
 	label string
 
-	emission    []metablocking.Comparison
-	head        int
-	executed    map[uint64]struct{}
+	emission []metablocking.Comparison
+	head     int
+	// Executed is the executed-pair set Dequeue marks; a rebuild skips
+	// marked pairs.
+	core.Executed
 	lastVersion uint64
 	initialized bool
 }
@@ -61,7 +63,7 @@ func NewPPS(cfg core.Config, scope Scope, label string) *PPS {
 	if label == "" {
 		label = "PPS-" + scope.String()
 	}
-	return &PPS{cfg: cfg, scope: scope, label: label, executed: make(map[uint64]struct{})}
+	return &PPS{cfg: cfg, scope: scope, label: label}
 }
 
 // Name implements core.Strategy.
@@ -119,7 +121,7 @@ func (s *PPS) build(col *blocking.Collection, ids []int) time.Duration {
 		if _, dup := seen[key]; dup {
 			return
 		}
-		if _, done := s.executed[key]; done {
+		if s.Marked(key) {
 			return
 		}
 		seen[key] = struct{}{}
@@ -154,11 +156,9 @@ func (s *PPS) Dequeue() (metablocking.Comparison, bool) {
 	for s.head < len(s.emission) {
 		c := s.emission[s.head]
 		s.head++
-		if _, done := s.executed[c.Key()]; done {
-			continue
+		if s.Mark(c.Key()) {
+			return c, true
 		}
-		s.executed[c.Key()] = struct{}{}
-		return c, true
 	}
 	return metablocking.Comparison{}, false
 }

@@ -20,11 +20,9 @@
 //
 // The equivalences the oracles assert hold under a specific configuration,
 // returned by CoreConfig: CBS weighting, ghosting and block filtering
-// disabled, unbounded indexes, no block purging, and exact pair filters
-// (core.Config.ExactFilters) instead of Bloom filters. Each knob matters:
-// bounded indexes and purging legitimately drop work, ghosting changes the
-// candidate sets per increment boundary, and a Bloom false positive silently
-// loses a pair that was never executed. Under that configuration a fully
+// disabled, unbounded indexes, and no block purging. Each knob matters:
+// bounded indexes and purging legitimately drop work, and ghosting changes
+// the candidate sets per increment boundary. Under that configuration a fully
 // drained run of I-PCS, I-PBS, or I-PES executes exactly the non-redundant
 // co-blocked pairs of the final collection — the same set as batch ER.
 package check
@@ -54,7 +52,6 @@ func CoreConfig() core.Config {
 		IndexCapacity:   0, // unbounded: bounded queues legitimately drop work
 		Costs:           match.DefaultCosts(),
 		Parallelism:     1,
-		ExactFilters:    true, // Bloom false positives would silently lose pairs
 		CheckInvariants: true,
 	}
 }

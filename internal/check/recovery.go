@@ -21,15 +21,14 @@ import (
 //   - RoundTrip snapshots a strategy mid-drive through core.Persistent and
 //     asserts the restored copy's remaining emission *sequence* is identical
 //     to the original's — the snapshot is byte-faithful, including heap
-//     layouts and dedup filters;
+//     layouts and the strategy's private executed-pair set;
 //   - RecoveryEquivalence kills a live pipeline under seeded matcher faults,
 //     restores it from its checkpoint, and asserts the union of executed
 //     pairs across the two process lifetimes equals the fault-free run's set
 //     exactly — nothing lost to the crash or the injected failures, nothing
 //     double-counted by the retry machinery.
 //
-// Like every oracle here, both hold under CoreConfig (exact filters — a
-// Bloom false positive after restore would silently drop a pair).
+// Like every oracle here, both hold under CoreConfig.
 
 // LiveConfigFor returns the live-pipeline configuration under which the
 // recovery oracles hold: no purging, no eviction window, deterministic

@@ -25,6 +25,8 @@ import (
 type Auto struct {
 	cfg   Config
 	inner Strategy
+	// executed is a set lent before the choice, handed on to the choice.
+	executed PairSet
 }
 
 // NewAuto returns an automatic strategy selector.
@@ -90,6 +92,9 @@ func (a *Auto) UpdateIndex(col *blocking.Collection, delta []*profile.Profile) t
 			return 0
 		}
 		a.inner = choose(a.cfg, measure(delta))
+		if a.executed != nil {
+			a.inner.ShareExecuted(a.executed)
+		}
 	}
 	return a.inner.UpdateIndex(col, delta)
 }
@@ -108,4 +113,13 @@ func (a *Auto) Pending() int {
 		return 0
 	}
 	return a.inner.Pending()
+}
+
+// ShareExecuted implements Strategy: the set goes to the chosen strategy, now
+// or when the first increment chooses it.
+func (a *Auto) ShareExecuted(set PairSet) {
+	a.executed = set
+	if a.inner != nil {
+		a.inner.ShareExecuted(set)
+	}
 }

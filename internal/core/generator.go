@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"pier/internal/blocking"
-	"pier/internal/bloom"
 	"pier/internal/intern"
 	"pier/internal/metablocking"
 	"pier/internal/obsv"
@@ -59,14 +58,9 @@ type generator struct {
 	// call — the stage whose parallel speedup the pool exists to buy.
 	genSec *obsv.Histogram
 
-	// executed records pairs handed to the matcher, so fallback scans
-	// never re-emit work that was already done. By default a scalable
-	// Bloom filter keeps it constant-memory-per-pair, but a false positive
-	// suppresses a leftover comparison that was never executed — the pair
-	// is silently lost. Config.ExactFilters substitutes an exact set when
-	// that loss is unacceptable (see the batch↔incremental oracles in
-	// internal/check).
-	executed bloom.Membership
+	// Executed is the strategy's executed-pair set: Dequeue marks it, and
+	// the fallback scan never re-emits a marked pair.
+	Executed
 
 	// weigher is the reusable per-pair CBS weighing kernel of the fallback
 	// path (anchor-swept neighbor counts); only the (serial) fallback scan
@@ -89,9 +83,8 @@ type generator struct {
 
 func newGenerator(cfg Config) *generator {
 	g := &generator{
-		cfg:      cfg,
-		pool:     pool.New(cfg.Parallelism),
-		executed: newPairFilter(cfg),
+		cfg:  cfg,
+		pool: pool.New(cfg.Parallelism),
 	}
 	if cfg.Metrics != nil {
 		g.pool.Instrument(
@@ -232,25 +225,12 @@ func (g *generator) candidates(col *blocking.Collection, delta []*profile.Profil
 	return out, cost
 }
 
-// newPairFilter builds the pair-membership filter the configuration asks
-// for: a constant-memory scalable Bloom filter by default, an exact set under
-// Config.ExactFilters.
-func newPairFilter(cfg Config) bloom.Membership {
-	if cfg.ExactFilters {
-		return bloom.NewExact()
-	}
-	return bloom.New(1<<16, 0.001)
-}
-
-// markExecuted records that the pair was dequeued for matching.
-func (g *generator) markExecuted(key uint64) { g.executed.Add(key) }
-
 // fallbackScan implements GetComparisons(B): each call takes the comparisons
 // of the next block — blocks visited from the smallest to the biggest — that
 // yields at least one unexecuted pair, weighted with the configured scheme.
 // It returns nil when every block has been visited. New data invalidates the
-// sorted order and restarts the scan; the executed filter keeps restarts from
-// redoing finished work. The returned slice is owned by the generator and
+// sorted order and restarts the scan; the executed-pair set keeps restarts
+// from redoing finished work. The returned slice is owned by the generator and
 // valid until its next call.
 func (g *generator) fallbackScan(col *blocking.Collection) ([]metablocking.Comparison, time.Duration) {
 	if !g.scanValid || g.scanVersion != col.Version() {
@@ -282,7 +262,7 @@ func (g *generator) blockComparisons(col *blocking.Collection, b *blocking.Block
 	out := g.fbBuf[:0]
 	emit := func(x, y int) {
 		key := profile.PairKey(x, y)
-		if g.executed.Contains(key) {
+		if g.Marked(key) {
 			return
 		}
 		out = append(out, metablocking.Comparison{

@@ -129,7 +129,7 @@ func TestGeneratorFallbackWeightsMatchReference(t *testing.T) {
 				if want := float64(metablocking.SharedBlocks(col, c.X, c.Y)); c.Weight != want {
 					t.Fatalf("cc=%v: fallback weight of (%d,%d) = %v, reference %v", cleanClean, c.X, c.Y, c.Weight, want)
 				}
-				g.markExecuted(profile.PairKey(c.X, c.Y))
+				g.Mark(profile.PairKey(c.X, c.Y))
 			}
 		}
 	}

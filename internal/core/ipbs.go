@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"pier/internal/blocking"
-	"pier/internal/bloom"
 	"pier/internal/intern"
 	"pier/internal/metablocking"
 	"pier/internal/profile"
@@ -26,11 +25,16 @@ import (
 // until a new profile lands in it, and processing a block deactivates it —
 // which makes line 4's CI(b) ← CI(b) + |b| − 1 well defined.
 //
-// The comparison filter CF, a scalable Bloom filter per the paper's reference
-// [16], suppresses redundant pair generation across block re-emissions.
+// The comparison filter CF suppresses redundant pair generation across block
+// re-emissions. The paper follows its reference [16] and makes CF a scalable
+// Bloom filter, a space optimisation; here it is exact, because a false
+// positive would drop a comparison that was never generated.
 type IPBS struct {
 	cfg   Config
 	index *queue.Bounded[metablocking.Comparison]
+
+	// Executed is the executed-pair set Dequeue marks.
+	Executed
 
 	// InvertRefill flips the ambiguous refill condition of Algorithm 3
 	// line 9 (see DESIGN.md): instead of refilling when the index top
@@ -59,10 +63,10 @@ type IPBS struct {
 	// blocksBuf is reusable per-profile block-enumeration scratch.
 	blocksBuf []*blocking.Block
 
-	// cf suppresses redundant pair generation; an exact set under
-	// Config.ExactFilters, since a Bloom false positive here permanently
-	// drops a never-generated comparison.
-	cf bloom.Membership
+	// cf holds every pair emitBlock generated: "generated", which is more
+	// than "executed" — a generated pair may still wait in the index, or
+	// have been dropped from it at capacity.
+	cf pairMap
 
 	// weigher is the reusable per-pair CBS weighing kernel of emitBlock
 	// (anchor-swept neighbor counts, O(1) per partner); I-PBS is
@@ -91,7 +95,7 @@ func NewIPBS(cfg Config) *IPBS {
 		ci:      make(map[intern.Sym]int, 256),
 		pi:      make(map[intern.Sym][]int, 256),
 		minHeap: queue.NewHeap(ciLess),
-		cf:      newPairFilter(cfg),
+		cf:      pairMap{},
 	}
 }
 
@@ -247,7 +251,12 @@ func (s *IPBS) deactivate(sym intern.Sym) {
 
 // Dequeue implements Strategy.
 func (s *IPBS) Dequeue() (metablocking.Comparison, bool) {
-	return s.index.PopBest()
+	for {
+		c, ok := s.index.PopBest()
+		if !ok || s.Mark(c.Key()) {
+			return c, ok
+		}
+	}
 }
 
 // Pending implements Strategy.

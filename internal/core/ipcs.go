@@ -41,9 +41,11 @@ func (s *IPCS) UpdateIndex(col *blocking.Collection, delta []*profile.Profile) t
 	}
 	cmpList, cost := s.gen.candidates(col, delta)
 	if len(delta) == 0 && s.index.Len() == 0 {
-		var extra time.Duration
-		cmpList, extra = s.gen.fallbackScan(col)
-		cost += extra
+		// A leftover block into an empty index: one sort, not a heap
+		// round-trip per comparison.
+		leftovers, extra := s.gen.fallbackScan(col)
+		s.index.PushAll(leftovers)
+		return cost + extra
 	}
 	for _, c := range cmpList {
 		s.index.Push(c)
@@ -53,12 +55,16 @@ func (s *IPCS) UpdateIndex(col *blocking.Collection, delta []*profile.Profile) t
 
 // Dequeue implements Strategy.
 func (s *IPCS) Dequeue() (metablocking.Comparison, bool) {
-	c, ok := s.index.PopBest()
-	if ok {
-		s.gen.markExecuted(c.Key())
+	for {
+		c, ok := s.index.PopBest()
+		if !ok || s.gen.Mark(c.Key()) {
+			return c, ok
+		}
 	}
-	return c, ok
 }
+
+// ShareExecuted implements Strategy.
+func (s *IPCS) ShareExecuted(set PairSet) { s.gen.ShareExecuted(set) }
 
 // Pending implements Strategy.
 func (s *IPCS) Pending() int { return s.index.Len() }

@@ -120,10 +120,10 @@ func (s *IPES) UpdateIndex(col *blocking.Collection, delta []*profile.Profile) t
 		// last unscanned block is never generated again (found by the
 		// internal/check oracles; see DESIGN.md). Pruning exists to triage
 		// *fresh* candidates; by the time the scan runs, the index is empty
-		// and these comparisons are the only remaining work.
-		for _, c := range cmpList {
-			s.pushLowWeight(c)
-		}
+		// and these comparisons are the only remaining work. PQ is empty
+		// too, so the block loads as one sorted run.
+		s.pq.PushAll(cmpList)
+		s.pending = s.pq.Len()
 	} else {
 		for _, c := range cmpList {
 			s.route(c)
@@ -223,13 +223,26 @@ func (s *IPES) insert(c metablocking.Comparison, id int) {
 
 func (s *IPES) indexEmpty() bool { return s.pending == 0 }
 
-// Dequeue implements CmpIndex.dequeue() for I-PES: pop the best entity from
-// EntityQueue (skipping stale tuples) and return that entity's best pending
-// comparison. When the EntityQueue runs dry it is refilled with one tuple per
-// entity that still has pending comparisons — starting the next round — and
-// when the entity path is fully exhausted, comparisons come from the
-// low-weight queue PQ.
+// Dequeue implements CmpIndex.dequeue() for I-PES: the next comparison in
+// I-PES order (see next) that is not marked executed.
 func (s *IPES) Dequeue() (metablocking.Comparison, bool) {
+	for {
+		c, ok := s.next()
+		if !ok || s.gen.Mark(c.Key()) {
+			return c, ok
+		}
+	}
+}
+
+// ShareExecuted implements Strategy.
+func (s *IPES) ShareExecuted(set PairSet) { s.gen.ShareExecuted(set) }
+
+// next pops the best entity from EntityQueue (skipping stale tuples) and
+// returns that entity's best pending comparison. When the EntityQueue runs
+// dry it is refilled with one tuple per entity that still has pending
+// comparisons — starting the next round — and when the entity path is fully
+// exhausted, comparisons come from the low-weight queue PQ.
+func (s *IPES) next() (metablocking.Comparison, bool) {
 	for {
 		e, ok := s.entityQueue.Pop()
 		if !ok {
@@ -247,12 +260,10 @@ func (s *IPES) Dequeue() (metablocking.Comparison, bool) {
 			s.dropEmptied(st)
 		}
 		s.pending--
-		s.gen.markExecuted(c.Key())
 		return c, true
 	}
 	if c, ok := s.pq.PopBest(); ok {
 		s.pending--
-		s.gen.markExecuted(c.Key())
 		return c, true
 	}
 	return metablocking.Comparison{}, false

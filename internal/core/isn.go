@@ -32,6 +32,9 @@ type ISN struct {
 
 	index *skiplist.List[snKey]
 	queue *queue.Bounded[metablocking.Comparison]
+
+	// Executed is the executed-pair set Dequeue marks.
+	Executed
 }
 
 // snKey is one sorted-neighborhood index entry.
@@ -139,7 +142,12 @@ func keyPrefixSim(a, b string) float64 {
 
 // Dequeue implements Strategy.
 func (s *ISN) Dequeue() (metablocking.Comparison, bool) {
-	return s.queue.PopBest()
+	for {
+		c, ok := s.queue.PopBest()
+		if !ok || s.Mark(c.Key()) {
+			return c, ok
+		}
+	}
 }
 
 // Pending implements Strategy.

@@ -7,7 +7,6 @@ import (
 	"io"
 	"slices"
 
-	"pier/internal/bloom"
 	"pier/internal/intern"
 	"pier/internal/metablocking"
 	"pier/internal/profile"
@@ -15,19 +14,26 @@ import (
 )
 
 // Checkpointing: each PIER strategy can serialize its complete index state —
-// queues in heap layout, executed-pair filters, scan cursors, routing
-// statistics — and restore it into a freshly constructed instance of the same
-// strategy and configuration. Restoring the exact queue layouts (not just the
-// queued elements) makes the restored dequeue order byte-identical to the
-// uninterrupted one, which is what the recovery-equivalence oracle in
+// queues in heap layout, scan cursors, routing statistics, and a private
+// executed-pair set — and restore it into a freshly constructed instance of
+// the same strategy and configuration. Restoring the exact queue layouts (not
+// just the queued elements) makes the restored dequeue order byte-identical
+// to the uninterrupted one, which is what the recovery-equivalence oracle in
 // internal/check asserts. Configuration (scheme, capacities, β) is NOT
 // persisted: the caller reconstructs the strategy from its own configuration,
 // and restoring into a differently configured instance is undefined.
+//
+// An executed-pair set lent through ShareExecuted belongs to the pipeline,
+// which persists it with its own state: the image then carries no executed
+// keys, and the pipeline lends the restored set after LoadState. Images
+// written before the shared set carried a Bloom filter under the field name
+// Executed; gob skips it, and restores proceed with the pipeline's exact set.
 
 // Persistent is implemented by strategies whose full incremental state can be
 // checkpointed. SaveState writes a self-contained gob image; LoadState
-// replaces the receiver's state with a previously saved image. LoadState must
-// be called on a fresh instance built with the same Config.
+// replaces the receiver's state with a previously saved image, including the
+// private executed-pair set. LoadState must be called on a fresh instance
+// built with the same Config.
 type Persistent interface {
 	Strategy
 	SaveState(w io.Writer) error
@@ -41,8 +47,32 @@ var (
 	_ Persistent = (*ISN)(nil)
 )
 
+// privateKeys returns the marked keys in ascending order when the set is the
+// strategy's own, and nil when a pipeline lent it.
+func (e *Executed) privateKeys() []uint64 {
+	if e.lent || e.set == nil {
+		return nil
+	}
+	m := e.set.(pairMap)
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// restorePrivate makes keys the strategy's own executed-pair set.
+func (e *Executed) restorePrivate(keys []uint64) {
+	m := make(pairMap, len(keys))
+	for _, k := range keys {
+		m[k] = struct{}{}
+	}
+	e.set, e.lent = m, false
+}
+
 // generatorImage is the persisted state of the shared candidate-generation
-// core: the executed-pair filter and the fallback-scan cursor. The scan
+// core: the private executed-pair set and the fallback-scan cursor. The scan
 // cursor is persisted as raw symbol values: symbol numbering is append-only
 // and saved verbatim with the block collection, and a strategy image is only
 // ever restored alongside the collection it was checkpointed with (the
@@ -51,20 +81,16 @@ var (
 // collection's identity and version; it rebuilds itself on first use after a
 // restore.
 type generatorImage struct {
-	Executed    bloom.State
+	Marked      []uint64
 	ScanSyms    []uint32
 	ScanPos     int
 	ScanVersion uint64
 	ScanValid   bool
 }
 
-func (g *generator) image() (generatorImage, error) {
-	ex, err := bloom.StateOf(g.executed)
-	if err != nil {
-		return generatorImage{}, err
-	}
+func (g *generator) image() generatorImage {
 	img := generatorImage{
-		Executed:    ex,
+		Marked:      g.privateKeys(),
 		ScanSyms:    make([]uint32, len(g.scanSyms)),
 		ScanPos:     g.scanPos,
 		ScanVersion: g.scanVersion,
@@ -73,11 +99,11 @@ func (g *generator) image() (generatorImage, error) {
 	for i, sym := range g.scanSyms {
 		img.ScanSyms[i] = uint32(sym)
 	}
-	return img, nil
+	return img
 }
 
 func (g *generator) restore(img generatorImage) {
-	g.executed = bloom.RestoreMembership(img.Executed)
+	g.restorePrivate(img.Marked)
 	g.scanSyms = make([]intern.Sym, len(img.ScanSyms))
 	for i, s := range img.ScanSyms {
 		g.scanSyms[i] = intern.Sym(s)
@@ -96,11 +122,7 @@ type ipcsImage struct {
 
 // SaveState implements Persistent.
 func (s *IPCS) SaveState(w io.Writer) error {
-	gen, err := s.gen.image()
-	if err != nil {
-		return fmt.Errorf("core: save I-PCS: %w", err)
-	}
-	img := ipcsImage{Gen: gen, Index: s.index.Snapshot()}
+	img := ipcsImage{Gen: s.gen.image(), Index: s.index.Snapshot()}
 	if err := gob.NewEncoder(w).Encode(&img); err != nil {
 		return fmt.Errorf("core: save I-PCS: %w", err)
 	}
@@ -129,29 +151,35 @@ type ciEntryImage struct {
 
 // ipbsImage is the persisted state of I-PBS. CI and PI are keyed by raw
 // symbol values, valid against the collection checkpointed alongside (see
-// generatorImage on why that is sound).
+// generatorImage on why that is sound). Generated is the comparison filter
+// CF, ascending; an image written while CF was a Bloom filter stored it under
+// the field name CF, which gob skips, so such a restore starts with an empty
+// CF and may regenerate a pair — which Dequeue then finds marked, or queues
+// twice and emits once.
 type ipbsImage struct {
 	Index        []metablocking.Comparison
 	CI           map[uint32]int
 	PI           map[uint32][]int
 	Heap         []ciEntryImage
-	CF           bloom.State
+	Generated    []uint64
+	Marked       []uint64
 	InvertRefill bool
 }
 
 // SaveState implements Persistent.
 func (s *IPBS) SaveState(w io.Writer) error {
-	cf, err := bloom.StateOf(s.cf)
-	if err != nil {
-		return fmt.Errorf("core: save I-PBS: %w", err)
-	}
 	img := ipbsImage{
 		Index:        s.index.Snapshot(),
 		CI:           make(map[uint32]int, len(s.ci)),
 		PI:           make(map[uint32][]int, len(s.pi)),
-		CF:           cf,
+		Generated:    make([]uint64, 0, len(s.cf)),
+		Marked:       s.privateKeys(),
 		InvertRefill: s.InvertRefill,
 	}
+	for k := range s.cf {
+		img.Generated = append(img.Generated, k)
+	}
+	slices.Sort(img.Generated)
 	for sym, n := range s.ci {
 		img.CI[uint32(sym)] = n
 	}
@@ -188,7 +216,11 @@ func (s *IPBS) LoadState(r io.Reader) error {
 		heap[i] = ciEntry{count: e.Count, sym: intern.Sym(e.Sym), key: e.Key}
 	}
 	s.minHeap.Restore(heap)
-	s.cf = bloom.RestoreMembership(img.CF)
+	s.cf = make(pairMap, len(img.Generated))
+	for _, k := range img.Generated {
+		s.cf[k] = struct{}{}
+	}
+	s.restorePrivate(img.Marked)
 	s.InvertRefill = img.InvertRefill
 	s.weigher = metablocking.Kernel{}
 	return nil
@@ -220,12 +252,8 @@ type ipesImage struct {
 
 // SaveState implements Persistent.
 func (s *IPES) SaveState(w io.Writer) error {
-	gen, err := s.gen.image()
-	if err != nil {
-		return fmt.Errorf("core: save I-PES: %w", err)
-	}
 	img := ipesImage{
-		Gen:     gen,
+		Gen:     s.gen.image(),
 		PQ:      s.pq.Snapshot(),
 		EPQ:     make(map[int]entityStateImage, len(s.epq)),
 		Total:   s.total,
@@ -302,13 +330,14 @@ type snKeyImage struct {
 
 // isnImage is the persisted state of I-SN.
 type isnImage struct {
-	Keys  []snKeyImage
-	Queue []metablocking.Comparison
+	Keys   []snKeyImage
+	Queue  []metablocking.Comparison
+	Marked []uint64
 }
 
 // SaveState implements Persistent.
 func (s *ISN) SaveState(w io.Writer) error {
-	img := isnImage{Queue: s.queue.Snapshot()}
+	img := isnImage{Queue: s.queue.Snapshot(), Marked: s.privateKeys()}
 	for n := s.index.First(); n != nil; n = n.Next() {
 		img.Keys = append(img.Keys, snKeyImage{Token: n.Key.token, ID: n.Key.id, Src: uint8(n.Key.src)})
 	}
@@ -332,5 +361,6 @@ func (s *ISN) LoadState(r io.Reader) error {
 		s.index.Insert(snKey{token: k.Token, id: k.ID, src: profile.Source(k.Src)})
 	}
 	s.queue.Restore(img.Queue)
+	s.restorePrivate(img.Marked)
 	return nil
 }

@@ -37,7 +37,6 @@ func genFor(t *testing.T, inc []*profile.Profile, parallelism int) (*generator, 
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Parallelism = parallelism
-	cfg.ExactFilters = true
 	col := blocking.NewCollection(false, 0)
 	for _, p := range inc {
 		col.Add(p)

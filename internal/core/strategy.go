@@ -37,10 +37,73 @@ type Strategy interface {
 	UpdateIndex(col *blocking.Collection, delta []*profile.Profile) time.Duration
 	// Dequeue removes and returns the best remaining comparison
 	// (CmpIndex.dequeue in the paper), or ok == false if the index is
-	// empty.
+	// empty. It marks the returned pair in the executed-pair set and skips
+	// queued pairs that are marked already.
 	Dequeue() (metablocking.Comparison, bool)
 	// Pending returns the number of comparisons currently queued.
 	Pending() int
+	// ShareExecuted makes set the executed-pair set that Dequeue marks and
+	// leftover scans consult, in place of the strategy's private one. A
+	// pipeline that keeps its own set lends it before the first
+	// UpdateIndex, or right after LoadState on restore, so that one set
+	// answers "was this pair compared?" for both.
+	ShareExecuted(set PairSet)
+}
+
+// PairSet is an exact set of pair keys (profile.PairKey): the executed-pair
+// set a strategy marks as Dequeue hands pairs to the matcher.
+// storage.DedupStore is one; the owner may also delete keys, e.g. of pairs
+// whose profiles left the window.
+type PairSet interface {
+	// Has reports whether key is in the set.
+	Has(key uint64) bool
+	// AddIfNew inserts key and reports whether it was absent.
+	AddIfNew(key uint64) bool
+}
+
+// Executed is the executed-pair set a strategy embeds: Dequeue marks every
+// pair it hands out, and leftover scans skip marked pairs. It is a private
+// exact set until a pipeline lends its own through ShareExecuted. The zero
+// value is ready to use.
+type Executed struct {
+	set  PairSet
+	lent bool
+}
+
+// ShareExecuted implements Strategy.
+func (e *Executed) ShareExecuted(set PairSet) { e.set, e.lent = set, true }
+
+// Mark marks key and reports whether Dequeue may hand the pair out. Under a
+// lent set that is whether the pair was unmarked: the lender relies on
+// Dequeue never handing out a pair twice, and checks nothing itself. A
+// private set only records, for leftover scans; a standalone caller that
+// queues a pair twice gets it twice, and dedups what it runs itself, as
+// stream.Run does.
+func (e *Executed) Mark(key uint64) bool { return e.pairs().AddIfNew(key) || !e.lent }
+
+// Marked reports whether key is marked.
+func (e *Executed) Marked(key uint64) bool { return e.pairs().Has(key) }
+
+func (e *Executed) pairs() PairSet {
+	if e.set == nil {
+		e.set = pairMap{}
+	}
+	return e.set
+}
+
+// pairMap is a strategy's private exact pair set.
+type pairMap map[uint64]struct{}
+
+func (m pairMap) Has(key uint64) bool {
+	_, ok := m[key]
+	return ok
+}
+
+// AddIfNew is one map assignment: the length tells whether it inserted.
+func (m pairMap) AddIfNew(key uint64) bool {
+	n := len(m)
+	m[key] = struct{}{}
+	return len(m) > n
 }
 
 // Config collects the tuning knobs shared by the PIER strategies.
@@ -74,14 +137,6 @@ type Config struct {
 	// worker-pool instruments in (busy-workers gauge, task counter, stage
 	// timers). Nil disables instrumentation.
 	Metrics *obsv.Registry
-	// ExactFilters replaces the strategies' scalable Bloom filters (the
-	// executed-pair filter of the fallback scan, I-PBS's comparison filter
-	// CF) with exact sets. Bloom false positives can silently *lose* a
-	// comparison that was never executed; exact filters guarantee the
-	// batch↔incremental equivalence the correctness harness
-	// (internal/check) asserts, at the cost of memory linear in the number
-	// of filtered pairs instead of constant.
-	ExactFilters bool
 	// CheckInvariants enables per-update self-verification of the
 	// strategies' index structures (interval-heap order, I-PES pending
 	// accounting, I-PBS CI/PI agreement). Violations panic with a

@@ -181,6 +181,21 @@ func (m Matcher) Similarity(a, b *profile.Profile) float64 {
 	}
 }
 
+// Prepare computes and caches p's form for the configured Kind — the sorted
+// token symbols of the token-set measures, the joined values of the string
+// measures — so that p's first Similarity does not. Similarity values do not
+// depend on when it runs.
+func (m Matcher) Prepare(p *profile.Profile) {
+	switch m.Kind {
+	case ED, JW:
+		p.JoinedValues()
+	case ME:
+		p.Tokens()
+	default:
+		tokenSyms(p)
+	}
+}
+
 // Match reports whether the two profiles classify as duplicates.
 func (m Matcher) Match(a, b *profile.Profile) bool {
 	return m.Similarity(a, b) >= m.Threshold

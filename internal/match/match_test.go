@@ -146,6 +146,26 @@ func TestMatcherMatch(t *testing.T) {
 	}
 }
 
+// TestPrepareLeavesSimilarityUnchanged: for every Kind, a pair whose
+// profiles were prepared scores exactly what a fresh, unprepared copy of the
+// pair scores.
+func TestPrepareLeavesSimilarityUnchanged(t *testing.T) {
+	pair := func() (*profile.Profile, *profile.Profile) {
+		return profile.New(1, profile.SourceA, "e1", "title", "The Matrix 1999 Wachowski"),
+			profile.New(2, profile.SourceB, "e1", "name", "Matrix, The (1999) dir. Wachowski")
+	}
+	for _, kind := range []Kind{JS, ED, JW, COS, OVL, ME} {
+		m := NewMatcher(kind)
+		a, b := pair()
+		m.Prepare(a)
+		m.Prepare(b)
+		fa, fb := pair()
+		if got, want := m.Similarity(a, b), m.Similarity(fa, fb); got != want {
+			t.Errorf("%v: prepared pair scores %v, unprepared %v", kind, got, want)
+		}
+	}
+}
+
 func TestKindString(t *testing.T) {
 	if JS.String() != "JS" || ED.String() != "ED" {
 		t.Error("Kind.String wrong")

@@ -26,12 +26,19 @@ func (q *DEPQ[T]) Restore(a []T) {
 	}
 }
 
-// Snapshot returns a copy of the bounded queue's backing interval heap.
-func (b *Bounded[T]) Snapshot() []T { return b.depq.Snapshot() }
+// Snapshot returns a copy of the bounded queue's backing interval heap,
+// after folding an unread bulk load into it.
+func (b *Bounded[T]) Snapshot() []T {
+	b.fold()
+	return b.depq.Snapshot()
+}
 
 // Restore replaces the bounded queue's contents with a slice previously
 // returned by Snapshot. The configured capacity is unchanged.
-func (b *Bounded[T]) Restore(a []T) { b.depq.Restore(a) }
+func (b *Bounded[T]) Restore(a []T) {
+	b.run = b.run[:0]
+	b.depq.Restore(a)
+}
 
 // Snapshot returns a copy of the heap's backing array in heap layout.
 func (h *Heap[T]) Snapshot() []T {

@@ -36,10 +36,19 @@ func (q *DEPQ[T]) Verify() error {
 }
 
 // Verify checks the bounded queue's invariants: the backing interval heap is
-// well-formed and the length does not exceed the configured capacity.
+// well-formed, an unread bulk load is sorted and never sits beside heap
+// elements, and the length does not exceed the configured capacity.
 func (b *Bounded[T]) Verify() error {
-	if b.capacity > 0 && b.depq.Len() > b.capacity {
-		return fmt.Errorf("queue: bounded queue holds %d > capacity %d", b.depq.Len(), b.capacity)
+	if b.capacity > 0 && b.Len() > b.capacity {
+		return fmt.Errorf("queue: bounded queue holds %d > capacity %d", b.Len(), b.capacity)
+	}
+	if len(b.run) > 0 && b.depq.Len() > 0 {
+		return fmt.Errorf("queue: bounded queue holds a run of %d beside %d heap elements", len(b.run), b.depq.Len())
+	}
+	for i := 1; i < len(b.run); i++ {
+		if b.depq.less(b.run[i], b.run[i-1]) {
+			return fmt.Errorf("queue: bulk-loaded run out of order at position %d", i)
+		}
 	}
 	return b.depq.Verify()
 }

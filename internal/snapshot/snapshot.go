@@ -12,10 +12,10 @@
 // before any component decoder runs.
 //
 // Compatibility policy (DESIGN.md §9): the format version is bumped whenever
-// any section's image changes incompatibly; readers accept exactly one
-// version. Checkpoints are operational state for crash recovery, not an
-// archival format — a version mismatch means "re-ingest from the source",
-// never silent partial restore.
+// any section's image changes; readers accept the current version and the
+// older ones whose images still decode into it (MinVersion). Checkpoints are
+// operational state for crash recovery, not an archival format — any other
+// version means "re-ingest from the source", never silent partial restore.
 package snapshot
 
 import (
@@ -29,11 +29,18 @@ import (
 // Magic identifies a PIER snapshot stream.
 const Magic = "PIERSNAP"
 
-// Version is the current container format version. Readers reject any other
-// value. Version 2 introduced the symbol-interned blocking index: the
-// collection and strategy sections persist dense uint32 symbols plus the
-// symbol table that resolves them, which version-1 snapshots predate.
-const Version uint32 = 2
+// Version is the current container format version. Version 2 introduced the
+// symbol-interned blocking index: the collection and strategy sections
+// persist dense uint32 symbols plus the symbol table that resolves them,
+// which version-1 snapshots predate. Version 3 moved the executed-pair set
+// out of the strategy images: the pipeline's accounting section holds it, and
+// the strategies' Bloom filters are gone.
+const Version uint32 = 3
+
+// MinVersion is the oldest version readers accept. A version-2 image decodes
+// into version 3's types: gob skips the fields version 3 removed, and the
+// accounting section already held the exact executed-pair set.
+const MinVersion uint32 = 2
 
 // maxSectionSize bounds a single section to guard the reader against
 // corrupted or adversarial length prefixes (1 GiB is far beyond any real
@@ -133,8 +140,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 		// diagnosis, not a generic number mismatch.
 		return nil, fmt.Errorf("snapshot: format version 1 predates the symbol-interned blocking index (this build reads version %d); re-ingest from the source — checkpoints are crash-recovery state, not an archive", Version)
 	}
-	if v != Version {
-		return nil, fmt.Errorf("snapshot: unsupported format version %d (this build reads version %d)", v, Version)
+	if v < MinVersion || v > Version {
+		return nil, fmt.Errorf("snapshot: unsupported format version %d (this build reads versions %d to %d)", v, MinVersion, Version)
 	}
 	return &Reader{r: r}, nil
 }

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
+	"slices"
 	"sort"
 )
 
@@ -19,6 +21,9 @@ type DedupStore interface {
 	Has(key uint64) bool
 	// Add inserts key; present keys are a no-op.
 	Add(key uint64)
+	// AddIfNew inserts key and reports whether it was absent: one probe
+	// where Has followed by Add would make two.
+	AddIfNew(key uint64) bool
 	// Delete removes key; absent keys are a no-op.
 	Delete(key uint64)
 	// Len returns the exact number of keys in the set.
@@ -34,31 +39,143 @@ type DedupStore interface {
 	Close() error
 }
 
-// NewDedupStore returns the backend selected by cfg: a plain map for a zero
-// config, the LSM-style spill set for a positive budget.
+// NewDedupStore returns the backend selected by cfg: a flat in-memory table
+// for a zero config, the LSM-style spill set for a positive budget.
 func NewDedupStore(cfg Config) DedupStore {
 	if cfg.Enabled() {
 		return newSpillDedup(cfg)
 	}
-	return make(memDedup)
+	return &memDedup{}
 }
 
-// memDedup is the default backend — the executed map as it always was.
-type memDedup map[uint64]struct{}
+// memDedup is the default backend: an open-addressing table of uint64 keys
+// with linear probing, kept at most half full. An empty slot holds 0, so key
+// 0 itself lives in a flag beside the table. Delete shifts the rest of the
+// probe run back instead of leaving a tombstone, so the window sweep's
+// deletes never lengthen a later probe.
+type memDedup struct {
+	slots   []uint64 // power-of-two length, or nil before the first key
+	shift   uint     // 64 - log2(len(slots)): home slots come from the top bits
+	n       int      // keys held in slots
+	hasZero bool
+}
 
-func (d memDedup) Has(key uint64) bool { _, ok := d[key]; return ok }
-func (d memDedup) Add(key uint64)      { d[key] = struct{}{} }
-func (d memDedup) Delete(key uint64)   { delete(d, key) }
-func (d memDedup) Len() int            { return len(d) }
-func (d memDedup) Range(fn func(key uint64) bool) {
-	for k := range d {
-		if !fn(k) {
+// memDedupMinSlots is the table's first size.
+const memDedupMinSlots = 64
+
+// home is key's first probe position: Fibonacci hashing, which spreads the
+// pair keys' packed ID halves over the top bits.
+func (d *memDedup) home(key uint64) uint64 { return (key * 0x9e3779b97f4a7c15) >> d.shift }
+
+func (d *memDedup) Has(key uint64) bool {
+	if key == 0 {
+		return d.hasZero
+	}
+	if d.n == 0 {
+		return false
+	}
+	mask := uint64(len(d.slots) - 1)
+	for i := d.home(key); ; i = (i + 1) & mask {
+		switch d.slots[i] {
+		case key:
+			return true
+		case 0:
+			return false
+		}
+	}
+}
+
+func (d *memDedup) Add(key uint64) { d.AddIfNew(key) }
+
+func (d *memDedup) AddIfNew(key uint64) bool {
+	if key == 0 {
+		added := !d.hasZero
+		d.hasZero = true
+		return added
+	}
+	if 2*(d.n+1) > len(d.slots) {
+		d.grow()
+	}
+	mask := uint64(len(d.slots) - 1)
+	for i := d.home(key); ; i = (i + 1) & mask {
+		switch d.slots[i] {
+		case key:
+			return false
+		case 0:
+			d.slots[i] = key
+			d.n++
+			return true
+		}
+	}
+}
+
+func (d *memDedup) Delete(key uint64) {
+	if key == 0 {
+		d.hasZero = false
+		return
+	}
+	if d.n == 0 {
+		return
+	}
+	mask := uint64(len(d.slots) - 1)
+	i := d.home(key)
+	for d.slots[i] != key {
+		if d.slots[i] == 0 {
+			return
+		}
+		i = (i + 1) & mask
+	}
+	// Close the hole at i: a later key of the run moves into it unless the
+	// hole lies before that key's home slot, where a probe would never look.
+	for j := (i + 1) & mask; d.slots[j] != 0; j = (j + 1) & mask {
+		if (j-d.home(d.slots[j]))&mask >= (j-i)&mask {
+			d.slots[i] = d.slots[j]
+			i = j
+		}
+	}
+	d.slots[i] = 0
+	d.n--
+}
+
+// grow doubles the table (or allocates the first one) and reinserts.
+func (d *memDedup) grow() {
+	old := d.slots
+	size := max(2*len(old), memDedupMinSlots)
+	d.slots = make([]uint64, size)
+	d.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	mask := uint64(size - 1)
+	for _, key := range old {
+		if key == 0 {
+			continue
+		}
+		i := d.home(key)
+		for d.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		d.slots[i] = key
+	}
+}
+
+func (d *memDedup) Len() int {
+	if d.hasZero {
+		return d.n + 1
+	}
+	return d.n
+}
+
+func (d *memDedup) Range(fn func(key uint64) bool) {
+	if d.hasZero && !fn(0) {
+		return
+	}
+	for _, key := range d.slots {
+		if key != 0 && !fn(key) {
 			return
 		}
 	}
 }
-func (d memDedup) Err() error   { return nil }
-func (d memDedup) Close() error { return nil }
+
+func (d *memDedup) Err() error   { return nil }
+func (d *memDedup) Close() error { return nil }
 
 // spillDedup bounds the resident set LSM-style: recent keys live in an
 // in-memory active map; when the active set (plus tombstones) outgrows its
@@ -122,22 +239,25 @@ func (d *spillDedup) Has(key uint64) bool {
 	return d.inSegs(key)
 }
 
-func (d *spillDedup) Add(key uint64) {
+func (d *spillDedup) Add(key uint64) { d.AddIfNew(key) }
+
+func (d *spillDedup) AddIfNew(key uint64) bool {
 	if _, ok := d.active[key]; ok {
-		return
+		return false
 	}
 	if _, ok := d.tombs[key]; ok {
 		// The sealed copy becomes live again; no second copy needed.
 		delete(d.tombs, key)
 		d.n++
-		return
+		return true
 	}
 	if d.inSegs(key) {
-		return
+		return false
 	}
 	d.active[key] = struct{}{}
 	d.n++
 	d.maintain()
+	return true
 }
 
 func (d *spillDedup) Delete(key uint64) {
@@ -201,9 +321,14 @@ func (d *spillDedup) Close() error {
 }
 
 func (d *spillDedup) inSegs(key uint64) bool {
-	// Newest first: recent keys are the likelier hits.
+	if len(d.segs) == 0 {
+		return false
+	}
+	// One hash pair serves every segment's bloom. Newest first: recent keys
+	// are the likelier hits.
+	h1, h2 := bloomHashes(key)
 	for i := len(d.segs) - 1; i >= 0; i-- {
-		if d.segs[i].contains(key) {
+		if d.segs[i].contains(key, h1, h2) {
 			return true
 		}
 	}
@@ -241,7 +366,7 @@ func (d *spillDedup) seal() {
 	for k := range d.active {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	sg, err := d.writeSeg(len(keys), func(yield func(uint64)) {
 		for _, k := range keys {
 			yield(k)
@@ -402,15 +527,20 @@ func (sg *dedupSeg) index(i int, key uint64) {
 	if i%fenceStride == 0 {
 		sg.fences = append(sg.fences, key)
 	}
-	h1, h2 := mix64(key), mix64(key^0x9e3779b97f4a7c15)|1
+	h1, h2 := bloomHashes(key)
 	for k := uint64(0); k < 7; k++ {
 		bit := (h1 + k*h2) & (sg.bloomLen - 1)
 		sg.bloom[bit/64] |= 1 << (bit % 64)
 	}
 }
 
-func (sg *dedupSeg) bloomHas(key uint64) bool {
-	h1, h2 := mix64(key), mix64(key^0x9e3779b97f4a7c15)|1
+// bloomHashes derives the double-hashing pair a segment bloom probes with.
+func bloomHashes(key uint64) (h1, h2 uint64) {
+	return mix64(key), mix64(key^0x9e3779b97f4a7c15) | 1
+}
+
+// bloomHas checks the bloom bits of a key hashed by bloomHashes.
+func (sg *dedupSeg) bloomHas(h1, h2 uint64) bool {
 	for k := uint64(0); k < 7; k++ {
 		bit := (h1 + k*h2) & (sg.bloomLen - 1)
 		if sg.bloom[bit/64]&(1<<(bit%64)) == 0 {
@@ -420,13 +550,14 @@ func (sg *dedupSeg) bloomHas(key uint64) bool {
 	return true
 }
 
-// contains is the exact membership probe: range check, bloom, fence-guided
-// block read, binary search within the block.
-func (sg *dedupSeg) contains(key uint64) bool {
+// contains is the exact membership probe of key, hashed by bloomHashes:
+// range check, bloom, fence-guided block read, binary search within the
+// block.
+func (sg *dedupSeg) contains(key, h1, h2 uint64) bool {
 	if sg.count == 0 || key < sg.min || key > sg.max {
 		return false
 	}
-	if !sg.bloomHas(key) {
+	if !sg.bloomHas(h1, h2) {
 		return false
 	}
 	fi := sort.Search(len(sg.fences), func(i int) bool { return sg.fences[i] > key }) - 1

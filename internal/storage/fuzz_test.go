@@ -298,3 +298,88 @@ func FuzzSpillDedupSet(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDedupStore drives both DedupStore backends — the flat in-memory table
+// and the spill set — with one fuzzer-chosen op sequence against a model
+// map: AddIfNew's answer, Has, Len and finally Range must agree with the
+// model after every op. Keys are built so that 0 (the table's empty-slot
+// value) is one of them and 256 distinct keys grow the table from its first
+// size several times; deletes inside probe runs exercise the backward shift.
+func FuzzDedupStore(f *testing.F) {
+	f.Add([]byte{0, 0, 2, 0, 1, 0, 2, 0})
+	f.Add([]byte{0, 1, 0, 17, 0, 33, 1, 1, 2, 17, 2, 33, 0, 1})
+	// Bytes 25, 27 and 29 give keys with one home slot in the first table:
+	// deleting the head of their probe run must keep the other two findable.
+	f.Add([]byte{0, 25, 0, 27, 0, 29, 1, 25, 2, 27, 2, 29, 1, 27, 2, 29})
+	ramp := make([]byte, 0, 600)
+	for b := 0; b < 200; b++ {
+		ramp = append(ramp, 0, byte(b))
+	}
+	for b := 0; b < 200; b += 3 {
+		ramp = append(ramp, 1, byte(b))
+	}
+	f.Add(ramp)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 1<<10 {
+			return
+		}
+		// The spill set seals every 16 active+tombstone keys, so sealed
+		// segments, tombstones and merges all take part.
+		spill := newSpillDedup(Config{Budget: 64, Dir: t.TempDir()})
+		spill.sealAt = 16
+		defer spill.Close()
+		stores := map[string]DedupStore{"mem": NewDedupStore(Config{}), "spill": spill}
+		model := make(map[uint64]struct{})
+		for i := 0; i+1 < len(ops); i += 2 {
+			b := ops[i+1]
+			key := uint64(b&0x0f)<<32 | uint64(b>>4) // a pair key; byte 0 is key 0
+			_, had := model[key]
+			switch ops[i] % 3 {
+			case 0:
+				for name, d := range stores {
+					if got := d.AddIfNew(key); got != !had {
+						t.Fatalf("op %d: %s AddIfNew(%#x) = %v, model held it: %v", i/2, name, key, got, had)
+					}
+				}
+				model[key] = struct{}{}
+			case 1:
+				for _, d := range stores {
+					d.Delete(key)
+				}
+				delete(model, key)
+			case 2:
+				for name, d := range stores {
+					if got := d.Has(key); got != had {
+						t.Fatalf("op %d: %s Has(%#x) = %v, model says %v", i/2, name, key, got, had)
+					}
+				}
+			}
+			for name, d := range stores {
+				if got := d.Len(); got != len(model) {
+					t.Fatalf("op %d: %s Len() = %d, model holds %d", i/2, name, got, len(model))
+				}
+			}
+		}
+		for name, d := range stores {
+			seen := make(map[uint64]struct{})
+			d.Range(func(key uint64) bool {
+				if _, ok := model[key]; !ok {
+					t.Fatalf("%s Range yielded %#x, not in the model", name, key)
+				}
+				if _, dup := seen[key]; dup {
+					t.Fatalf("%s Range yielded %#x twice", name, key)
+				}
+				seen[key] = struct{}{}
+				return true
+			})
+			if len(seen) != len(model) {
+				t.Fatalf("%s Range yielded %d keys, model holds %d", name, len(seen), len(model))
+			}
+			for key := range model {
+				if !d.Has(key) {
+					t.Fatalf("final sweep: %s lost %#x", name, key)
+				}
+			}
+		}
+	})
+}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,10 +105,11 @@ type LiveConfig struct {
 	// one endpoint. Nil creates a private registry (see Live.Registry).
 	Metrics *obsv.Registry
 	// CheckInvariants enables per-batch self-verification of the pipeline's
-	// accounting: the dedup map never exceeds the executed-comparison
-	// counter plus the retry backlog (and matches the sum exactly when no
-	// Window pruning runs), matches never exceed comparisons, and the final
-	// LiveResult agrees with the live Stats() counters. Violations panic.
+	// accounting: the executed-pair set never exceeds the executed-comparison
+	// counter plus the retry backlog plus the abandoned pairs (and matches
+	// the sum exactly when no Window pruning runs), matches never exceed
+	// comparisons, and the final LiveResult agrees with the live Stats()
+	// counters. Violations panic.
 	// Intended for tests and debugging; the checks are O(1) per batch.
 	CheckInvariants bool
 	// Storage bounds the resident memory of the pipeline's two unbounded
@@ -434,6 +434,7 @@ func LiveRun(strategy core.Strategy, cfg LiveConfig) *Live {
 	// Publish the empty index before the first increment; this also switches
 	// the collection into snapshot-tracking mode (see blocking.PublishSnapshot).
 	st.col.PublishSnapshot()
+	strategy.ShareExecuted(st.executed)
 	l.st = st
 	go l.prep(st.col)
 	go l.loop(st)
@@ -449,15 +450,22 @@ type preppedInc struct {
 
 // prep is the ingest pipeline's first stage: it tokenizes and interns each
 // pushed increment against the collection's symbol table (concurrency-safe,
-// append-only — the only collection state this goroutine touches) and hands it
-// to the pipeline goroutine over the bounded prepped channel. Increments flow
-// through strictly in push order, so ingestion order — and therefore every
-// result — is identical to the unpipelined pipeline's. When Push's channel
-// closes, prep flushes what remains and closes prepped.
+// append-only — the only collection state this goroutine touches), computes
+// each profile's matcher form, and hands the increment to the pipeline
+// goroutine over the bounded prepped channel. Increments flow through
+// strictly in push order, so ingestion order — and therefore every result —
+// is identical to the unpipelined pipeline's. When Push's channel closes,
+// prep flushes what remains and closes prepped.
 func (l *Live) prep(col *blocking.Collection) {
 	defer close(l.prepped)
 	for inc := range l.incoming {
-		l.prepped <- preppedInc{inc: inc, syms: col.PrepareBatch(inc)}
+		syms := col.PrepareBatch(inc)
+		if l.cfg.ContextMatcher == nil {
+			for _, p := range inc {
+				l.cfg.Matcher.Prepare(p)
+			}
+		}
+		l.prepped <- preppedInc{inc: inc, syms: syms}
 	}
 }
 
@@ -865,9 +873,10 @@ func (l *Live) processBatch(st *liveState, matchPool, serialPool *pool.Pool, pro
 }
 
 // assembleBatch is phase 1 (sequential): it fills the scratch slab with up to
-// k jobs. The retry backlog goes first — those pairs are already dedup-marked
-// and must complete before new work competes for the matcher; then fresh
-// strategy work up to k. The slab grows with what is assembled, not with k.
+// k jobs. The retry backlog goes first — those pairs are already marked
+// executed and must complete before new work competes for the matcher; then
+// fresh strategy work up to k, which the strategy's Dequeue marked as it
+// handed it out. The slab grows with what is assembled, not with k.
 func (l *Live) assembleBatch(st *liveState, k int) []job {
 	jobs := st.scratch.jobs
 	nRetry := min(len(st.retryQ), k)
@@ -876,7 +885,7 @@ func (l *Live) assembleBatch(st *liveState, k int) []job {
 		if px == nil || py == nil {
 			// Evicted while waiting for retry: skipped, like any other
 			// emitted comparison that lost its profiles, and removed from
-			// the dedup map since it will never be counted.
+			// the executed-pair set since it will never be counted.
 			l.m.skipped.Inc()
 			st.executed.Delete(rj.key)
 			continue
@@ -894,20 +903,17 @@ func (l *Live) assembleBatch(st *liveState, k int) []job {
 
 	emitted := core.AppendBatch(st.scratch.emitted, l.strategy, k-len(jobs))
 	jobs = slices.Grow(jobs, len(emitted))
-	// A pair is marked executed only once its profiles resolve — comparisons
-	// skipped because a profile was evicted must not count, or the final
-	// Summary would disagree with the Stats() counters.
+	// A comparison whose profile was evicted is skipped and unmarked: it
+	// will never be counted, and the set must agree with the Stats()
+	// counters.
 	for _, c := range emitted {
 		key := c.Key()
-		if st.executed.Has(key) {
-			continue
-		}
 		px, py := st.col.Profile(c.X), st.col.Profile(c.Y)
 		if px == nil || py == nil {
 			l.m.skipped.Inc()
+			st.executed.Delete(key)
 			continue
 		}
-		st.executed.Add(key)
 		jobs = append(jobs, job{key: key, px: px, py: py})
 	}
 	if len(emitted) > 0 || nRetry > 0 {
@@ -992,13 +998,12 @@ func (l *Live) matchBatch(st *liveState, jobs []job, matchPool, serialPool *pool
 }
 
 // requeue places a failed job back on the retry queue, or abandons it once
-// RetryBudget is exhausted (removing it from the dedup map so the accounting
-// stays exact: the pair was never counted).
+// RetryBudget is exhausted. An abandoned pair stays marked executed, so a
+// leftover scan never emits it again; the accounting counts it apart.
 func (l *Live) requeue(st *liveState, j job) {
 	attempts := j.attempts + 1
 	if l.cfg.RetryBudget > 0 && attempts > l.cfg.RetryBudget {
 		l.m.abandoned.Inc()
-		st.executed.Delete(j.key)
 		return
 	}
 	l.m.requeues.Inc()
@@ -1029,25 +1034,26 @@ func (l *Live) finishBatch(st *liveState, prober interface{ BreakerOpen() bool }
 
 // verifyAccounting checks the pipeline's dedup/counter invariants between
 // batches (LiveConfig.CheckInvariants). It runs on the pipeline goroutine, so
-// the dedup map, retry queue, and counters are mutually consistent at the
-// call point.
+// the executed-pair set, retry queue, and counters are mutually consistent
+// at the call point.
 func (l *Live) verifyAccounting(st *liveState) {
 	cmps := int(l.m.cmps.Value())
 	matches := int(l.m.matches.Value())
 	if matches > cmps {
 		panic(fmt.Sprintf("stream: %d matches exceed %d comparisons", matches, cmps))
 	}
-	// Every dedup entry was either counted exactly once or is awaiting
-	// retry; pruning under Window only ever removes entries, so the map can
-	// fall below the sum but never above it — and with pruning disabled the
-	// two are equal.
-	if st.executed.Len() > cmps+len(st.retryQ) {
-		panic(fmt.Sprintf("stream: dedup map holds %d pairs but only %d comparisons were counted (+%d retrying)",
-			st.executed.Len(), cmps, len(st.retryQ)))
+	// Every marked pair was counted exactly once, is awaiting retry, or was
+	// abandoned; pruning under Window only ever removes entries, so the set
+	// can fall below the sum but never above it — and with pruning disabled
+	// the two are equal.
+	abandoned := int(l.m.abandoned.Value())
+	if st.executed.Len() > cmps+len(st.retryQ)+abandoned {
+		panic(fmt.Sprintf("stream: dedup map holds %d pairs but only %d comparisons were counted (+%d retrying, +%d abandoned)",
+			st.executed.Len(), cmps, len(st.retryQ), abandoned))
 	}
-	if l.cfg.Window <= 0 && st.executed.Len() != cmps+len(st.retryQ) {
-		panic(fmt.Sprintf("stream: dedup map holds %d pairs but %d comparisons were counted and %d are retrying (no pruning active)",
-			st.executed.Len(), cmps, len(st.retryQ)))
+	if l.cfg.Window <= 0 && st.executed.Len() != cmps+len(st.retryQ)+abandoned {
+		panic(fmt.Sprintf("stream: dedup map holds %d pairs but %d comparisons were counted, %d are retrying and %d were abandoned (no pruning active)",
+			st.executed.Len(), cmps, len(st.retryQ), abandoned))
 	}
 	if g := int(l.m.dedup.Value()); g != st.executed.Len() {
 		panic(fmt.Sprintf("stream: dedup gauge %d disagrees with map size %d", g, st.executed.Len()))
@@ -1122,6 +1128,9 @@ type liveAccounting struct {
 	NewLinks   int64
 	Skipped    int64
 	Evictions  int64
+	// Abandoned pairs stay in Executed; images from before that rule
+	// deleted them and decode this as 0.
+	Abandoned int64
 
 	ElapsedNS int64
 }
@@ -1204,13 +1213,14 @@ func (l *Live) writeSnapshot(w io.Writer, st *liveState) (int64, error) {
 		NewLinks:          int64(l.m.newLinks.Value()),
 		Skipped:           int64(l.m.skipped.Value()),
 		Evictions:         int64(l.m.evictions.Value()),
+		Abandoned:         int64(l.m.abandoned.Value()),
 		ElapsedNS:         int64(time.Since(st.start)),
 	}
 	st.executed.Range(func(key uint64) bool {
 		acc.Executed = append(acc.Executed, key)
 		return true
 	})
-	sort.Slice(acc.Executed, func(i, j int) bool { return acc.Executed[i] < acc.Executed[j] })
+	slices.Sort(acc.Executed)
 	for _, rj := range st.retryQ {
 		acc.Retry = append(acc.Retry, retryImage{Key: rj.key, X: rj.x, Y: rj.y, Attempts: rj.attempts})
 	}
@@ -1290,6 +1300,7 @@ func RestoreLive(r io.Reader, strategy core.Strategy, cfg LiveConfig) (*Live, er
 	l.m.newLinks.Add(int(acc.NewLinks))
 	l.m.skipped.Add(int(acc.Skipped))
 	l.m.evictions.Add(int(acc.Evictions))
+	l.m.abandoned.Add(int(acc.Abandoned))
 	l.m.k.Set(int64(l.cfg.K.Current()))
 
 	st := &liveState{
@@ -1309,6 +1320,7 @@ func RestoreLive(r io.Reader, strategy core.Strategy, cfg LiveConfig) (*Live, er
 	for _, key := range acc.Executed {
 		st.executed.Add(key)
 	}
+	strategy.ShareExecuted(st.executed)
 	for _, ri := range acc.Retry {
 		st.retryQ = append(st.retryQ, retryJob{key: ri.Key, x: ri.X, y: ri.Y, attempts: ri.Attempts})
 	}

@@ -4,25 +4,29 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"pier/internal/blocking"
+	"pier/internal/cluster"
 	"pier/internal/core"
 	"pier/internal/dataset"
 	"pier/internal/fault"
 	"pier/internal/match"
+	"pier/internal/metrics"
+	"pier/internal/pool"
 	"pier/internal/profile"
+	"pier/internal/storage"
 )
 
-// faultCoreConfig is the strategy configuration the fault tests use: exact
-// filters (Bloom false positives would break set equivalence) and invariant
-// checking everywhere.
+// faultCoreConfig is the strategy configuration the fault tests use:
+// invariant checking everywhere.
 func faultCoreConfig() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.ExactFilters = true
 	cfg.CheckInvariants = true
 	return cfg
 }
@@ -505,5 +509,87 @@ func TestRetryBudgetAbandonsPoisonPair(t *testing.T) {
 	}
 	if res.Comparisons != len(wantSet)-1 {
 		t.Errorf("Comparisons = %d, want %d (baseline minus the abandoned pair)", res.Comparisons, len(wantSet)-1)
+	}
+}
+
+// TestAbandonedPairNeverReemitted drives the batch loop by hand, with no
+// goroutine or clock involved: a matcher that always fails one pair makes
+// RetryBudget abandon it, a later increment moves the collection version so
+// that the leftover scan restarts from the smallest block, and the drain
+// revisits the abandoned pair's block. The pair must stay marked executed:
+// the matcher sees it exactly RetryBudget+1 times, and the scan never hands
+// it out again.
+func TestAbandonedPairNeverReemitted(t *testing.T) {
+	const budget = 2
+	mkProfile := func(id int) *profile.Profile {
+		return &profile.Profile{ID: id, Attributes: []profile.Attribute{{Name: "t", Value: fmt.Sprintf("shared tok%d", id)}}}
+	}
+	poison := profile.PairKey(0, 1)
+	calls := 0
+	inner := match.NewMatcher(match.JS)
+	s := core.NewIPCS(faultCoreConfig())
+	l := newLive(s, LiveConfig{
+		ContextMatcher: match.ContextFunc(func(_ context.Context, a, b *profile.Profile) (bool, error) {
+			if profile.PairKey(a.ID, b.ID) == poison {
+				calls++
+				return false, errors.New("poison pair")
+			}
+			return inner.Match(a, b), nil
+		}),
+		RetryBudget:     budget,
+		K:               core.NewFixedK(core.KMin),
+		CheckInvariants: true,
+		OnExecuted: func(key uint64) {
+			if key == poison {
+				t.Fatal("the poison pair was counted as executed")
+			}
+		},
+	})
+	st := &liveState{
+		col:      blocking.NewCollectionStorage(false, 0, nil, 1, storage.Config{}),
+		clusters: cluster.New(),
+		rec:      metrics.NewRecorder(nil, 500),
+		executed: storage.NewDedupStore(storage.Config{}),
+		res:      &liveCounters{},
+		start:    time.Now(),
+	}
+	s.ShareExecuted(st.executed)
+	serial := pool.New(1)
+	batch := func() { l.processBatch(st, serial, serial, nil) }
+	ingest := func(ids ...int) {
+		var inc []*profile.Profile
+		for _, id := range ids {
+			p := mkProfile(id)
+			st.col.Add(p)
+			inc = append(inc, p)
+		}
+		s.UpdateIndex(st.col, inc)
+	}
+	// drain runs batches, then leftover-scan ticks, until neither the
+	// strategy nor the retry queue holds work.
+	drain := func() {
+		for {
+			batch()
+			if s.Pending() > 0 || len(st.retryQ) > 0 {
+				continue
+			}
+			if s.UpdateIndex(st.col, nil); s.Pending() == 0 {
+				return
+			}
+		}
+	}
+
+	ingest(0, 1, 2, 3)
+	drain()
+	if got := l.m.abandoned.Value(); got != 1 {
+		t.Fatalf("after the first drain: %d pairs abandoned, want 1", got)
+	}
+	ingest(4, 5)
+	drain()
+	if calls != budget+1 {
+		t.Errorf("matcher saw the poison pair %d times, want %d: the leftover scan re-emitted an abandoned pair", calls, budget+1)
+	}
+	if cmps, _ := l.Stats(); cmps != 6*5/2-1 {
+		t.Errorf("%d comparisons counted, want %d: every pair of the shared block but the abandoned one", cmps, 6*5/2-1)
 	}
 }

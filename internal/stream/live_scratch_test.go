@@ -20,7 +20,10 @@ import (
 
 // queueStrategy is a Strategy that emits a prepared list of comparisons in
 // order: the batch-loop tests decide exactly how much work a batch finds.
-type queueStrategy struct{ q []metablocking.Comparison }
+type queueStrategy struct {
+	q []metablocking.Comparison
+	core.Executed
+}
 
 func (s *queueStrategy) Name() string { return "queue" }
 func (s *queueStrategy) Pending() int { return len(s.q) }
@@ -28,12 +31,14 @@ func (s *queueStrategy) UpdateIndex(*blocking.Collection, []*profile.Profile) ti
 	return 0
 }
 func (s *queueStrategy) Dequeue() (metablocking.Comparison, bool) {
-	if len(s.q) == 0 {
-		return metablocking.Comparison{}, false
+	for len(s.q) > 0 {
+		c := s.q[0]
+		s.q = s.q[1:]
+		if s.Mark(c.Key()) {
+			return c, true
+		}
 	}
-	c := s.q[0]
-	s.q = s.q[1:]
-	return c, true
+	return metablocking.Comparison{}, false
 }
 
 // batchBench is a pipeline without its goroutines: processBatch is called
@@ -62,6 +67,7 @@ func newBatchBench(n, k int) (*batchBench, *queueStrategy) {
 		res:      &liveCounters{},
 		start:    time.Now(),
 	}
+	s.ShareExecuted(st.executed)
 	for i := 0; i < n; i++ {
 		st.col.Add(&profile.Profile{ID: i, Attributes: []profile.Attribute{{Name: "t", Value: fmt.Sprintf("tok%d", i)}}})
 	}
@@ -176,7 +182,7 @@ func TestScratchSlabZeroedAndBounded(t *testing.T) {
 		}
 		b, _ = newBatchBench(20, core.KMax)
 		// A retry queue that a failure storm grew past the bound, down to its
-		// last entry: the pair is dedup-marked, as requeue leaves it.
+		// last entry: the pair is marked executed, as requeue leaves it.
 		key := metablocking.Comparison{X: 0, Y: 1}.Key()
 		b.st.executed.Add(key)
 		b.st.retryQ = append(make([]retryJob, 0, scratchMax+1), retryJob{key: key, x: 0, y: 1, attempts: 1})
