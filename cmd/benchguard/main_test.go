@@ -2,6 +2,8 @@ package main
 
 import (
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -153,5 +155,85 @@ func TestGateRegressionAndMissing(t *testing.T) {
 	// Within the limit: passes.
 	if gate(base, map[string]float64{"BenchmarkA": 105, "BenchmarkB": 100}, 0.10, "allocs/op", io.Discard, io.Discard) {
 		t.Error("gate failed within the regress limit")
+	}
+}
+
+// writeBaseline writes a baseline file into a test's temp dir and returns its
+// path.
+func writeBaseline(t *testing.T, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "gates.json")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// runGuard runs the command on a baseline and benchmark output and returns
+// its exit code and stderr.
+func runGuard(t *testing.T, baseline, input string) (int, string) {
+	t.Helper()
+	var errOut strings.Builder
+	code := run([]string{"-baseline", writeBaseline(t, baseline)}, strings.NewReader(input), io.Discard, &errOut)
+	return code, errOut.String()
+}
+
+func TestRunRejectsUnknownSectionAndEmptyBaseline(t *testing.T) {
+	// guard_baseline is the old schema's name: read by the new schema it
+	// would gate nothing, so it must be an error, not ignored.
+	const line = "BenchmarkA   5   100 ns/op   10 B/op   1 allocs/op\n"
+	for name, body := range map[string]string{
+		"unknown section": `{"allocs": {"BenchmarkA": 1}, "guard_baseline": {"BenchmarkA": 1}}`,
+		"no entries":      `{"notes": {"schema": "nothing gated"}}`,
+		"not json":        `allocs: 1`,
+	} {
+		if code, errOut := runGuard(t, body, line); code != 2 {
+			t.Errorf("%s: exit %d, want 2 (stderr %q)", name, code, errOut)
+		}
+	}
+	if code, errOut := runGuard(t, `{"allocs": {"BenchmarkA": 1}}`, line); code != 0 {
+		t.Errorf("valid baseline: exit %d, want 0 (stderr %q)", code, errOut)
+	}
+}
+
+func TestRunZeroAllocBaselineFailsOnFirstAllocation(t *testing.T) {
+	base := `{"allocs": {"BenchmarkCandidatesKernel/CBS": 0}}`
+	if code, errOut := runGuard(t, base, "BenchmarkCandidatesKernel/CBS-2   1000   9000 ns/op   0 B/op   0 allocs/op\n"); code != 0 {
+		t.Errorf("0 allocs against a 0 baseline: exit %d, want 0 (stderr %q)", code, errOut)
+	}
+	code, errOut := runGuard(t, base, "BenchmarkCandidatesKernel/CBS-2   1000   9000 ns/op   16 B/op   1 allocs/op\n")
+	if code != 1 || !strings.Contains(errOut, "BenchmarkCandidatesKernel/CBS") {
+		t.Errorf("1 alloc against a 0 baseline: exit %d, want 1 naming the benchmark (stderr %q)", code, errOut)
+	}
+}
+
+func TestRunNsTripwireAtThreeTimes(t *testing.T) {
+	base := `{"ns": {"BenchmarkStrategyDequeue/I-PES": 1000000}}`
+	if code, errOut := runGuard(t, base, "BenchmarkStrategyDequeue/I-PES   5   3000000 ns/op\n"); code != 0 {
+		t.Errorf("3x the baseline: exit %d, want 0 (stderr %q)", code, errOut)
+	}
+	code, errOut := runGuard(t, base, "BenchmarkStrategyDequeue/I-PES   5   3100000 ns/op\n")
+	if code != 1 || !strings.Contains(errOut, "ns/op") {
+		t.Errorf("3.1x the baseline: exit %d, want 1 on ns/op (stderr %q)", code, errOut)
+	}
+}
+
+func TestRunMissingGuardedBenchmarkFails(t *testing.T) {
+	base := `{"allocs": {"BenchmarkLiveBurst": 100, "BenchmarkLiveBurstSpill": 100}}`
+	code, errOut := runGuard(t, base, "BenchmarkLiveBurst   5   1000 ns/op   10 B/op   100 allocs/op\n")
+	if code != 1 || !strings.Contains(errOut, "BenchmarkLiveBurstSpill: guarded benchmark missing") {
+		t.Errorf("exit %d, want 1 naming the missing benchmark (stderr %q)", code, errOut)
+	}
+}
+
+func TestGateVerdictsInNameOrder(t *testing.T) {
+	base := map[string]float64{"BenchmarkC": 1, "BenchmarkA": 1, "BenchmarkB": 1}
+	var out strings.Builder
+	gate(base, base, 0.10, "allocs/op", &out, io.Discard)
+	a := strings.Index(out.String(), "BenchmarkA")
+	b := strings.Index(out.String(), "BenchmarkB")
+	c := strings.Index(out.String(), "BenchmarkC")
+	if !(a >= 0 && a < b && b < c) {
+		t.Errorf("verdicts not in name order:\n%s", out.String())
 	}
 }

@@ -99,7 +99,6 @@ var allowedImports = map[string][]string{
 	"pier/cmd/pierbench":  {"pier/internal/experiments"},
 	"pier/cmd/piercal":    {"pier/internal/baseline", "pier/internal/core", "pier/internal/dataset", "pier/internal/match", "pier/internal/stream"},
 	"pier/cmd/piergen":    {"pier/internal/dataset"},
-	"pier/cmd/pierload":   {"pier", "pier/internal/dataset", "pier/internal/profile"},
 	"pier/cmd/pierplot":   {"pier/internal/plot"},
 	"pier/cmd/pierrun": {
 		"pier/internal/baseline",

@@ -1,88 +1,11 @@
 package dataset
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-	"time"
-)
-
-// Shape names an arrival-process shape for the load generator: the pattern
-// of inter-arrival gaps an open-loop client uses to issue requests.
-type Shape string
-
-const (
-	// Uniform issues requests at a constant rate: every gap is 1/rate.
-	Uniform Shape = "uniform"
-	// Bursty alternates on-bursts (gaps at 4x the mean rate) with idle
-	// pauses, preserving the overall mean rate. It stresses admission
-	// control the way real traffic does — in clumps, not a drizzle.
-	Bursty Shape = "bursty"
-	// Zipf draws heavy-tailed gaps (many short, a few very long) with the
-	// requested mean, the shape of user-driven query traffic.
-	Zipf Shape = "zipf"
-)
-
-// ParseShape maps a flag value onto a Shape.
-func ParseShape(s string) (Shape, error) {
-	switch Shape(s) {
-	case Uniform, Bursty, Zipf:
-		return Shape(s), nil
-	}
-	return "", fmt.Errorf("dataset: unknown arrival shape %q (want uniform, bursty, or zipf)", s)
-}
-
-// Arrivals returns n inter-arrival gaps for an open-loop generator with the
-// given mean rate (requests/second). The gaps of every shape sum to
-// approximately n/rate; only their distribution differs. Deterministic for a
-// given (shape, n, rate, seed).
-func Arrivals(shape Shape, n int, rate float64, seed int64) []time.Duration {
-	if n <= 0 || rate <= 0 {
-		return nil
-	}
-	mean := float64(time.Second) / rate
-	gaps := make([]time.Duration, n)
-	rng := rand.New(rand.NewSource(seed))
-	switch shape {
-	case Bursty:
-		// 8-request bursts at 4x rate followed by a pause that restores
-		// the mean: burst gaps cover 1/4 of the budget, the pause the rest.
-		const burstLen = 8
-		short := mean / 4
-		pause := mean*burstLen - short*(burstLen-1)
-		for i := range gaps {
-			if i%burstLen == burstLen-1 {
-				gaps[i] = time.Duration(pause)
-			} else {
-				gaps[i] = time.Duration(short)
-			}
-		}
-	case Zipf:
-		// Pareto-ish tail via inverse transform: gap = mean/3 * u^(-1/3)
-		// has mean mean/3 * 3/2 = mean/2 on u~U(0,1]; doubling keeps the
-		// requested mean while most gaps land well below it.
-		for i := range gaps {
-			u := 1 - rng.Float64() // (0, 1]
-			g := mean / 3 * 2 / math.Cbrt(u)
-			// Clamp the tail at 50x the mean so one draw cannot stall a
-			// bounded-duration run.
-			if limit := mean * 50; g > limit {
-				g = limit
-			}
-			gaps[i] = time.Duration(g)
-		}
-	default: // Uniform
-		for i := range gaps {
-			gaps[i] = time.Duration(mean)
-		}
-	}
-	return gaps
-}
+import "math/rand"
 
 // ZipfPicker draws indices in [0, n) with Zipf-distributed popularity: index
-// 0 is the most popular. The load generator uses it both for probe choice
-// (hot entities queried again and again) and tenant choice (a few tenants
-// dominate traffic), mirroring production skew.
+// 0 is the most popular. An open-loop query generator uses it for probe
+// choice, so hot entities are queried again and again, mirroring production
+// skew.
 type ZipfPicker struct {
 	z *rand.Zipf
 }

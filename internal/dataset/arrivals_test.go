@@ -1,79 +1,6 @@
 package dataset
 
-import (
-	"testing"
-	"time"
-)
-
-func TestArrivalsMeanPreserved(t *testing.T) {
-	const n = 4096
-	const rate = 500.0
-	wantTotal := time.Duration(float64(n) / rate * float64(time.Second))
-	for _, shape := range []Shape{Uniform, Bursty, Zipf} {
-		gaps := Arrivals(shape, n, rate, 7)
-		if len(gaps) != n {
-			t.Fatalf("%s: %d gaps, want %d", shape, len(gaps), n)
-		}
-		var total time.Duration
-		for _, g := range gaps {
-			if g < 0 {
-				t.Fatalf("%s: negative gap %v", shape, g)
-			}
-			total += g
-		}
-		// Zipf is random; allow 15% drift on the total. Uniform and bursty
-		// are exact by construction but share the loose bound for one check.
-		lo := wantTotal * 85 / 100
-		hi := wantTotal * 115 / 100
-		if total < lo || total > hi {
-			t.Errorf("%s: total %v outside [%v, %v] for mean rate %.0f/s", shape, total, lo, hi, rate)
-		}
-	}
-}
-
-func TestArrivalsDeterministic(t *testing.T) {
-	for _, shape := range []Shape{Uniform, Bursty, Zipf} {
-		a := Arrivals(shape, 256, 100, 42)
-		b := Arrivals(shape, 256, 100, 42)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: gap %d differs across runs with the same seed: %v vs %v", shape, i, a[i], b[i])
-			}
-		}
-	}
-	a := Arrivals(Zipf, 256, 100, 1)
-	b := Arrivals(Zipf, 256, 100, 2)
-	same := true
-	for i := range a {
-		if a[i] != b[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("zipf gaps identical across different seeds")
-	}
-}
-
-func TestArrivalsEdgeCases(t *testing.T) {
-	if got := Arrivals(Uniform, 0, 100, 1); got != nil {
-		t.Errorf("n=0: got %v, want nil", got)
-	}
-	if got := Arrivals(Uniform, 10, 0, 1); got != nil {
-		t.Errorf("rate=0: got %v, want nil", got)
-	}
-}
-
-func TestParseShape(t *testing.T) {
-	for _, s := range []string{"uniform", "bursty", "zipf"} {
-		if _, err := ParseShape(s); err != nil {
-			t.Errorf("ParseShape(%q): %v", s, err)
-		}
-	}
-	if _, err := ParseShape("poisson"); err == nil {
-		t.Error("ParseShape accepted an unknown shape")
-	}
-}
+import "testing"
 
 func TestZipfPickerSkewAndBounds(t *testing.T) {
 	const n = 100

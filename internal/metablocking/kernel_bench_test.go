@@ -24,7 +24,7 @@ var benchSink int
 // BenchmarkCandidatesKernel measures the sweep kernel generating all weighted
 // candidates of recently arrived profiles — the incremental generation hot
 // path. Block enumeration reuses a buffer, as the production scratch does.
-// Guarded by BENCH_kernels.json.
+// Guarded by BENCH_gates.json.
 func BenchmarkCandidatesKernel(b *testing.B) {
 	col, ps := benchCollection(b)
 	var kern Kernel
@@ -73,7 +73,7 @@ func anchorScan(col *blocking.Collection, blocks []*blocking.Block, x int, f fun
 }
 
 // BenchmarkSharedBlocksKernel measures the anchor-sweep CBS counter in the
-// block-scan access pattern it was built for. Guarded by BENCH_kernels.json.
+// block-scan access pattern it was built for. Guarded by BENCH_gates.json.
 func BenchmarkSharedBlocksKernel(b *testing.B) {
 	col, ps := benchCollection(b)
 	var kern Kernel
