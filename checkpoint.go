@@ -2,6 +2,7 @@ package pier
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -11,10 +12,54 @@ import (
 
 // pipelineImage is the pipeline-level state persisted alongside the stream
 // snapshot: the caller profiles by internal ID (match reporting and Clusters
-// resolve IDs through it) and the next ID to assign.
+// resolve IDs through it) and the next ID to assign. Since format v4 the
+// pipeline section is its flat image (appendImage, decodePipelineImage);
+// formats v2 and v3 wrote it with gob, which Restore still decodes.
 type pipelineImage struct {
 	Profiles []Profile
 	NextID   int
+}
+
+// appendImage appends the flat image of img to buf: the profile count, then
+// per profile its key, its source flag and its attributes (a count, then
+// name and value strings), and last the next ID.
+func (img *pipelineImage) appendImage(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(img.Profiles)))
+	for _, p := range img.Profiles {
+		buf = snapshot.AppendString(buf, p.Key)
+		buf = snapshot.AppendBool(buf, p.SourceB)
+		buf = binary.AppendUvarint(buf, uint64(len(p.Attributes)))
+		for _, a := range p.Attributes {
+			buf = snapshot.AppendString(buf, a.Name)
+			buf = snapshot.AppendString(buf, a.Value)
+		}
+	}
+	return binary.AppendVarint(buf, int64(img.NextID))
+}
+
+// decodePipelineImage reads an image appendImage wrote. Every count is
+// checked against the bytes left before anything is allocated for it, and an
+// image it accepts re-encodes to data.
+func decodePipelineImage(data []byte) (pipelineImage, error) {
+	d := snapshot.NewDecoder(data)
+	// A profile takes at least three bytes: key length, flag, attribute count.
+	img := pipelineImage{Profiles: make([]Profile, d.Count(3))}
+	for i := range img.Profiles {
+		p := &img.Profiles[i]
+		p.Key = d.String()
+		p.SourceB = d.Bool()
+		if n := d.Count(2); n > 0 {
+			p.Attributes = make([]Attribute, n)
+			for j := range p.Attributes {
+				p.Attributes[j] = Attribute{Name: d.String(), Value: d.String()}
+			}
+		}
+	}
+	img.NextID = d.Int()
+	if err := d.Finish(); err != nil {
+		return pipelineImage{}, fmt.Errorf("pipeline image: %w", err)
+	}
+	return img, nil
 }
 
 // Checkpoint writes a restartable snapshot of the pipeline's entire state to
@@ -34,24 +79,18 @@ func (p *Pipeline) Checkpoint(w io.Writer) (int64, error) {
 	if _, err := p.live.Checkpoint(&live); err != nil {
 		return 0, fmt.Errorf("pier: checkpoint: %w", err)
 	}
+	// Registered profiles are never modified, so the image is encoded from
+	// a copy of the slice header taken under the lock.
 	p.mu.Lock()
-	img := pipelineImage{
-		Profiles: append([]Profile(nil), p.profiles...),
-		NextID:   p.nextID,
-	}
+	img := pipelineImage{Profiles: p.profiles[:len(p.profiles):len(p.profiles)], NextID: p.nextID}
 	p.mu.Unlock()
 
 	sw, err := snapshot.NewWriter(w)
 	if err != nil {
 		return 0, fmt.Errorf("pier: checkpoint: %w", err)
 	}
-	if err := sw.Gob("pipeline", img); err != nil {
-		return sw.Bytes(), fmt.Errorf("pier: checkpoint: %w", err)
-	}
-	if err := sw.Section("live", func(w io.Writer) error {
-		_, err := w.Write(live.Bytes())
-		return err
-	}); err != nil {
+	sw.Flat("pipeline", img.appendImage(nil))
+	if err := sw.Flat("live", live.Bytes()); err != nil {
 		return sw.Bytes(), fmt.Errorf("pier: checkpoint: %w", err)
 	}
 	return sw.Bytes(), nil
@@ -74,7 +113,15 @@ func Restore(r io.Reader, opt Options) (*Pipeline, error) {
 		return nil, fmt.Errorf("pier: restore: %w", err)
 	}
 	var img pipelineImage
-	if err := sr.Gob("pipeline", &img); err != nil {
+	if sr.Version() >= 4 {
+		data, err := sr.Flat("pipeline")
+		if err == nil {
+			img, err = decodePipelineImage(data)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("pier: restore: %w", err)
+		}
+	} else if err := sr.Gob("pipeline", &img); err != nil {
 		return nil, fmt.Errorf("pier: restore: %w", err)
 	}
 	// The registry is indexed by internal ID, and every ID the stream

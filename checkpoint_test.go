@@ -3,6 +3,7 @@ package pier_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -211,6 +212,55 @@ func TestRestoreV2Fixture(t *testing.T) {
 	}
 }
 
+// TestRestoreV3Fixture is TestRestoreV2Fixture for the committed format-v3
+// snapshot (testdata/checkpoint_v3.snap, written by genfixture.go at the last
+// v3 build from the same half of the movie workload). Version 4 made three
+// sections flat; v3 images keep restoring through the gob image types, which
+// are decode-only since.
+func TestRestoreV3Fixture(t *testing.T) {
+	profiles, _ := moviePairs()
+	opt := pier.Options{Algorithm: pier.IPES, CleanClean: true, CheckInvariants: true}
+
+	full, err := pier.NewPipeline(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range profiles {
+		if err := full.Push([]pier.Profile{pr}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := full.Stop()
+
+	snap, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v3.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(snap[8:]); v != 3 {
+		t.Fatalf("fixture is format v%d, want v3", v)
+	}
+	for _, budget := range []int64{0, 4 << 10} {
+		ropt := opt
+		ropt.StorageBudget = budget
+		r, err := pier.Restore(bytes.NewReader(snap), ropt)
+		if err != nil {
+			t.Fatalf("restore v3 fixture (budget=%d): %v", budget, err)
+		}
+		for _, pr := range profiles[len(profiles)/2:] {
+			if err := r.Push([]pier.Profile{pr}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := r.Stop()
+		if !sameSummary(got, want) {
+			t.Errorf("fixture run (budget=%d) finished with %+v, want %+v", budget, got, want)
+		}
+		if err := r.Close(); err != nil {
+			t.Errorf("close fixture pipeline (budget=%d): %v", budget, err)
+		}
+	}
+}
+
 // TestRestoreRejectsMismatchedOptions: a snapshot only restores into the
 // configuration that wrote it.
 func TestRestoreRejectsMismatchedOptions(t *testing.T) {
@@ -324,17 +374,37 @@ func TestCustomFallibleMatcher(t *testing.T) {
 	}
 }
 
-// FuzzRestore feeds pier.Restore damaged checkpoints, seeded with the v2
-// fixture and truncations of it. Every input must either fail with an error
-// or restore a pipeline that then stops; none may panic.
+// FuzzRestore feeds pier.Restore damaged checkpoints, seeded with the v2 and
+// v3 fixtures, a v4 checkpoint written here, and truncations of each. Every
+// input must either fail with an error or restore a pipeline that then stops;
+// none may panic.
 func FuzzRestore(f *testing.F) {
 	snap, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v2.snap"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(snap)
-	for _, n := range []int{0, 8, 64, len(snap) / 4, len(snap) / 2, len(snap) - 1} {
-		f.Add(snap[:n])
+	v3, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v3.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	profiles, _ := moviePairs()
+	w, err := pier.NewPipeline(pier.Options{Algorithm: pier.IPES, CleanClean: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Push(profiles[:len(profiles)/2]); err != nil {
+		f.Fatal(err)
+	}
+	var v4 bytes.Buffer
+	if _, err := w.Checkpoint(&v4); err != nil {
+		f.Fatal(err)
+	}
+	w.Stop()
+	for _, seed := range [][]byte{snap, v3, v4.Bytes()} {
+		f.Add(seed)
+		for _, n := range []int{0, 8, 64, len(seed) / 4, len(seed) / 2, len(seed) - 1} {
+			f.Add(seed[:n])
+		}
 	}
 	// One flipped bit in the pipeline section decodes to an empty profile
 	// registry beside a stream that ingested profiles; Restore used to

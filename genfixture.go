@@ -1,10 +1,15 @@
 //go:build ignore
 
-// Generates testdata/checkpoint_v2.snap: a mid-run checkpoint of the movie
-// workload used by checkpoint_test.go. Run with `go run genfixture.go` from
-// the repo root. The checked-in file was written in container format v2 and
-// pins that v2 images still restore; a build at a later format version writes
-// that version, so do not regenerate it until v2 support is dropped.
+// Writes a mid-run checkpoint of the movie workload used by
+// checkpoint_test.go to the path given as its one argument, in the container
+// format of the build that runs it. Run from the repo root, e.g.
+//
+//	go run genfixture.go testdata/checkpoint_v4.snap
+//
+// testdata/checkpoint_v2.snap and testdata/checkpoint_v3.snap were written
+// this way by the last builds of formats v2 and v3. They pin that those
+// images still restore, so do not regenerate them: a later build would write
+// its own format instead.
 package main
 
 import (
@@ -15,6 +20,11 @@ import (
 )
 
 func main() {
+	if len(os.Args) != 2 {
+		fmt.Fprintln(os.Stderr, "usage: go run genfixture.go <output path>")
+		os.Exit(2)
+	}
+	out := os.Args[1]
 	profiles := []pier.Profile{
 		{Key: "dupA-a", Attributes: pier.Attr("title", "The Matrix 1999 Wachowski")},
 		{Key: "dupA-b", SourceB: true, Attributes: pier.Attr("name", "Matrix, The (1999) dir. Wachowski")},
@@ -36,7 +46,7 @@ func main() {
 			panic(err)
 		}
 	}
-	f, err := os.Create("testdata/checkpoint_v2.snap")
+	f, err := os.Create(out)
 	if err != nil {
 		panic(err)
 	}
@@ -48,5 +58,5 @@ func main() {
 		panic(err)
 	}
 	p.Stop()
-	fmt.Printf("wrote testdata/checkpoint_v2.snap (%d bytes)\n", n)
+	fmt.Printf("wrote %s (%d bytes)\n", out, n)
 }

@@ -47,7 +47,7 @@ var allowedImports = map[string][]string{
 	},
 	"pier/internal/arch":     {},
 	"pier/internal/baseline": {"pier/internal/blocking", "pier/internal/core", "pier/internal/metablocking", "pier/internal/profile"},
-	"pier/internal/blocking": {"pier/internal/intern", "pier/internal/match", "pier/internal/pool", "pier/internal/profile", "pier/internal/storage"},
+	"pier/internal/blocking": {"pier/internal/intern", "pier/internal/match", "pier/internal/pool", "pier/internal/profile", "pier/internal/snapshot", "pier/internal/storage"},
 	"pier/internal/check": {
 		"pier/internal/baseline",
 		"pier/internal/blocking",

@@ -1,30 +1,51 @@
 package blocking
 
 import (
+	"cmp"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
 
 	"pier/internal/intern"
 	"pier/internal/profile"
+	"pier/internal/snapshot"
 	"pier/internal/storage"
 )
 
 // Checkpointing: a long-running incremental ER service must survive restarts
-// without re-reading the whole stream. Save serializes the collection's full
-// state — the symbol table, blocks, purge tombstones, the profile registry
-// and the profile→blocks index — with encoding/gob; Load reconstructs it.
-// The symbol table is saved verbatim (dense string slice), so symbol
-// numbering survives the round trip and any raw symbols persisted by other
-// components (strategy scan cursors, block indexes) stay valid against the
-// restored collection. The prioritization strategies' queues are deliberately
-// *not* checkpointed here: after a restart their leftover-scan path
-// (GetComparisons) regenerates unexecuted comparisons from the restored block
-// collection, which is the same recovery the paper's globality condition
-// provides for comparisons skipped under load.
+// without re-reading the whole stream. AppendImage serializes the
+// collection's full state — the symbol table, blocks, purge tombstones, the
+// profile registry and the profile→blocks index — as a flat image (the
+// snapshot package's codec); DecodeImage reconstructs it. The symbol table is
+// saved verbatim (dense string slice), so symbol numbering survives the round
+// trip and any raw symbols persisted by other components (strategy scan
+// cursors, block indexes) stay valid against the restored collection. The
+// prioritization strategies' queues are deliberately *not* checkpointed here:
+// after a restart their leftover-scan path (GetComparisons) regenerates
+// unexecuted comparisons from the restored block collection, which is the
+// same recovery the paper's globality condition provides for comparisons
+// skipped under load.
+//
+// Image layout (format v4), in order:
+//
+//	cleanClean bool | maxBlockSize varint | version uvarint
+//	symbols: count, then the strings
+//	blocks: count, then per block in symbol order the symbol's gap to the
+//	        previous one and the block as blockCodec writes it (side A's
+//	        posting run, then side B's), the bytes a spill segment stores
+//	purged: the tombstoned symbols as a snapshot key set
+//	profiles: count, then per profile in ID order the ID's gap, the source
+//	          byte, the entity key, the attributes (count, then name and
+//	          value strings) and the symbols of the blocks it was added to
+//
+// where a gap is the first value itself, then each value minus its
+// predecessor minus one. Versions 2 and 3 were gob images of
+// persistedCollection; DecodeGobImage still reads them.
 
-// persistedProfile is the gob image of a profile (the runtime type carries
+// persistedProfile is the v2/v3 gob image of a profile (the runtime type carries
 // unexported caches that must be rebuilt on load).
 type persistedProfile struct {
 	ID         int
@@ -41,9 +62,10 @@ type persistedBlock struct {
 	A, B []int
 }
 
-// persistedCollection is the gob image of a Collection (format v2: symbol
-// table + symbol-keyed postings; the pre-intern string-keyed v1 image is no
-// longer readable — the snapshot container versioning surfaces that error).
+// persistedCollection is the gob image of a Collection in formats v2 and v3
+// (symbol table + symbol-keyed postings; the pre-intern string-keyed v1 image
+// is no longer readable — the snapshot container versioning surfaces that
+// error). Decode-only: DecodeGobImage reads it.
 type persistedCollection struct {
 	CleanClean   bool
 	MaxBlockSize int
@@ -55,76 +77,228 @@ type persistedCollection struct {
 	Version      uint64
 }
 
-// Save writes a checkpoint of the collection to w. Blocks and tombstones are
-// emitted in symbol order so the byte stream is reproducible.
-func (c *Collection) Save(w io.Writer) error {
-	img := persistedCollection{
-		CleanClean:   c.cleanClean,
-		MaxBlockSize: c.maxBlockSize,
-		Version:      c.version,
+// AppendImage appends the collection's flat image (see the layout above) to
+// buf. Spilled blocks are copied out of their segments as stored, without a
+// decode. It fails, instead of appending a partial image, when reading a
+// spill segment fails.
+func (c *Collection) AppendImage(buf []byte) ([]byte, error) {
+	buf = snapshot.AppendBool(buf, c.cleanClean)
+	buf = binary.AppendVarint(buf, int64(c.maxBlockSize))
+	buf = binary.AppendUvarint(buf, c.version)
+
+	n := c.tab.Len()
+	buf = binary.AppendUvarint(buf, uint64(n))
+	for i := 0; i < n; i++ {
+		buf = snapshot.AppendString(buf, c.tab.StringOf(intern.Sym(i)))
 	}
-	img.Symbols = make([]string, c.tab.Len())
-	for i := range img.Symbols {
-		img.Symbols[i] = c.tab.StringOf(intern.Sym(i))
+
+	type span struct {
+		sym    uint32
+		lo, hi int
 	}
+	var arena []byte
+	var spans []span
 	for si := 0; si < c.store.NumShards(); si++ {
-		// Range reads spilled blocks from the segment without faulting them
-		// in, so checkpointing never disturbs residency.
-		c.store.Range(si, func(sym uint32, b *Block) bool {
-			img.Blocks = append(img.Blocks, persistedBlock{Sym: sym, A: b.A, B: b.B})
+		err := c.store.RangeStored(si, func(sym uint32, enc []byte) bool {
+			lo := len(arena)
+			arena = append(arena, enc...)
+			spans = append(spans, span{sym, lo, len(arena)})
 			return true
 		})
+		if err != nil {
+			return buf, fmt.Errorf("blocking: save checkpoint: %w", err)
+		}
 	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.sym, b.sym) })
+	buf = binary.AppendUvarint(buf, uint64(len(spans)))
+	var prev uint64
+	for i, sp := range spans {
+		buf = appendGap(buf, i, uint64(sp.sym), prev)
+		buf = append(buf, arena[sp.lo:sp.hi]...)
+		prev = uint64(sp.sym)
+	}
+
+	var purged []uint64
 	for i := range c.shards {
 		for sym := range c.shards[i].purged {
-			img.Purged = append(img.Purged, uint32(sym))
+			purged = append(purged, uint64(sym))
 		}
 	}
-	sort.Slice(img.Blocks, func(i, j int) bool { return img.Blocks[i].Sym < img.Blocks[j].Sym })
-	sort.Slice(img.Purged, func(i, j int) bool { return img.Purged[i] < img.Purged[j] })
-	img.Profiles = make([]persistedProfile, 0, len(c.profiles))
-	for _, p := range c.profiles {
-		img.Profiles = append(img.Profiles, persistedProfile{
-			ID:         p.ID,
-			Source:     uint8(p.Source),
-			EntityKey:  p.EntityKey,
-			Attributes: p.Attributes,
-		})
+	slices.Sort(purged)
+	buf = snapshot.AppendSet(buf, purged)
+
+	ids := make([]int, 0, len(c.profiles))
+	for id := range c.profiles {
+		ids = append(ids, id)
 	}
-	img.OfProf = make(map[int][]uint32, len(c.ofProf))
-	for id, syms := range c.ofProf {
-		out := make([]uint32, len(syms))
-		for i, s := range syms {
-			out[i] = uint32(s)
+	slices.Sort(ids)
+	buf = binary.AppendUvarint(buf, uint64(len(ids)))
+	for i, id := range ids {
+		if i > 0 {
+			prev = uint64(ids[i-1])
 		}
-		img.OfProf[id] = out
+		buf = appendGap(buf, i, uint64(id), prev)
+		p := c.profiles[id]
+		buf = append(buf, byte(p.Source))
+		buf = snapshot.AppendString(buf, p.EntityKey)
+		buf = binary.AppendUvarint(buf, uint64(len(p.Attributes)))
+		for _, a := range p.Attributes {
+			buf = snapshot.AppendString(buf, a.Name)
+			buf = snapshot.AppendString(buf, a.Value)
+		}
+		syms := c.ofProf[id]
+		buf = binary.AppendUvarint(buf, uint64(len(syms)))
+		for _, sym := range syms {
+			buf = binary.AppendUvarint(buf, uint64(sym))
+		}
 	}
-	if err := gob.NewEncoder(w).Encode(&img); err != nil {
-		return fmt.Errorf("blocking: save checkpoint: %w", err)
-	}
-	return nil
+	return buf, nil
 }
 
-// Load reconstructs a collection from a checkpoint written by Save, with the
-// default shard count. keyer must be the same extractor the saved collection
-// used (nil = token blocking); it is needed for profiles added *after* the
-// restore — the restored blocks themselves are taken verbatim.
-func Load(r io.Reader, keyer Keyer) (*Collection, error) {
-	return LoadShardedStorage(r, keyer, 0, storage.Config{})
+// appendGap appends the i-th of a strictly ascending sequence of values: the
+// first value itself, a later one as its distance to prev minus one.
+func appendGap(buf []byte, i int, v, prev uint64) []byte {
+	if i == 0 {
+		return binary.AppendUvarint(buf, v)
+	}
+	return binary.AppendUvarint(buf, v-prev-1)
 }
 
-// LoadShardedStorage is Load with an explicit shard count and storage backend
-// (see NewCollectionStorage). Both are runtime knobs, not persisted state: a
-// checkpoint restores to the same observable collection under any shard count
-// and either backend. The restored index is trimmed to the budget before
-// returning.
-func LoadShardedStorage(r io.Reader, keyer Keyer, shards int, scfg storage.Config) (*Collection, error) {
+// readGap reads the i-th value appendGap wrote, given the previous one, and
+// fails unless it fits in limit.
+func readGap(d *snapshot.Decoder, i int, prev, limit uint64) uint64 {
+	v := d.Uvarint()
+	if i > 0 {
+		if v >= limit-prev {
+			d.Failf("ascending value %d overflows %d", i, limit)
+			return 0
+		}
+		v += prev + 1
+	}
+	if v > limit {
+		d.Failf("value %d exceeds %d", v, limit)
+		return 0
+	}
+	return v
+}
+
+// DecodeImage reconstructs a collection from an image AppendImage wrote, with
+// an explicit shard count and storage backend (see NewCollectionStorage).
+// Both are runtime knobs, not persisted state: an image restores to the same
+// observable collection under any shard count and either backend. The
+// restored index is trimmed to the budget before returning. Every count and
+// length in data is checked against the bytes left before anything is
+// allocated for it, and an image DecodeImage accepts re-encodes to data.
+func DecodeImage(data []byte, keyer Keyer, shards int, scfg storage.Config) (*Collection, error) {
+	d := snapshot.NewDecoder(data)
+	cleanClean := d.Bool()
+	maxBlockSize := d.Int()
+	version := d.Uvarint()
+	symbols := make([]string, d.Count(1))
+	for i := range symbols {
+		symbols[i] = d.String()
+	}
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("blocking: load checkpoint: %w", err)
+	}
+	tab, err := intern.FromSymbols(symbols)
+	if err != nil {
+		return nil, fmt.Errorf("blocking: load checkpoint: %w", err)
+	}
+	c := NewCollectionStorage(cleanClean, maxBlockSize, keyer, shards, scfg)
+	c.tab = tab
+	c.version = version
+	if err := c.decodeBody(d, symbols); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("blocking: load checkpoint: %w", err)
+	}
+	c.maintainStore()
+	return c, nil
+}
+
+// decodeBody reads the blocks, tombstones and profiles into c, whose symbol
+// table is already restored.
+func (c *Collection) decodeBody(d *snapshot.Decoder, symbols []string) error {
+	nsym := uint64(len(symbols))
+	// A block takes at least three bytes: its gap and two run lengths.
+	nblocks := d.Count(3)
+	if nblocks > len(symbols) {
+		d.Failf("%d blocks for %d symbols", nblocks, nsym)
+	}
+	var sym uint64
+	for i := 0; i < nblocks && d.Err() == nil; i++ {
+		if sym = readGap(d, i, sym, nsym-1); d.Err() != nil {
+			break
+		}
+		a, rest, err := storage.ReadRun(d.Unread())
+		var b []int
+		if err == nil {
+			b, rest, err = storage.ReadRun(rest)
+		}
+		if err != nil {
+			d.Failf("block %d: %v", sym, err)
+			break
+		}
+		d.Advance(rest)
+		s := intern.Sym(sym)
+		c.putBlock(s, &Block{Key: symbols[sym], Sym: s, A: a, B: b})
+	}
+	for _, p := range d.Set() {
+		if p >= nsym {
+			d.Failf("purged symbol %d outside table of %d", p, nsym)
+			break
+		}
+		s := intern.Sym(p)
+		c.shardOf(s).purged[s] = struct{}{}
+	}
+	// A profile takes at least five bytes: its gap, source, entity key
+	// length, attribute count and symbol count.
+	nprof := d.Count(5)
+	c.profiles = make(map[int]*profile.Profile, nprof)
+	c.ofProf = make(map[int][]intern.Sym, nprof)
+	var id uint64
+	for i := 0; i < nprof && d.Err() == nil; i++ {
+		id = readGap(d, i, id, math.MaxInt)
+		src := d.Bool()
+		p := &profile.Profile{ID: int(id), EntityKey: d.String()}
+		if src {
+			p.Source = profile.SourceB
+		}
+		if n := d.Count(2); n > 0 {
+			p.Attributes = make([]profile.Attribute, n)
+			for j := range p.Attributes {
+				p.Attributes[j] = profile.Attribute{Name: d.String(), Value: d.String()}
+			}
+		}
+		syms := make([]intern.Sym, d.Count(1))
+		for j := range syms {
+			s := d.Uvarint()
+			if s >= nsym {
+				d.Failf("profile %d names symbol %d outside table of %d", id, s, nsym)
+				break
+			}
+			syms[j] = intern.Sym(s)
+		}
+		c.profiles[p.ID] = p
+		c.ofProf[p.ID] = syms
+	}
+	return d.Finish()
+}
+
+// DecodeGobImage reconstructs a collection from a format v2 or v3
+// checkpoint, whose collection section is a gob image of persistedCollection.
+// It is decode-only: images are written flat since v4.
+func DecodeGobImage(r io.Reader, keyer Keyer, shards int, scfg storage.Config) (*Collection, error) {
 	var img persistedCollection
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {
 		return nil, fmt.Errorf("blocking: load checkpoint: %w", err)
 	}
+	tab, err := intern.FromSymbols(img.Symbols)
+	if err != nil {
+		return nil, fmt.Errorf("blocking: load checkpoint: %w", err)
+	}
 	c := NewCollectionStorage(img.CleanClean, img.MaxBlockSize, keyer, shards, scfg)
-	c.tab = intern.FromSymbols(img.Symbols)
+	c.tab = tab
 	for _, pb := range img.Blocks {
 		sym := intern.Sym(pb.Sym)
 		if int(pb.Sym) >= len(img.Symbols) {

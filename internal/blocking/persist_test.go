@@ -1,7 +1,8 @@
 package blocking
 
 import (
-	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -17,11 +18,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	c.Add(mk(3, profile.SourceB, "matrix extra"))
 	c.Add(mk(4, profile.SourceB, "matrix more")) // "matrix" now size 4 > 3 -> purged
 
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
+	img, err := c.AppendImage(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&buf, nil)
+	got, err := DecodeImage(img, nil, 0, storage.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +64,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointContinuesIncrementally(t *testing.T) {
 	c := NewCollection(true, 0)
 	c.Add(mk(1, profile.SourceA, "alpha beta"))
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
+	img, err := c.AppendImage(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&buf, nil)
+	got, err := DecodeImage(img, nil, 0, storage.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +83,11 @@ func TestCheckpointContinuesIncrementally(t *testing.T) {
 func TestCheckpointKeyedCollection(t *testing.T) {
 	c := NewCollectionStorage(false, 0, profile.QGramKeys, 0, storage.Config{})
 	c.Add(mk(1, profile.SourceA, "wachowski"))
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
+	img, err := c.AppendImage(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&buf, profile.QGramKeys)
+	got, err := DecodeImage(img, profile.QGramKeys, 0, storage.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,43 @@ func TestCheckpointKeyedCollection(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not a gob stream"), nil); err == nil {
-		t.Fatal("Load accepted garbage")
+	if _, err := DecodeImage([]byte("not a collection image"), nil, 0, storage.Config{}); err == nil {
+		t.Fatal("DecodeImage accepted garbage")
+	}
+}
+
+// TestDecodeImageBoundsAllocation feeds a 20-byte collection image whose
+// symbol count claims 2^40 strings. The decoder must reject the count
+// against the bytes left before allocating for it.
+func TestDecodeImageBoundsAllocation(t *testing.T) {
+	img := []byte{0, 0, 0}                          // cleanClean, maxBlockSize, version
+	img = binary.AppendUvarint(img, 1<<40)          // symbol count
+	img = append(img, make([]byte, 20-len(img))...) // padding to 20 bytes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeImage(img, nil, 0, storage.Config{})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("an image claiming 2^40 symbols in 20 bytes decoded")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Errorf("rejecting the image allocated %d bytes, want under 64 KiB", n)
+	}
+}
+
+// TestDecodeImageRejectsTruncation cuts a valid image at every length: each
+// prefix must fail with an error, never panic.
+func TestDecodeImageRejectsTruncation(t *testing.T) {
+	c := NewCollection(true, 3)
+	c.Add(mk(1, profile.SourceA, "matrix sequel film"))
+	c.Add(mk(2, profile.SourceB, "matrix sequel movie"))
+	img, err := c.AppendImage(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := range img {
+		if _, err := DecodeImage(img[:n], nil, 0, storage.Config{}); err == nil {
+			t.Fatalf("image truncated to %d of %d bytes decoded", n, len(img))
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"pier/internal/fault"
 	"pier/internal/match"
 	"pier/internal/profile"
+	"pier/internal/storage"
 	"pier/internal/stream"
 )
 
@@ -75,11 +76,12 @@ func RoundTrip(mk func() core.Strategy, cleanClean bool, incs [][]*profile.Profi
 		pre = append(pre, Trace{X: c.X, Y: c.Y, Weight: c.Weight})
 	}
 
-	var sbuf, cbuf bytes.Buffer
+	var sbuf bytes.Buffer
 	if err := p.SaveState(&sbuf); err != nil {
 		return fmt.Errorf("check: %s SaveState: %w", name, err)
 	}
-	if err := col.Save(&cbuf); err != nil {
+	img, err := col.AppendImage(nil)
+	if err != nil {
 		return fmt.Errorf("check: %s collection save: %w", name, err)
 	}
 	s2 := mk()
@@ -87,7 +89,7 @@ func RoundTrip(mk func() core.Strategy, cleanClean bool, incs [][]*profile.Profi
 	if !ok {
 		return fmt.Errorf("check: fresh %s does not implement core.Persistent", name)
 	}
-	col2, err := blocking.Load(&cbuf, nil)
+	col2, err := blocking.DecodeImage(img, nil, 0, storage.Config{})
 	if err != nil {
 		return fmt.Errorf("check: %s collection load: %w", name, err)
 	}

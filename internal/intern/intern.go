@@ -207,14 +207,15 @@ func (t *Table) Len() int {
 }
 
 // FromSymbols builds a table whose symbol i resolves to symbols[i], the
-// restore half of a checkpoint that saved StringOf(0..Len-1). Duplicate
-// strings are a programming error and panic (the mapping would be ambiguous).
-func FromSymbols(symbols []string) *Table {
+// restore half of a checkpoint that saved StringOf(0..Len-1). A duplicate
+// string, which only a damaged checkpoint holds, is an error: the mapping
+// would be ambiguous.
+func FromSymbols(symbols []string) (*Table, error) {
 	t := New(len(symbols))
 	for i, s := range symbols {
 		if t.Intern(s) != Sym(i) {
-			panic(fmt.Sprintf("intern: duplicate symbol %q in restored table", s))
+			return nil, fmt.Errorf("intern: duplicate symbol %q in restored table", s)
 		}
 	}
-	return t
+	return t, nil
 }

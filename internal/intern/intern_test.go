@@ -73,7 +73,11 @@ func restore(tab *Table) *Table {
 	for i := range syms {
 		syms[i] = tab.StringOf(Sym(i))
 	}
-	return FromSymbols(syms)
+	got, err := FromSymbols(syms)
+	if err != nil {
+		panic(err)
+	}
+	return got
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -97,13 +101,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFromSymbolsDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FromSymbols with duplicates did not panic")
-		}
-	}()
-	FromSymbols([]string{"x", "y", "x"})
+func TestFromSymbolsDuplicateErrors(t *testing.T) {
+	if _, err := FromSymbols([]string{"x", "y", "x"}); err == nil {
+		t.Fatal("FromSymbols with duplicates returned no error")
+	}
 }
 
 // TestConcurrentIntern hammers one table from many goroutines over an

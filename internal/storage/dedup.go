@@ -29,11 +29,13 @@ type DedupStore interface {
 	// Len returns the exact number of keys in the set.
 	Len() int
 	// Range calls fn for every key until fn returns false, in unspecified
-	// order. fn must not mutate the store.
-	Range(fn func(key uint64) bool)
-	// Err returns the first failed segment write, or nil. After one the set
-	// keeps new keys resident and stops spilling: membership stays exact,
-	// but the budget no longer holds.
+	// order. fn must not mutate the store. It returns a failed read of a
+	// spill segment, which ends the pass early and which Err keeps as well.
+	Range(fn func(key uint64) bool) error
+	// Err returns the first failed segment write or read, or nil. After one
+	// the set keeps new keys resident and stops spilling: the budget no
+	// longer holds. Membership stays exact after a failed write; a probe
+	// whose segment read fails answers "present", so no pair runs twice.
 	Err() error
 	// Close releases spill files. The store must not be used afterwards.
 	Close() error
@@ -46,6 +48,35 @@ func NewDedupStore(cfg Config) DedupStore {
 		return newSpillDedup(cfg)
 	}
 	return &memDedup{}
+}
+
+// LoadDedupStore returns the backend selected by cfg holding exactly keys,
+// which must be strictly ascending: the restore half of a checkpoint's
+// executed-pair image. Neither backend probes per key. The in-memory table is
+// sized for every key up front and filled directly; the spill set writes keys
+// beyond its active share straight into one sorted segment, keeping them
+// resident instead if that write fails (see Err).
+func LoadDedupStore(cfg Config, keys []uint64) DedupStore {
+	if !cfg.Enabled() {
+		d := &memDedup{}
+		d.fill(keys)
+		return d
+	}
+	d := newSpillDedup(cfg)
+	d.n = len(keys)
+	if len(keys) >= d.sealAt {
+		sg, err := d.writeKeys(keys)
+		if err == nil {
+			d.segs = append(d.segs, sg)
+			return d
+		}
+		d.fail(fmt.Errorf("storage: writing restored dedup segment: %w", err))
+	}
+	d.active = make(map[uint64]struct{}, len(keys))
+	for _, k := range keys {
+		d.active[k] = struct{}{}
+	}
+	return d
 }
 
 // memDedup is the default backend: an open-addressing table of uint64 keys
@@ -137,14 +168,36 @@ func (d *memDedup) Delete(key uint64) {
 	d.n--
 }
 
+// fill loads distinct keys into an empty table sized so that the next
+// AddIfNew still finds it at most half full.
+func (d *memDedup) fill(keys []uint64) {
+	if len(keys) > 0 && keys[0] == 0 {
+		d.hasZero = true
+		keys = keys[1:]
+	}
+	if len(keys) == 0 {
+		return
+	}
+	size := memDedupMinSlots
+	for size < 2*(len(keys)+1) {
+		size *= 2
+	}
+	d.rehash(size, keys)
+	d.n = len(keys)
+}
+
 // grow doubles the table (or allocates the first one) and reinserts.
 func (d *memDedup) grow() {
-	old := d.slots
-	size := max(2*len(old), memDedupMinSlots)
+	d.rehash(max(2*len(d.slots), memDedupMinSlots), d.slots)
+}
+
+// rehash replaces the table with an empty one of size slots and inserts the
+// nonzero keys of keys, which must be distinct.
+func (d *memDedup) rehash(size int, keys []uint64) {
 	d.slots = make([]uint64, size)
 	d.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	mask := uint64(size - 1)
-	for _, key := range old {
+	for _, key := range keys {
 		if key == 0 {
 			continue
 		}
@@ -163,15 +216,16 @@ func (d *memDedup) Len() int {
 	return d.n
 }
 
-func (d *memDedup) Range(fn func(key uint64) bool) {
+func (d *memDedup) Range(fn func(key uint64) bool) error {
 	if d.hasZero && !fn(0) {
-		return
+		return nil
 	}
 	for _, key := range d.slots {
 		if key != 0 && !fn(key) {
-			return
+			return nil
 		}
 	}
+	return nil
 }
 
 func (d *memDedup) Err() error   { return nil }
@@ -204,7 +258,7 @@ type spillDedup struct {
 	tombs  map[uint64]struct{}
 	segs   []*dedupSeg
 	n      int   // exact live count
-	err    error // first failed segment write; sealing and merging stop once set
+	err    error // first failed segment write or read; sealing and merging stop once set
 	closed bool
 }
 
@@ -236,7 +290,8 @@ func (d *spillDedup) Has(key uint64) bool {
 	if _, ok := d.tombs[key]; ok {
 		return false
 	}
-	return d.inSegs(key)
+	found, _ := d.inSegs(key) // a failed read answers "present"
+	return found
 }
 
 func (d *spillDedup) Add(key uint64) { d.AddIfNew(key) }
@@ -251,7 +306,7 @@ func (d *spillDedup) AddIfNew(key uint64) bool {
 		d.n++
 		return true
 	}
-	if d.inSegs(key) {
+	if found, _ := d.inSegs(key); found {
 		return false
 	}
 	d.active[key] = struct{}{}
@@ -269,7 +324,9 @@ func (d *spillDedup) Delete(key uint64) {
 	if _, ok := d.tombs[key]; ok {
 		return
 	}
-	if d.inSegs(key) {
+	// After a failed read the key may stay: Len counts it, and a probe
+	// answers "present" either way.
+	if found, err := d.inSegs(key); found && err == nil {
 		d.tombs[key] = struct{}{}
 		d.n--
 		d.maintain()
@@ -278,15 +335,15 @@ func (d *spillDedup) Delete(key uint64) {
 
 func (d *spillDedup) Len() int { return d.n }
 
-func (d *spillDedup) Range(fn func(key uint64) bool) {
+func (d *spillDedup) Range(fn func(key uint64) bool) error {
 	for k := range d.active {
 		if !fn(k) {
-			return
+			return nil
 		}
 	}
 	for _, sg := range d.segs {
 		done := false
-		sg.scan(func(key uint64) bool {
+		err := sg.scan(func(key uint64) bool {
 			if _, dead := d.tombs[key]; dead {
 				return true
 			}
@@ -296,13 +353,25 @@ func (d *spillDedup) Range(fn func(key uint64) bool) {
 			}
 			return true
 		})
+		if err != nil {
+			d.fail(err)
+			return err
+		}
 		if done {
-			return
+			return nil
 		}
 	}
+	return nil
 }
 
 func (d *spillDedup) Err() error { return d.err }
+
+// fail keeps the first failure for Err.
+func (d *spillDedup) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
 
 func (d *spillDedup) Close() error {
 	if d.closed {
@@ -320,23 +389,30 @@ func (d *spillDedup) Close() error {
 	return nil
 }
 
-func (d *spillDedup) inSegs(key uint64) bool {
+// inSegs probes the segments for key. A failed read is kept for Err and
+// returned with found set: a pair that may have run must not run again.
+func (d *spillDedup) inSegs(key uint64) (found bool, err error) {
 	if len(d.segs) == 0 {
-		return false
+		return false, nil
 	}
 	// One hash pair serves every segment's bloom. Newest first: recent keys
 	// are the likelier hits.
 	h1, h2 := bloomHashes(key)
 	for i := len(d.segs) - 1; i >= 0; i-- {
-		if d.segs[i].contains(key, h1, h2) {
-			return true
+		found, err := d.segs[i].contains(key, h1, h2)
+		if err != nil {
+			d.fail(err)
+			return true, err
+		}
+		if found {
+			return true, nil
 		}
 	}
-	return false
+	return false, nil
 }
 
 // maintain seals an over-budget active set and merges when segments or
-// tombstones pile up. After a failed segment write it does nothing.
+// tombstones pile up. After a failed segment write or read it does nothing.
 func (d *spillDedup) maintain() {
 	if d.err != nil {
 		return
@@ -367,13 +443,9 @@ func (d *spillDedup) seal() {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	sg, err := d.writeSeg(len(keys), func(yield func(uint64)) {
-		for _, k := range keys {
-			yield(k)
-		}
-	})
+	sg, err := d.writeKeys(keys)
 	if err != nil {
-		d.err = fmt.Errorf("storage: sealing dedup segment: %w", err)
+		d.fail(fmt.Errorf("storage: sealing dedup segment: %w", err))
 		return
 	}
 	d.segs = append(d.segs, sg)
@@ -418,8 +490,20 @@ func (d *spillDedup) merge() {
 			yield(k)
 		}
 	})
+	for _, cur := range cursors {
+		if cur.err != nil {
+			// A failed read ended that cursor early: a merged segment
+			// would lack its keys.
+			if err == nil {
+				merged.f.Close()
+				os.Remove(merged.path)
+			}
+			err = cur.err
+			break
+		}
+	}
 	if err != nil {
-		d.err = fmt.Errorf("storage: merging dedup segments: %w", err)
+		d.fail(fmt.Errorf("storage: merging dedup segments: %w", err))
 		return
 	}
 	for _, sg := range d.segs {
@@ -434,6 +518,15 @@ func (d *spillDedup) merge() {
 		d.segs = append(d.segs[:0], merged)
 	}
 	d.tombs = make(map[uint64]struct{})
+}
+
+// writeKeys writes the ascending keys into a new segment.
+func (d *spillDedup) writeKeys(keys []uint64) (*dedupSeg, error) {
+	return d.writeSeg(len(keys), func(yield func(uint64)) {
+		for _, k := range keys {
+			yield(k)
+		}
+	})
 }
 
 // writeSeg streams count ascending keys from emit into a new segment file,
@@ -553,16 +646,16 @@ func (sg *dedupSeg) bloomHas(h1, h2 uint64) bool {
 // contains is the exact membership probe of key, hashed by bloomHashes:
 // range check, bloom, fence-guided block read, binary search within the
 // block.
-func (sg *dedupSeg) contains(key, h1, h2 uint64) bool {
+func (sg *dedupSeg) contains(key, h1, h2 uint64) (bool, error) {
 	if sg.count == 0 || key < sg.min || key > sg.max {
-		return false
+		return false, nil
 	}
 	if !sg.bloomHas(h1, h2) {
-		return false
+		return false, nil
 	}
 	fi := sort.Search(len(sg.fences), func(i int) bool { return sg.fences[i] > key }) - 1
 	if fi < 0 {
-		return false
+		return false, nil
 	}
 	base := fi * fenceStride
 	n := fenceStride
@@ -571,7 +664,7 @@ func (sg *dedupSeg) contains(key, h1, h2 uint64) bool {
 	}
 	var block [fenceStride * 8]byte
 	if _, err := sg.f.ReadAt(block[:n*8], int64(base)*8); err != nil {
-		panic(fmt.Sprintf("storage: dedup segment read %s: %v", sg.path, err))
+		return false, fmt.Errorf("storage: dedup segment read %s: %w", sg.path, err)
 	}
 	lo, hi := 0, n
 	for lo < hi {
@@ -579,37 +672,41 @@ func (sg *dedupSeg) contains(key, h1, h2 uint64) bool {
 		v := binary.BigEndian.Uint64(block[mid*8:])
 		switch {
 		case v == key:
-			return true
+			return true, nil
 		case v < key:
 			lo = mid + 1
 		default:
 			hi = mid
 		}
 	}
-	return false
+	return false, nil
 }
 
-// scan streams the segment's keys in ascending order.
-func (sg *dedupSeg) scan(fn func(key uint64) bool) {
+// scan streams the segment's keys in ascending order until fn returns false
+// or a read fails.
+func (sg *dedupSeg) scan(fn func(key uint64) bool) error {
 	r := bufio.NewReader(io.NewSectionReader(sg.f, 0, int64(sg.count)*8))
 	var buf [8]byte
 	for i := 0; i < sg.count; i++ {
 		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			panic(fmt.Sprintf("storage: dedup segment scan %s: %v", sg.path, err))
+			return fmt.Errorf("storage: dedup segment scan %s: %w", sg.path, err)
 		}
 		if !fn(binary.BigEndian.Uint64(buf[:])) {
-			return
+			return nil
 		}
 	}
+	return nil
 }
 
-// segCursor streams one segment for merging.
+// segCursor streams one segment for merging. A failed read ends it early and
+// is kept in err.
 type segCursor struct {
 	r     *bufio.Reader
 	left  int
 	head  uint64
 	valid bool
 	path  string
+	err   error
 }
 
 func (sg *dedupSeg) cursor() *segCursor {
@@ -629,7 +726,9 @@ func (c *segCursor) next() {
 	}
 	var buf [8]byte
 	if _, err := io.ReadFull(c.r, buf[:]); err != nil {
-		panic(fmt.Sprintf("storage: dedup segment merge read %s: %v", c.path, err))
+		c.err = fmt.Errorf("storage: dedup segment merge read %s: %w", c.path, err)
+		c.valid = false
+		return
 	}
 	c.head = binary.BigEndian.Uint64(buf[:])
 	c.left--

@@ -32,9 +32,12 @@ import (
 //
 // Error policy. A failed segment write or spill-directory creation loses
 // nothing: the overlay stays resident (over budget), the store stops
-// spilling, and Err reports the first failure. A failed read of spilled state
-// is data loss, so read errors panic with a "storage:" message instead of
-// limping on with a silently truncated index.
+// spilling, and Err reports the first failure. A failed fault-in is data loss
+// for the caller that needed the block, so it panics with a "storage:"
+// message instead of limping on with a silently truncated index. A failed
+// scan (Range, RangeStored) is kept for Err like a failed write, and
+// RangeStored returns it, so a checkpoint fails instead of writing a partial
+// image.
 
 // Segment layout, every integer little-endian:
 //
@@ -65,11 +68,12 @@ func AppendRun(buf []byte, ids []int) []byte {
 
 // ReadRun decodes one run written by AppendRun from the front of data and
 // returns it with the bytes that follow. An empty run decodes as nil; a
-// truncated or overlong varint is an error.
+// truncated, overlong or non-minimal varint is an error, so a run ReadRun
+// accepts re-encodes to the bytes it was read from.
 func ReadRun(data []byte) ([]int, []byte, error) {
 	n, k := binary.Uvarint(data)
-	if k <= 0 {
-		return nil, nil, errors.New("truncated or overlong run length")
+	if k <= 0 || !minimal(data, k) {
+		return nil, nil, errors.New("truncated, overlong or non-minimal run length")
 	}
 	data = data[k:]
 	if n > uint64(len(data)) {
@@ -82,8 +86,8 @@ func ReadRun(data []byte) ([]int, []byte, error) {
 	prev := 0
 	for i := range ids {
 		d, k := binary.Varint(data)
-		if k <= 0 {
-			return nil, nil, fmt.Errorf("truncated or overlong member %d of %d", i, n)
+		if k <= 0 || !minimal(data, k) {
+			return nil, nil, fmt.Errorf("truncated, overlong or non-minimal member %d of %d", i, n)
 		}
 		prev += int(d)
 		ids[i] = prev
@@ -91,6 +95,10 @@ func ReadRun(data []byte) ([]int, []byte, error) {
 	}
 	return ids, data, nil
 }
+
+// minimal reports whether the k-byte varint at the front of data is in its
+// shortest form: only a one-byte varint may end in a zero byte.
+func minimal(data []byte, k int) bool { return k == 1 || data[k-1] != 0 }
 
 // parseSegment validates the framing of a whole segment image and splits it
 // into its fence, offset table, and values section.
@@ -515,7 +523,8 @@ func each[V any](entries []entry[V], fn func(key uint32, v V) bool) {
 // likes without blocking concurrent probes — though it still must not call
 // back into mutating store methods, per the owner contract. Resident blocks
 // come from the overlay, the rest from one sequential pass over the segment;
-// nothing is faulted in.
+// nothing is faulted in. A failed read ends the pass and is kept for Err, so
+// fn then sees only part of the shard.
 func (s *spillStore[V]) Range(shard int, fn func(key uint32, v V) bool) {
 	s.mu.Lock()
 	sh := &s.shards[shard]
@@ -523,31 +532,86 @@ func (s *spillStore[V]) Range(shard int, fn func(key uint32, v V) bool) {
 	for k, v := range sh.over {
 		entries = append(entries, entry[V]{k, v})
 	}
-	if sg := sh.seg; sg != nil {
-		r := sg.values()
-		for i, k := range sg.keys {
-			n := int(sg.offs[i+1] - sg.offs[i])
-			_, resident := sh.over[k]
-			_, changed := sh.dirty[k]
-			if resident || changed {
-				if _, err := r.Discard(n); err != nil {
-					panic(fmt.Sprintf("storage: scan of shard %d segment %s: %v", shard, sg.path, err))
-				}
-				continue
-			}
-			buf := s.scratch(n)
-			if _, err := io.ReadFull(r, buf); err != nil {
-				panic(fmt.Sprintf("storage: scan of shard %d segment %s: %v", shard, sg.path, err))
-			}
-			v, err := s.codec.DecodeValue(k, buf)
-			if err != nil {
-				panic(fmt.Sprintf("storage: scan of shard %d segment %s: %v", shard, sg.path, err))
-			}
-			entries = append(entries, entry[V]{k, v})
+	s.scanCold(shard, func(k uint32, data []byte) error {
+		v, err := s.codec.DecodeValue(k, data)
+		if err != nil {
+			return err
 		}
-	}
+		entries = append(entries, entry[V]{k, v})
+		return nil
+	})
 	s.mu.Unlock()
 	each(entries, fn)
+}
+
+// RangeStored collects the shard's entries as their codec encodings: the
+// overlay's are encoded afresh, the segment's are copied as stored.
+func (s *spillStore[V]) RangeStored(shard int, fn func(key uint32, enc []byte) bool) error {
+	s.mu.Lock()
+	sh := &s.shards[shard]
+	var arena []byte
+	type span struct {
+		key    uint32
+		lo, hi int
+	}
+	spans := make([]span, 0, len(sh.meta))
+	for k, v := range sh.over {
+		lo := len(arena)
+		arena = s.codec.AppendValue(arena, v)
+		spans = append(spans, span{k, lo, len(arena)})
+	}
+	err := s.scanCold(shard, func(k uint32, data []byte) error {
+		lo := len(arena)
+		arena = append(arena, data...)
+		spans = append(spans, span{k, lo, len(arena)})
+		return nil
+	})
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	for _, sp := range spans {
+		if !fn(sp.key, arena[sp.lo:sp.hi:sp.hi]) {
+			break
+		}
+	}
+	return nil
+}
+
+// scanCold calls fn, in key order, with the stored bytes of every segment
+// entry that is neither resident nor superseded: one sequential pass over the
+// segment. The bytes are only valid during the call. The first failure, of a
+// read or of fn, ends the pass; it is kept for Err and returned. Caller holds
+// s.mu.
+func (s *spillStore[V]) scanCold(shard int, fn func(key uint32, data []byte) error) error {
+	sh := &s.shards[shard]
+	sg := sh.seg
+	if sg == nil {
+		return nil
+	}
+	r := sg.values()
+	for i, k := range sg.keys {
+		n := int(sg.offs[i+1] - sg.offs[i])
+		_, resident := sh.over[k]
+		_, changed := sh.dirty[k]
+		var err error
+		if resident || changed {
+			_, err = r.Discard(n)
+		} else {
+			buf := s.scratch(n)
+			if _, err = io.ReadFull(r, buf); err == nil {
+				err = fn(k, buf)
+			}
+		}
+		if err != nil {
+			err = fmt.Errorf("storage: scan of shard %d segment %s: %w", shard, sg.path, err)
+			if s.err == nil {
+				s.err = err
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 func (s *spillStore[V]) RangeNewer(shard int, fn func(key uint32, v V) bool) {

@@ -125,6 +125,12 @@ type PostingStore[V any] interface {
 	// resident. Iteration order is unspecified. fn must not call back into
 	// the store.
 	Range(shard int, fn func(key uint32, v V) bool)
+	// RangeStored is Range over the entries' codec encodings, the bytes
+	// AppendValue writes: spilled entries are copied from the segment as
+	// stored, without a decode, and resident ones are encoded afresh.
+	// enc is only valid during the call. It returns a failed read of the
+	// segment, which Err keeps as well; fn then has not been called.
+	RangeStored(shard int, fn func(key uint32, enc []byte) bool) error
 	// RangeNewer is Range over the entries newer than the shard's current
 	// segment — every entry when the shard has none. They are the entries a
 	// reader cannot take from the segment Frozen returns.
@@ -151,9 +157,10 @@ type PostingStore[V any] interface {
 	ResidentBytes() int64
 	// Stats returns the backend's disk-traffic counters.
 	Stats() SpillStats
-	// Err returns the first failed segment write or spill-directory
-	// creation, or nil. After one the store keeps everything resident and
-	// stops spilling: nothing is lost, but the budget no longer holds.
+	// Err returns the first failed segment write, spill-directory creation
+	// or segment scan, or nil. After one the store keeps everything resident
+	// and stops spilling: nothing resident is lost, but the budget no longer
+	// holds.
 	Err() error
 	// Close releases spill files and directories. The store must not be
 	// used afterwards; Frozen handles taken earlier stay valid until
@@ -245,6 +252,17 @@ func (s *memStore[V]) Range(shard int, fn func(key uint32, v V) bool) {
 			return
 		}
 	}
+}
+
+func (s *memStore[V]) RangeStored(shard int, fn func(key uint32, enc []byte) bool) error {
+	var buf []byte
+	for k, v := range s.shards[shard] {
+		buf = s.codec.AppendValue(buf[:0], v)
+		if !fn(k, buf) {
+			break
+		}
+	}
+	return nil
 }
 
 func (s *memStore[V]) RangeMeta(shard int, fn func(key uint32, m Meta) bool) {

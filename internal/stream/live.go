@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -223,14 +224,16 @@ type liveMetrics struct {
 	retryPending *obsv.Gauge
 	degraded     *obsv.Gauge // 1 while K is capped by an open breaker
 	ckptBytes    *obsv.Gauge // size of the last checkpoint
+	restoreBytes *obsv.Gauge // size of the checkpoint the pipeline was restored from
 
-	incSize   *obsv.Histogram
-	ingestSec *obsv.Histogram
-	batchSize *obsv.Histogram
-	batchFill *obsv.Histogram // assembled jobs / K: how much of findK's allowance a batch used
-	seqSec    *obsv.Histogram
-	parSec    *obsv.Histogram
-	ckptSec   *obsv.Histogram
+	incSize    *obsv.Histogram
+	ingestSec  *obsv.Histogram
+	batchSize  *obsv.Histogram
+	batchFill  *obsv.Histogram // assembled jobs / K: how much of findK's allowance a batch used
+	seqSec     *obsv.Histogram
+	parSec     *obsv.Histogram
+	ckptSec    *obsv.Histogram
+	restoreSec *obsv.Histogram
 
 	// serving-path instruments (Live.Query)
 	queries      *obsv.Counter   // queries answered
@@ -275,6 +278,7 @@ func newLiveMetrics(reg *obsv.Registry) *liveMetrics {
 		retryPending:  reg.Gauge("pier_retry_pending", "failed comparisons awaiting retry"),
 		degraded:      reg.Gauge("pier_degraded_mode", "1 while the matcher breaker is open and K is capped"),
 		ckptBytes:     reg.Gauge("pier_checkpoint_bytes", "size of the most recent checkpoint in bytes"),
+		restoreBytes:  reg.Gauge("pier_restore_bytes", "size in bytes of the checkpoint the pipeline was restored from"),
 		incSize:       reg.Histogram("pier_increment_size", "profiles per pushed increment", sizeBuckets),
 		ingestSec:     reg.Histogram("pier_ingest_seconds", "wall time to block and index one increment", latBuckets),
 		batchSize:     reg.Histogram("pier_batch_size", "comparisons per emitted batch (after dedup and eviction skips)", sizeBuckets),
@@ -282,6 +286,7 @@ func newLiveMetrics(reg *obsv.Registry) *liveMetrics {
 		seqSec:        reg.Histogram("pier_match_seq_seconds", "per-batch matcher service time, sequential path", serviceBuckets),
 		parSec:        reg.Histogram("pier_match_par_seconds", "per-batch matcher service time, parallel path", serviceBuckets),
 		ckptSec:       reg.Histogram("pier_checkpoint_seconds", "wall time to write one checkpoint", latBuckets),
+		restoreSec:    reg.Histogram("pier_restore_seconds", "wall time to restore the pipeline from a checkpoint", latBuckets),
 		queries:       reg.Counter("pier_queries_total", "online point queries answered"),
 		queryMatches:  reg.Counter("pier_query_matches_total", "matched candidates returned by online queries"),
 		querySec:      reg.Histogram("pier_query_seconds", "end-to-end online query latency", latBuckets),
@@ -1113,9 +1118,14 @@ type liveMeta struct {
 	MaxBlockSize int
 }
 
-// liveAccounting is the snapshot image of the pipeline's bookkeeping: the
-// dedup map, window order, retry backlog, and the cumulative counters.
-type liveAccounting struct {
+// Accounting is the snapshot image of the pipeline's bookkeeping: the
+// executed-pair set, window order, retry backlog, and the cumulative
+// counters. Since format v4 the accounting section is its flat image
+// (AppendImage, DecodeAccounting); formats v2 and v3 wrote it with gob, which
+// RestoreLive still decodes into the same type.
+type Accounting struct {
+	// Executed is the executed-pair set, strictly ascending in the flat
+	// image.
 	Executed          []uint64
 	WindowIDs         []int
 	EvictedSinceSweep int
@@ -1139,6 +1149,64 @@ type retryImage struct {
 	Key      uint64
 	X, Y     int
 	Attempts int
+}
+
+// AppendImage appends the flat image of a to buf: the executed pairs as a
+// snapshot key set, the window order as a posting run, then the sweep count,
+// the retry backlog and the counters as varints.
+func (a *Accounting) AppendImage(buf []byte) []byte {
+	buf = snapshot.AppendSet(buf, a.Executed)
+	buf = storage.AppendRun(buf, a.WindowIDs)
+	buf = binary.AppendVarint(buf, int64(a.EvictedSinceSweep))
+	buf = binary.AppendUvarint(buf, uint64(len(a.Retry)))
+	for _, r := range a.Retry {
+		buf = binary.AppendUvarint(buf, r.Key)
+		buf = binary.AppendVarint(buf, int64(r.X))
+		buf = binary.AppendVarint(buf, int64(r.Y))
+		buf = binary.AppendVarint(buf, int64(r.Attempts))
+	}
+	for _, v := range a.counters() {
+		buf = binary.AppendVarint(buf, *v)
+	}
+	return buf
+}
+
+// counters lists the image's int64 fields in their order in the flat image.
+func (a *Accounting) counters() [9]*int64 {
+	return [9]*int64{&a.Profiles, &a.Increments, &a.Cmps, &a.Matches, &a.NewLinks,
+		&a.Skipped, &a.Evictions, &a.Abandoned, &a.ElapsedNS}
+}
+
+// DecodeAccounting reads an image AppendImage wrote. Every count is checked
+// against the bytes left before anything is allocated for it, and an image it
+// accepts re-encodes to data.
+func DecodeAccounting(data []byte) (Accounting, error) {
+	d := snapshot.NewDecoder(data)
+	a := Accounting{Executed: d.Set()}
+	if d.Err() == nil {
+		ids, rest, err := storage.ReadRun(d.Unread())
+		if err != nil {
+			d.Failf("window order: %v", err)
+		} else {
+			a.WindowIDs = ids
+			d.Advance(rest)
+		}
+	}
+	a.EvictedSinceSweep = d.Int()
+	// A retry entry takes at least four bytes, one per field.
+	if n := d.Count(4); n > 0 {
+		a.Retry = make([]retryImage, n)
+		for i := range a.Retry {
+			a.Retry[i] = retryImage{Key: d.Uvarint(), X: d.Int(), Y: d.Int(), Attempts: d.Int()}
+		}
+	}
+	for _, v := range a.counters() {
+		*v = d.Varint()
+	}
+	if err := d.Finish(); err != nil {
+		return Accounting{}, fmt.Errorf("stream: accounting image: %w", err)
+	}
+	return a, nil
 }
 
 // Checkpoint writes a consistent snapshot of the entire pipeline state to w
@@ -1193,7 +1261,12 @@ func (l *Live) writeSnapshot(w io.Writer, st *liveState) (int64, error) {
 		MaxBlockSize: l.cfg.MaxBlockSize,
 	}
 	sw.Gob("meta", &meta)
-	sw.Section("collection", st.col.Save)
+	col, err := st.col.AppendImage(nil)
+	if err != nil {
+		l.observeStorage(st) // the failed read goes to Err
+		return sw.Bytes(), err
+	}
+	sw.Flat("collection", col)
 	sw.Section("strategy", p.SaveState)
 	kst := l.cfg.K.State()
 	sw.Gob("findk", &kst)
@@ -1201,9 +1274,9 @@ func (l *Live) writeSnapshot(w io.Writer, st *liveState) (int64, error) {
 	sw.Gob("clusters", &cst)
 	rst := st.rec.State()
 	sw.Gob("recorder", &rst)
-	acc := liveAccounting{
+	acc := Accounting{
 		Executed:          make([]uint64, 0, st.executed.Len()),
-		WindowIDs:         append([]int(nil), st.windowIDs...),
+		WindowIDs:         st.windowIDs,
 		EvictedSinceSweep: st.evictedSinceSweep,
 		Retry:             make([]retryImage, 0, len(st.retryQ)),
 		Profiles:          int64(l.m.profiles.Value()),
@@ -1216,15 +1289,18 @@ func (l *Live) writeSnapshot(w io.Writer, st *liveState) (int64, error) {
 		Abandoned:         int64(l.m.abandoned.Value()),
 		ElapsedNS:         int64(time.Since(st.start)),
 	}
-	st.executed.Range(func(key uint64) bool {
+	if err := st.executed.Range(func(key uint64) bool {
 		acc.Executed = append(acc.Executed, key)
 		return true
-	})
-	slices.Sort(acc.Executed)
+	}); err != nil {
+		l.observeStorage(st)
+		return sw.Bytes(), fmt.Errorf("stream: checkpoint of the executed pairs: %w", err)
+	}
+	snapshot.SortKeys(acc.Executed)
 	for _, rj := range st.retryQ {
 		acc.Retry = append(acc.Retry, retryImage{Key: rj.key, X: rj.x, Y: rj.y, Attempts: rj.attempts})
 	}
-	if err := sw.Gob("accounting", &acc); err != nil {
+	if err := sw.Flat("accounting", acc.AppendImage(col[:0])); err != nil {
 		return sw.Bytes(), err
 	}
 	l.m.ckptTotal.Inc()
@@ -1243,11 +1319,13 @@ func (l *Live) writeSnapshot(w io.Writer, st *liveState) (int64, error) {
 // where the checkpoint was taken: same queue order, same dedup state, same
 // retry backlog, same adaptive-K trajectory.
 func RestoreLive(r io.Reader, strategy core.Strategy, cfg LiveConfig) (*Live, error) {
+	t0 := time.Now()
 	p, ok := strategy.(core.Persistent)
 	if !ok {
 		return nil, fmt.Errorf("stream: strategy %s does not support checkpointing", strategy.Name())
 	}
-	sr, err := snapshot.NewReader(r)
+	cr := &countingReader{r: r}
+	sr, err := snapshot.NewReader(cr)
 	if err != nil {
 		return nil, err
 	}
@@ -1263,32 +1341,58 @@ func RestoreLive(r io.Reader, strategy core.Strategy, cfg LiveConfig) (*Live, er
 			meta.CleanClean, meta.Window, meta.MaxBlockSize, cfg.CleanClean, cfg.Window, cfg.MaxBlockSize)
 	}
 	postCfg, dedupCfg := splitStorage(cfg.Storage)
+	flat := sr.Version() >= 4
 	var col *blocking.Collection
-	if err := sr.Section("collection", func(r io.Reader) error {
+	if flat {
+		data, err := sr.Flat("collection")
+		if err == nil {
+			col, err = blocking.DecodeImage(data, cfg.Keyer, cfg.Shards, postCfg)
+		}
+		if err != nil {
+			return nil, err
+		}
+	} else if err := sr.Section("collection", func(r io.Reader) error {
 		var err error
-		col, err = blocking.LoadShardedStorage(r, cfg.Keyer, cfg.Shards, postCfg)
+		col, err = blocking.DecodeGobImage(r, cfg.Keyer, cfg.Shards, postCfg)
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	if err := sr.Section("strategy", p.LoadState); err != nil {
+	// From here on a failure must release the collection's spill files.
+	fail := func(err error) (*Live, error) {
+		col.Close()
 		return nil, err
+	}
+	if err := sr.Section("strategy", p.LoadState); err != nil {
+		return fail(err)
 	}
 	var kst core.KState
 	if err := sr.Gob("findk", &kst); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	var cst cluster.State
 	if err := sr.Gob("clusters", &cst); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	var rst metrics.RecorderState
 	if err := sr.Gob("recorder", &rst); err != nil {
-		return nil, err
+		return fail(err)
 	}
-	var acc liveAccounting
-	if err := sr.Gob("accounting", &acc); err != nil {
-		return nil, err
+	var acc Accounting
+	if flat {
+		data, err := sr.Flat("accounting")
+		if err == nil {
+			acc, err = DecodeAccounting(data)
+		}
+		if err != nil {
+			return fail(err)
+		}
+	} else {
+		if err := sr.Gob("accounting", &acc); err != nil {
+			return fail(err)
+		}
+		slices.Sort(acc.Executed)
+		acc.Executed = slices.Compact(acc.Executed)
 	}
 
 	l := newLive(strategy, cfg)
@@ -1307,8 +1411,8 @@ func RestoreLive(r io.Reader, strategy core.Strategy, cfg LiveConfig) (*Live, er
 		col:               col,
 		clusters:          cluster.Restore(cst),
 		rec:               metrics.RestoreRecorder(rst, l.cfg.GroundTruth),
-		executed:          storage.NewDedupStore(dedupCfg),
-		windowIDs:         append([]int(nil), acc.WindowIDs...),
+		executed:          storage.LoadDedupStore(dedupCfg, acc.Executed),
+		windowIDs:         acc.WindowIDs,
 		evictedSinceSweep: acc.EvictedSinceSweep,
 		res: &liveCounters{
 			Profiles: int(acc.Profiles),
@@ -1316,9 +1420,6 @@ func RestoreLive(r io.Reader, strategy core.Strategy, cfg LiveConfig) (*Live, er
 			NewLinks: int(acc.NewLinks),
 		},
 		start: time.Now().Add(-time.Duration(acc.ElapsedNS)),
-	}
-	for _, key := range acc.Executed {
-		st.executed.Add(key)
 	}
 	strategy.ShareExecuted(st.executed)
 	for _, ri := range acc.Retry {
@@ -1330,8 +1431,23 @@ func RestoreLive(r io.Reader, strategy core.Strategy, cfg LiveConfig) (*Live, er
 	// first call, exactly as after LiveRun.
 	st.col.PublishSnapshot()
 	l.observeStorage(st)
+	l.m.restoreBytes.Set(cr.n)
+	l.m.restoreSec.Observe(time.Since(t0).Seconds())
 	l.st = st
 	go l.prep(st.col)
 	go l.loop(st)
 	return l, nil
+}
+
+// countingReader counts the bytes read through it, for the restored
+// checkpoint's size.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }

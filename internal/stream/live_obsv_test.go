@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"pier/internal/dataset"
 	"pier/internal/match"
 	"pier/internal/obsv"
+	"pier/internal/storage"
 )
 
 // TestLiveStatsAgreeWithSummaryUnderEviction is the regression test for the
@@ -205,5 +207,31 @@ func TestLiveSnapshotAndSharedRegistry(t *testing.T) {
 	}
 	if mean := fill.Mean(); mean <= 0 || mean > 1 {
 		t.Errorf("pier_batch_fill_ratio mean = %v, want in (0, 1]", mean)
+	}
+}
+
+// TestRestoreInstruments checks that RestoreLive records how long the restore
+// took and how large the checkpoint was on the restoring config's registry,
+// beside the checkpoint's own instruments.
+func TestRestoreInstruments(t *testing.T) {
+	l, _ := spillRun(t, storage.Config{}, nil)
+	snap := checkpoint(t, l)
+	reg := obsv.NewRegistry()
+	r, err := RestoreLive(bytes.NewReader(snap), core.NewIPCS(core.DefaultConfig()), LiveConfig{
+		CleanClean:   true,
+		MaxBlockSize: DefaultMaxBlockSize,
+		Matcher:      match.NewMatcher(match.JS),
+		TickEvery:    time.Hour,
+		Metrics:      reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Stop()
+	if n := reg.Histogram("pier_restore_seconds", "", nil).Count(); n != 1 {
+		t.Errorf("pier_restore_seconds has %d observations after one restore, want 1", n)
+	}
+	if got := reg.Gauge("pier_restore_bytes", "").Value(); got != int64(len(snap)) {
+		t.Errorf("pier_restore_bytes = %d, the checkpoint holds %d", got, len(snap))
 	}
 }
