@@ -130,6 +130,7 @@ func Restore(r io.Reader, opt Options) (*Pipeline, error) {
 		return nil, fmt.Errorf("pier: restore: profile registry holds %d profiles for %d IDs", len(img.Profiles), img.NextID)
 	}
 	p.profiles, p.nextID = img.Profiles, img.NextID
+	cfg.Assigned = func(id int) bool { return 0 <= id && id < img.NextID }
 	if err := sr.Section("live", func(body io.Reader) error {
 		live, err := stream.RestoreLive(body, strategy, cfg)
 		if err != nil {

@@ -4,14 +4,22 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pier"
+	"pier/internal/blocking"
+	"pier/internal/cluster"
+	"pier/internal/core"
+	"pier/internal/snapshot"
+	"pier/internal/storage"
 )
 
 // TestCheckpointRestoreResumesRun feeds half a workload, checkpoints the
@@ -289,17 +297,249 @@ func TestRestoreRejectsMismatchedOptions(t *testing.T) {
 	}
 }
 
-// TestCheckpointUncheckpointableAlgorithm: baseline strategies carry no
-// persistence; Checkpoint must fail loudly, not write a partial snapshot.
-func TestCheckpointUncheckpointableAlgorithm(t *testing.T) {
-	p, err := pier.NewPipeline(pier.Options{Algorithm: pier.BatchER})
+// gobBytes returns the gob encoding of v.
+func gobBytes(t *testing.T, v any) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// withClusters returns snap with the clusters section of its live
+// checkpoint replaced by clusters; every other section is copied byte for
+// byte.
+func withClusters(t *testing.T, snap, clusters []byte) []byte {
+	t.Helper()
+	sr, err := snapshot.NewReader(bytes.NewReader(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Stop()
+	pipe, err := sr.Flat("pipeline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := sr.Flat("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lr, err := snapshot.NewReader(bytes.NewReader(live))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var liveOut bytes.Buffer
+	lw, err := snapshot.NewWriter(&liveOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"meta", "collection", "strategy", "findk", "clusters", "recorder", "accounting"} {
+		body, err := lr.Flat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "clusters" {
+			body = clusters
+		}
+		lw.Flat(name, body)
+	}
+	var out bytes.Buffer
+	w, err := snapshot.NewWriter(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Flat("pipeline", pipe)
+	if err := w.Flat("live", liveOut.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestRestoreRejectsBadClusters rewrites a checkpoint's clusters section:
+// a parent cycle used to hang Stop, and a member the profile registry does
+// not hold used to panic it. Restore must reject each with an error instead,
+// within a deadline.
+func TestRestoreRejectsBadClusters(t *testing.T) {
+	profiles, _ := moviePairs()
+	opt := pier.Options{Algorithm: pier.IPES, CleanClean: true}
+	p, err := pier.NewPipeline(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Push(profiles); err != nil {
+		t.Fatal(err)
+	}
+	p.Stop()
 	var snap bytes.Buffer
-	if _, err := p.Checkpoint(&snap); err == nil {
-		t.Fatal("Checkpoint of a baseline strategy succeeded")
+	if _, err := p.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	n := len(profiles)
+	for _, tc := range []struct {
+		name string
+		st   cluster.State
+	}{
+		{"cycle", cluster.State{Parent: map[int]int{0: 1, 1: 0}, Size: map[int]int{0: 2}, Clusters: 1}},
+		{"negative member", cluster.State{Parent: map[int]int{-3: -3, 1: -3}, Size: map[int]int{-3: 2}, Clusters: 1}},
+		{"unassigned member", cluster.State{Parent: map[int]int{0: 0, n: 0}, Size: map[int]int{0: 2}, Clusters: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := withClusters(t, snap.Bytes(), gobBytes(t, &tc.st))
+			done := make(chan error, 1)
+			go func() {
+				r, err := pier.Restore(bytes.NewReader(bad), opt)
+				if err == nil {
+					r.Stop()
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("Restore accepted the damaged clusters section")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Restore and Stop did not return within 10s")
+			}
+		})
+	}
+	// The same rewrite with the checkpoint's own image restores, so the
+	// failures above are the clusters' doing.
+	good := cluster.State{Parent: map[int]int{0: 0, 1: 0}, Size: map[int]int{0: 2}, Clusters: 1}
+	r, err := pier.Restore(bytes.NewReader(withClusters(t, snap.Bytes(), gobBytes(t, &good))), opt)
+	if err != nil {
+		t.Fatalf("a well-formed clusters section does not restore: %v", err)
+	}
+	r.Stop()
+}
+
+// gobUint is gob's encoding of an unsigned integer: one byte below 128,
+// else the negated byte count and the big-endian bytes.
+func gobUint(u uint64) []byte {
+	if u < 128 {
+		return []byte{byte(u)}
+	}
+	b := bytes.TrimLeft(binary.BigEndian.AppendUint64(nil, u), "\x00")
+	return append([]byte{byte(256 - len(b))}, b...)
+}
+
+// readGobUint decodes the gob unsigned integer at the start of b and returns
+// it with its width.
+func readGobUint(b []byte) (uint64, int) {
+	if b[0] < 128 {
+		return uint64(b[0]), 1
+	}
+	n := 256 - int(b[0])
+	var u uint64
+	for _, c := range b[1 : 1+n] {
+		u = u<<8 | uint64(c)
+	}
+	return u, 1 + n
+}
+
+// hugeMap gob-encodes v, a struct whose one map field holds the one entry
+// key, and rewrites the map's entry count to claim 1<<22 entries while the
+// stream still carries one.
+func hugeMap(t *testing.T, v any, key []byte) []byte {
+	t.Helper()
+	enc := gobBytes(t, v)
+	at := bytes.Index(enc, append([]byte{1}, key...))
+	if at < 0 || bytes.Index(enc[at+1:], append([]byte{1}, key...)) >= 0 {
+		t.Fatalf("map count of %v not found once in %x", v, enc)
+	}
+	count := gobUint(1 << 22)
+	for off := 0; off < len(enc); {
+		n, w := readGobUint(enc[off:])
+		end := off + w + int(n)
+		if at >= end {
+			off = end
+			continue
+		}
+		out := append(bytes.Clone(enc[:off]), gobUint(n+uint64(len(count)-1))...)
+		out = append(out, enc[off+w:at]...)
+		out = append(out, count...)
+		return append(out, enc[at+1:]...)
+	}
+	t.Fatal("map count outside every gob message")
+	return nil
+}
+
+// TestGobImagesBoundMapAllocation feeds every gob image that holds a map a
+// count claiming 1<<22 entries in a stream that carries one. gob sizes a
+// nil map by that count before reading an entry; decoding must instead fail
+// for want of bytes, having allocated little. A full-length claim, as a
+// fuzzed checkpoint made, exhausted memory.
+func TestGobImagesBoundMapAllocation(t *testing.T) {
+	intKey := gobUint(0x0A0B0C0D << 1) // gob zigzags a signed key
+	symKey := gobUint(0x0A0B0C0D)
+	profiles, _ := moviePairs()
+	opt := pier.Options{Algorithm: pier.IPES, CleanClean: true}
+	p, err := pier.NewPipeline(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Push(profiles); err != nil {
+		t.Fatal(err)
+	}
+	p.Stop()
+	var snap bytes.Buffer
+	if _, err := p.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"I-PBS CI", func() error {
+			return core.NewIPBS(cfg).LoadState(bytes.NewReader(hugeMap(t, &struct{ CI map[uint32]int }{map[uint32]int{0x0A0B0C0D: 1}}, symKey)))
+		}},
+		{"I-PBS PI", func() error {
+			return core.NewIPBS(cfg).LoadState(bytes.NewReader(hugeMap(t, &struct{ PI map[uint32][]int }{map[uint32][]int{0x0A0B0C0D: {1}}}, symKey)))
+		}},
+		{"I-PES EPQ", func() error {
+			type entity struct{ InsCount int }
+			return core.NewIPES(cfg).LoadState(bytes.NewReader(hugeMap(t, &struct{ EPQ map[int]entity }{map[int]entity{0x0A0B0C0D: {1}}}, intKey)))
+		}},
+		{"v3 collection", func() error {
+			_, err := blocking.DecodeGobImage(bytes.NewReader(hugeMap(t, &struct{ OfProf map[int][]uint32 }{map[int][]uint32{0x0A0B0C0D: {1}}}, intKey)), nil, 1, storage.Config{})
+			return err
+		}},
+		{"clusters", func() error {
+			bad := hugeMap(t, &struct{ Parent map[int]int }{map[int]int{0x0A0B0C0D: 1}}, intKey)
+			_, err := pier.Restore(bytes.NewReader(withClusters(t, snap.Bytes(), bad)), opt)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := tc.decode()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Error("a map claiming 1<<22 entries in a one-entry stream decoded")
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 32<<20 {
+				t.Errorf("decoding allocated %d MiB", grew>>20)
+			}
+		})
+	}
+}
+
+// TestCheckpointUncheckpointableAlgorithm: baseline strategies and AUTO
+// carry no persistence; Checkpoint must fail loudly, not write a partial
+// snapshot.
+func TestCheckpointUncheckpointableAlgorithm(t *testing.T) {
+	for _, alg := range []pier.Algorithm{pier.BatchER, pier.Auto} {
+		p, err := pier.NewPipeline(pier.Options{Algorithm: alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if _, err := p.Checkpoint(&snap); err == nil {
+			t.Errorf("Checkpoint of %s succeeded", alg)
+		}
+		p.Stop()
 	}
 }
 

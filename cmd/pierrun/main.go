@@ -88,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	in := fs.String("in", "", "profiles CSV (as written by piergen)")
 	gtPath := fs.String("gt", "", "optional ground-truth CSV for PC reporting")
-	alg := fs.String("algorithm", "I-PES", "I-PCS, I-PBS, I-PES, I-SN, or I-BASE")
+	alg := fs.String("algorithm", "I-PES", "I-PCS, I-PBS, I-PES, or I-BASE")
 	clean := fs.Bool("clean-clean", true, "Clean-Clean (two sources) vs Dirty ER")
 	matcher := fs.String("matcher", "JS", "match function: JS or ED")
 	rate := fs.Float64("rate", 16, "increments per second (0 = as fast as possible)")
@@ -144,8 +144,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		strategy = core.NewIPBS(cfg)
 	case "I-PES":
 		strategy = core.NewIPES(cfg)
-	case "I-SN":
-		strategy = core.NewISN(cfg, 0)
 	case "I-BASE":
 		strategy = baseline.NewIBase(cfg)
 	default:

@@ -8,7 +8,7 @@
 // accident that quietly couples layers. DESIGN.md §13 documents the layer
 // model the table encodes:
 //
-//   - substrates (intern, queue, skiplist, obsv, storage, ...) are
+//   - substrates (intern, queue, obsv, storage, ...) are
 //     stdlib-only: they may not import any module package;
 //   - core (the paper's strategies) must never import stream (the runtime) —
 //     strategies stay runnable under any driver;

@@ -18,10 +18,8 @@ var substrates = []string{
 	"pier/internal/intern",
 	"pier/internal/metrics",
 	"pier/internal/obsv",
-	"pier/internal/plot",
 	"pier/internal/profile",
 	"pier/internal/queue",
-	"pier/internal/skiplist",
 	"pier/internal/snapshot",
 	"pier/internal/storage",
 }
@@ -47,7 +45,7 @@ var allowedImports = map[string][]string{
 	},
 	"pier/internal/arch":     {},
 	"pier/internal/baseline": {"pier/internal/blocking", "pier/internal/core", "pier/internal/metablocking", "pier/internal/profile"},
-	"pier/internal/blocking": {"pier/internal/intern", "pier/internal/match", "pier/internal/pool", "pier/internal/profile", "pier/internal/snapshot", "pier/internal/storage"},
+	"pier/internal/blocking": {"pier/internal/intern", "pier/internal/pool", "pier/internal/profile", "pier/internal/snapshot", "pier/internal/storage"},
 	"pier/internal/check": {
 		"pier/internal/baseline",
 		"pier/internal/blocking",
@@ -70,7 +68,6 @@ var allowedImports = map[string][]string{
 		"pier/internal/pool",
 		"pier/internal/profile",
 		"pier/internal/queue",
-		"pier/internal/skiplist",
 	},
 	"pier/internal/dataset":      {"pier/internal/profile"},
 	"pier/internal/experiments":  {"pier/internal/baseline", "pier/internal/core", "pier/internal/dataset", "pier/internal/match", "pier/internal/stream"},
@@ -97,9 +94,7 @@ var allowedImports = map[string][]string{
 	// grow casual dependencies on internals.
 	"pier/cmd/benchguard": {},
 	"pier/cmd/pierbench":  {"pier/internal/experiments"},
-	"pier/cmd/piercal":    {"pier/internal/baseline", "pier/internal/core", "pier/internal/dataset", "pier/internal/match", "pier/internal/stream"},
 	"pier/cmd/piergen":    {"pier/internal/dataset"},
-	"pier/cmd/pierplot":   {"pier/internal/plot"},
 	"pier/cmd/pierrun": {
 		"pier/internal/baseline",
 		"pier/internal/core",

@@ -289,7 +289,8 @@ func (c *Collection) decodeBody(d *snapshot.Decoder, symbols []string) error {
 // checkpoint, whose collection section is a gob image of persistedCollection.
 // It is decode-only: images are written flat since v4.
 func DecodeGobImage(r io.Reader, keyer Keyer, shards int, scfg storage.Config) (*Collection, error) {
-	var img persistedCollection
+	// Non-nil maps bound what a damaged gob count can allocate (DESIGN.md §9).
+	img := persistedCollection{OfProf: map[int][]uint32{}}
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {
 		return nil, fmt.Errorf("blocking: load checkpoint: %w", err)
 	}

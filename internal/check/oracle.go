@@ -74,7 +74,7 @@ func SplitInvariance(mk func() core.Strategy, ds *dataset.Dataset, splits []int)
 // IngestInvariance asserts the strict form of split invariance: the *exact*
 // drain sequence ⟨X, Y, Weight⟩ — not just its set — is identical across
 // splits. This holds only for strategies whose UpdateIndex is independent of
-// index state: I-PCS, I-PES, and I-SN generate each profile's candidates
+// index state: I-PCS and I-PES generate each profile's candidates
 // against earlier profiles only, so increment boundaries are invisible. It
 // does NOT hold for I-PBS, whose UpdateIndex emits blocks conditioned on the
 // index being exhausted — there, only SplitInvariance (set level) applies.
@@ -119,7 +119,7 @@ func PermutationInvariance(mk func() core.Strategy, ds *dataset.Dataset, k int, 
 // Battery runs every applicable oracle for every PIER strategy over the
 // dataset: brute-force and batch-differential completeness, set-level split
 // invariance for all three block-based strategies, strict ingest-trace
-// invariance for I-PCS/I-PES/I-SN, and within-increment permutation
+// invariance for I-PCS/I-PES, and within-increment permutation
 // invariance — each at every requested parallelism. It returns the first
 // failure.
 func Battery(ds *dataset.Dataset, splits []int, parallelism []int) error {
@@ -161,7 +161,6 @@ func Battery(ds *dataset.Dataset, splits []int, parallelism []int) error {
 		for name, mk := range map[string]func() core.Strategy{
 			"I-PCS": func() core.Strategy { return core.NewIPCS(cfg) },
 			"I-PES": func() core.Strategy { return core.NewIPES(cfg) },
-			"I-SN":  func() core.Strategy { return core.NewISN(cfg, 0) },
 		} {
 			if err := IngestInvariance(mk, ds, splits); err != nil {
 				return fmt.Errorf("%s/ingest-invariance (parallelism=%d, dataset=%s): %w", name, par, ds.Name, err)

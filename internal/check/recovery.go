@@ -245,7 +245,6 @@ func RecoveryBattery(ds *dataset.Dataset, k int, seed int64) error {
 		"I-PCS": func() core.Strategy { return core.NewIPCS(cfg) },
 		"I-PBS": func() core.Strategy { return core.NewIPBS(cfg) },
 		"I-PES": func() core.Strategy { return core.NewIPES(cfg) },
-		"I-SN":  func() core.Strategy { return core.NewISN(cfg, 0) },
 	} {
 		if err := RoundTrip(mk, ds.CleanClean, incs, k/2, 16); err != nil {
 			return fmt.Errorf("%s/round-trip (dataset=%s): %w", name, ds.Name, err)

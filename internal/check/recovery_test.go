@@ -31,7 +31,7 @@ func faultSeedBase(t *testing.T) int64 {
 
 // TestRecoveryBattery is the fault-tolerance acceptance matrix: mid-drive
 // strategy round-trips and kill/restore recovery equivalence under seeded
-// matcher faults, for all four checkpointable strategies over the three
+// matcher faults, for all three checkpointable strategies over the three
 // dataset families.
 func TestRecoveryBattery(t *testing.T) {
 	base := faultSeedBase(t)

@@ -1,6 +1,10 @@
 package core
 
-import "time"
+import (
+	"fmt"
+	"math"
+	"time"
+)
 
 // AdaptiveK implements findK() of Algorithm 1: the number K of comparisons
 // emitted per index update adapts to the ratio between the observed increment
@@ -116,6 +120,17 @@ type KState struct {
 	K            float64
 	Interarrival float64
 	Service      float64
+}
+
+// Check rejects a state no AdaptiveK holds: a non-finite K or rate, which
+// K would convert into a negative batch size.
+func (st KState) Check() error {
+	for _, v := range []float64{st.K, st.Interarrival, st.Service} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: adaptive-K state %+v is not finite", st)
+		}
+	}
+	return nil
 }
 
 // State returns the adaptation state for checkpointing.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -175,5 +176,20 @@ func TestDegradedModeCapAndRecovery(t *testing.T) {
 	}
 	if got, want := restored.Current(), capped.State().K; float64(got) < want-1 || float64(got) > want+1 {
 		t.Errorf("restored Current() = %d, want ~%.0f", got, want)
+	}
+}
+
+// TestKStateCheck: a restored findk image with a NaN or infinite field would
+// make K return a negative batch size, so Check rejects it.
+func TestKStateCheck(t *testing.T) {
+	a := NewAdaptiveK()
+	a.ObserveArrival(time.Millisecond)
+	if err := a.State().Check(); err != nil {
+		t.Errorf("a live state fails Check: %v", err)
+	}
+	for _, bad := range []KState{{K: math.NaN()}, {K: 10, Interarrival: math.Inf(1)}, {K: 10, Service: math.NaN()}} {
+		if bad.Check() == nil {
+			t.Errorf("Check accepts %+v", bad)
+		}
 	}
 }

@@ -367,6 +367,19 @@ func TestIPESLoadStateRejectsPendingDrift(t *testing.T) {
 	}
 }
 
+// TestLoadStateRejectsScanCursorOutOfRange: the leftover scan indexes its
+// block list with the cursor, so a cursor outside it must not load.
+func TestLoadStateRejectsScanCursorOutOfRange(t *testing.T) {
+	s := NewIPES(testConfig())
+	s.route(metablocking.Comparison{X: 1, Y: 50, Weight: 10})
+	for _, pos := range []int{-1, 1} {
+		err := NewIPES(s.cfg).LoadState(reencoded(t, s, func(img *ipesImage) { img.Gen.ScanPos = pos }))
+		if err == nil || !strings.Contains(err.Error(), "scan cursor") {
+			t.Errorf("ScanPos %d: LoadState = %v, want a scan-cursor error", pos, err)
+		}
+	}
+}
+
 // TestIPESVerifyFiresOnNonEmptySetDrift breaks the non-empty set by hand in
 // each way the invariant names and expects verify to object.
 func TestIPESVerifyFiresOnNonEmptySetDrift(t *testing.T) {

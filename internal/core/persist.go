@@ -9,8 +9,6 @@ import (
 
 	"pier/internal/intern"
 	"pier/internal/metablocking"
-	"pier/internal/profile"
-	"pier/internal/skiplist"
 )
 
 // Checkpointing: each PIER strategy can serialize its complete index state —
@@ -44,7 +42,6 @@ var (
 	_ Persistent = (*IPCS)(nil)
 	_ Persistent = (*IPBS)(nil)
 	_ Persistent = (*IPES)(nil)
-	_ Persistent = (*ISN)(nil)
 )
 
 // privateKeys returns the marked keys in ascending order when the set is the
@@ -102,7 +99,10 @@ func (g *generator) image() generatorImage {
 	return img
 }
 
-func (g *generator) restore(img generatorImage) {
+func (g *generator) restore(img generatorImage) error {
+	if img.ScanPos < 0 || img.ScanPos > len(img.ScanSyms) {
+		return fmt.Errorf("leftover scan cursor %d outside its %d blocks", img.ScanPos, len(img.ScanSyms))
+	}
 	g.restorePrivate(img.Marked)
 	g.scanSyms = make([]intern.Sym, len(img.ScanSyms))
 	for i, s := range img.ScanSyms {
@@ -112,6 +112,7 @@ func (g *generator) restore(img generatorImage) {
 	g.scanVersion = img.ScanVersion
 	g.scanValid = img.ScanValid
 	g.weigher = metablocking.Kernel{} // cache: rebuilt lazily
+	return nil
 }
 
 // ipcsImage is the persisted state of I-PCS.
@@ -135,7 +136,9 @@ func (s *IPCS) LoadState(r io.Reader) error {
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {
 		return fmt.Errorf("core: load I-PCS: %w", err)
 	}
-	s.gen.restore(img.Gen)
+	if err := s.gen.restore(img.Gen); err != nil {
+		return fmt.Errorf("core: load I-PCS: %w", err)
+	}
 	s.index.Restore(img.Index)
 	return nil
 }
@@ -197,7 +200,8 @@ func (s *IPBS) SaveState(w io.Writer) error {
 
 // LoadState implements Persistent.
 func (s *IPBS) LoadState(r io.Reader) error {
-	var img ipbsImage
+	// Non-nil maps bound what a damaged gob count can allocate (DESIGN.md §9).
+	img := ipbsImage{CI: map[uint32]int{}, PI: map[uint32][]int{}}
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {
 		return fmt.Errorf("core: load I-PBS: %w", err)
 	}
@@ -278,7 +282,8 @@ func (s *IPES) SaveState(w io.Writer) error {
 
 // LoadState implements Persistent.
 func (s *IPES) LoadState(r io.Reader) error {
-	var img ipesImage
+	// Non-nil maps bound what a damaged gob count can allocate (DESIGN.md §9).
+	img := ipesImage{EPQ: map[int]entityStateImage{}}
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {
 		return fmt.Errorf("core: load I-PES: %w", err)
 	}
@@ -292,7 +297,9 @@ func (s *IPES) LoadState(r io.Reader) error {
 	if held != img.Pending {
 		return fmt.Errorf("core: load I-PES: image records %d pending comparisons but carries %d in E_PQ+PQ", img.Pending, held)
 	}
-	s.gen.restore(img.Gen)
+	if err := s.gen.restore(img.Gen); err != nil {
+		return fmt.Errorf("core: load I-PES: %w", err)
+	}
 	eq := make([]entityEntry, len(img.EntityQueue))
 	for i, e := range img.EntityQueue {
 		eq[i] = entityEntry{id: e.ID, weight: e.Weight}
@@ -318,49 +325,5 @@ func (s *IPES) LoadState(r io.Reader) error {
 	s.total = img.Total
 	s.count = img.Count
 	s.pending = img.Pending
-	return nil
-}
-
-// snKeyImage mirrors the unexported snKey for encoding.
-type snKeyImage struct {
-	Token string
-	ID    int
-	Src   uint8
-}
-
-// isnImage is the persisted state of I-SN.
-type isnImage struct {
-	Keys   []snKeyImage
-	Queue  []metablocking.Comparison
-	Marked []uint64
-}
-
-// SaveState implements Persistent.
-func (s *ISN) SaveState(w io.Writer) error {
-	img := isnImage{Queue: s.queue.Snapshot(), Marked: s.privateKeys()}
-	for n := s.index.First(); n != nil; n = n.Next() {
-		img.Keys = append(img.Keys, snKeyImage{Token: n.Key.token, ID: n.Key.id, Src: uint8(n.Key.src)})
-	}
-	if err := gob.NewEncoder(w).Encode(&img); err != nil {
-		return fmt.Errorf("core: save I-SN: %w", err)
-	}
-	return nil
-}
-
-// LoadState implements Persistent. The sorted-neighborhood index is rebuilt
-// by re-inserting the saved keys in order; tower heights re-randomize, but
-// candidate generation only walks level-0 links, whose order is fully
-// determined by the keys, so future emissions are unaffected.
-func (s *ISN) LoadState(r io.Reader) error {
-	var img isnImage
-	if err := gob.NewDecoder(r).Decode(&img); err != nil {
-		return fmt.Errorf("core: load I-SN: %w", err)
-	}
-	s.index = skiplist.New(snLess, 1)
-	for _, k := range img.Keys {
-		s.index.Insert(snKey{token: k.Token, id: k.ID, src: profile.Source(k.Src)})
-	}
-	s.queue.Restore(img.Queue)
-	s.restorePrivate(img.Marked)
 	return nil
 }

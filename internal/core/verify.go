@@ -48,13 +48,6 @@ func (s *IPBS) verify() {
 	}
 }
 
-// verify checks I-SN's single bounded queue, as for I-PCS.
-func (s *ISN) verify() {
-	if err := s.queue.Verify(); err != nil {
-		panic(fmt.Sprintf("core: I-SN index invariant violated: %v", err))
-	}
-}
-
 // verify checks I-PES's triple index: the pending counter must equal the
 // comparisons actually held across E_PQ and PQ (the counter gates the
 // fallback scan, so drift either starves or floods the matcher), every queue

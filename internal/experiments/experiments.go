@@ -32,9 +32,9 @@ type Options struct {
 	// Static-setting virtual time budgets, standing in for the paper's
 	// 5-minute (small datasets) and 80-minute (large datasets) budgets.
 	// Each is anchored at roughly twice the dataset's JS batch completion
-	// time (see cmd/piercal), so JS pipelines finish within the budget
-	// while ED pipelines — an order of magnitude slower per comparison —
-	// are cut mid-flight, as in the paper.
+	// time, so JS pipelines finish within the budget while ED pipelines —
+	// an order of magnitude slower per comparison — are cut mid-flight, as
+	// in the paper (TestStaticBudgetsCalibrated checks both on Quick).
 	BudgetDA     time.Duration
 	BudgetMovies time.Duration
 	BudgetCensus time.Duration
@@ -53,7 +53,8 @@ type Options struct {
 	// same factor while per-comparison cost stays fixed; scaling the
 	// arrival rate restores the paper's pressure regime, in which the
 	// nominal 32 ΔD/s outpaces the matcher but 4-8 ΔD/s does not. The
-	// factor is calibrated (cmd/piercal) so the keep-up knife edge falls
+	// factor is chosen against the JS batch completion times that
+	// TestStaticBudgetsCalibrated pins, so the keep-up knife edge falls
 	// between the nominal rates 8 and 32, as in the paper.
 	RateScale float64
 }

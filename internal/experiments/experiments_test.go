@@ -4,6 +4,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pier/internal/baseline"
+	"pier/internal/core"
+	"pier/internal/dataset"
+	"pier/internal/match"
+	"pier/internal/stream"
 )
 
 // tiny returns options small enough for unit tests (a few hundred profiles).
@@ -77,6 +83,31 @@ func TestBudgetFor(t *testing.T) {
 	}
 	if opt.budgetFor(s.Web()) != opt.BudgetWeb {
 		t.Error("budgetFor(Web) wrong")
+	}
+}
+
+// TestStaticBudgetsCalibrated pins what the Quick static budgets stand for:
+// each is about twice the virtual time plain batch ER with JS needs to
+// finish its dataset, so JS pipelines complete within the budget, while an
+// ED run is cut off before it executes the comparisons the JS batch did.
+func TestStaticBudgetsCalibrated(t *testing.T) {
+	opt := Quick()
+	s := newSuite(opt)
+	for _, d := range []*dataset.Dataset{s.DA(), s.Movies(), s.Census(), s.Web()} {
+		budget := opt.budgetFor(d)
+		run := func(kind match.Kind, budget time.Duration) *stream.Result {
+			cfg := stream.DefaultConfig(d.CleanClean, kind, d.GroundTruth)
+			cfg.Budget = budget
+			return stream.Run(baseline.NewBatch(core.DefaultConfig()), stream.Schedule(d.Increments(1), 0), cfg)
+		}
+		js := run(match.JS, 0)
+		lo, hi := time.Duration(float64(budget)/2.5), time.Duration(float64(budget)/1.5)
+		if js.Elapsed < lo || js.Elapsed > hi {
+			t.Errorf("%s: JS batch completes in %v; budget %v wants it within [%v, %v]", d.Name, js.Elapsed, budget, lo, hi)
+		}
+		if ed := run(match.ED, budget); ed.Comparisons >= js.Comparisons {
+			t.Errorf("%s: ED under the %v budget ran %d comparisons, not fewer than the JS batch's %d", d.Name, budget, ed.Comparisons, js.Comparisons)
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"time"
 
-	"pier/internal/intern"
 	"pier/internal/profile"
 )
 
@@ -33,14 +32,6 @@ const (
 	// JW is Jaro-Winkler similarity over joined values: a mid-cost string
 	// measure tuned for names.
 	JW
-	// COS is set cosine similarity over token sets.
-	COS
-	// OVL is the overlap coefficient over token sets.
-	OVL
-	// ME is symmetric Monge-Elkan with a Jaro-Winkler inner measure over
-	// token lists: the most expensive measure offered, for small noisy
-	// records.
-	ME
 )
 
 // String returns the paper's abbreviation for the match function.
@@ -52,26 +43,9 @@ func (k Kind) String() string {
 		return "ED"
 	case JW:
 		return "JW"
-	case COS:
-		return "COS"
-	case OVL:
-		return "OVL"
-	case ME:
-		return "ME"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
-}
-
-// Jaccard returns |a ∩ b| / |a ∪ b| for two sorted, deduplicated token
-// slices. Both empty yields 1 (identical empty sets).
-func Jaccard(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	inter := intern.IntersectCount(a, b)
-	union := len(a) + len(b) - inter
-	return float64(inter) / float64(union)
 }
 
 // Levenshtein returns the edit distance between two strings, computed over
@@ -170,12 +144,6 @@ func (m Matcher) Similarity(a, b *profile.Profile) float64 {
 		return EditSimilarity(truncRunes(a.JoinedValues(), EDMaxLen), truncRunes(b.JoinedValues(), EDMaxLen))
 	case JW:
 		return JaroWinkler(truncRunes(a.JoinedValues(), EDMaxLen), truncRunes(b.JoinedValues(), EDMaxLen))
-	case COS:
-		return cosineSyms(tokenSyms(a), tokenSyms(b))
-	case OVL:
-		return overlapSyms(tokenSyms(a), tokenSyms(b))
-	case ME:
-		return MongeElkan(a.Tokens(), b.Tokens())
 	default:
 		return jaccardSyms(tokenSyms(a), tokenSyms(b))
 	}
@@ -189,8 +157,6 @@ func (m Matcher) Prepare(p *profile.Profile) {
 	switch m.Kind {
 	case ED, JW:
 		p.JoinedValues()
-	case ME:
-		p.Tokens()
 	default:
 		tokenSyms(p)
 	}
@@ -265,11 +231,7 @@ func (c CostModel) Compare(kind Kind, a, b *profile.Profile) time.Duration {
 			lb = EDMaxLen
 		}
 		return c.CompareBase + time.Duration(la*lb/4)*c.EDPerCell
-	case ME:
-		// One Jaro-Winkler per token pair; tokens average ~8 runes.
-		pairs := len(a.Tokens()) * len(b.Tokens())
-		return c.CompareBase + time.Duration(pairs*16)*c.EDPerCell
-	default: // JS, COS, OVL: one linear merge over the token sets
+	default: // JS: one linear merge over the token sets
 		toks := len(a.Tokens()) + len(b.Tokens())
 		return c.CompareBase + time.Duration(toks)*c.JSPerToken
 	}

@@ -2,7 +2,6 @@ package match
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,6 +10,7 @@ import (
 )
 
 func TestJaccardBasic(t *testing.T) {
+	js := NewMatcher(JS)
 	tests := []struct {
 		a, b []string
 		want float64
@@ -23,28 +23,17 @@ func TestJaccardBasic(t *testing.T) {
 		{nil, []string{"aa"}, 0},
 	}
 	for _, tc := range tests {
-		if got := Jaccard(tc.a, tc.b); math.Abs(got-tc.want) > 1e-12 {
+		if got := js.Similarity(tokenProfile(1, tc.a), tokenProfile(2, tc.b)); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("Jaccard(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
 		}
 	}
 }
 
 func TestJaccardSymmetricAndBounded(t *testing.T) {
-	norm := func(xs []string) []string {
-		set := map[string]struct{}{}
-		for _, x := range xs {
-			set[x] = struct{}{}
-		}
-		out := make([]string, 0, len(set))
-		for x := range set {
-			out = append(out, x)
-		}
-		sort.Strings(out)
-		return out
-	}
+	js := NewMatcher(JS)
 	f := func(a, b []string) bool {
-		na, nb := norm(a), norm(b)
-		s1, s2 := Jaccard(na, nb), Jaccard(nb, na)
+		pa, pb := tokenProfile(1, a), tokenProfile(2, b)
+		s1, s2 := js.Similarity(pa, pb), js.Similarity(pb, pa)
 		return s1 == s2 && s1 >= 0 && s1 <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -154,7 +143,7 @@ func TestPrepareLeavesSimilarityUnchanged(t *testing.T) {
 		return profile.New(1, profile.SourceA, "e1", "title", "The Matrix 1999 Wachowski"),
 			profile.New(2, profile.SourceB, "e1", "name", "Matrix, The (1999) dir. Wachowski")
 	}
-	for _, kind := range []Kind{JS, ED, JW, COS, OVL, ME} {
+	for _, kind := range []Kind{JS, ED, JW} {
 		m := NewMatcher(kind)
 		a, b := pair()
 		m.Prepare(a)
@@ -193,10 +182,10 @@ func TestCostModelRegimes(t *testing.T) {
 func BenchmarkJaccard(b *testing.B) {
 	p1 := profile.New(1, profile.SourceA, "", "d", strings.Repeat("alpha beta gamma delta ", 5))
 	p2 := profile.New(2, profile.SourceB, "", "d", strings.Repeat("beta gamma epsilon zeta ", 5))
-	t1, t2 := p1.Tokens(), p2.Tokens()
+	t1, t2 := tokenSyms(p1), tokenSyms(p2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Jaccard(t1, t2)
+		jaccardSyms(t1, t2)
 	}
 }
 

@@ -1,27 +1,16 @@
 package match
 
 import (
-	"math"
 	"slices"
 
 	"pier/internal/intern"
 	"pier/internal/profile"
 )
 
-// Additional similarity functions beyond the paper's JS/ED pair, rounding
-// out the matching step to what a general-purpose ER library ships: string
-// measures for names (Jaro, Jaro-Winkler), token-set measures (overlap
-// coefficient, cosine), and the hybrid Monge-Elkan measure that matches
-// token lists through a secondary string similarity.
-//
-// The token-set measures come in two forms: the exported string-slice
-// versions (the reference API, still used directly by tests and callers with
-// raw token lists) and unexported symbol-set versions the Matcher hot path
-// uses — each profile's token set is interned once into a sorted []uint32
-// (cached on the profile), and every subsequent comparison is an integer
-// intersection instead of a string one. Set cardinalities are preserved by
-// the interning bijection, so both forms compute identical values; the
-// differential tests in similarity_test.go pin that.
+// Jaro-Winkler, a string measure for names beyond the paper's JS/ED pair,
+// and Jaccard over interned token symbols: each profile's token set is
+// interned once into a sorted []uint32 (cached on the profile), and every
+// subsequent comparison is an integer intersection instead of a string one.
 
 // simTab interns matcher tokens to dense symbols. It is match's own table —
 // distinct from the blocking index's — because the matcher also runs on
@@ -46,7 +35,8 @@ func tokenSyms(p *profile.Profile) []uint32 {
 	return p.TokenSyms(encodeTokens)
 }
 
-// jaccardSyms is Jaccard over symbol sets; see Jaccard for the semantics.
+// jaccardSyms returns |a ∩ b| / |a ∪ b| for two sorted, deduplicated symbol
+// sets. Both empty yields 1 (identical empty sets).
 func jaccardSyms(a, b []uint32) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
@@ -54,32 +44,6 @@ func jaccardSyms(a, b []uint32) float64 {
 	inter := intern.IntersectCount(a, b)
 	union := len(a) + len(b) - inter
 	return float64(inter) / float64(union)
-}
-
-// overlapSyms is the overlap coefficient |a ∩ b| / min(|a|, |b|) of two
-// sorted, deduplicated symbol sets. Both empty yields 1.
-func overlapSyms(a, b []uint32) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := intern.IntersectCount(a, b)
-	return float64(inter) / float64(min(len(a), len(b)))
-}
-
-// cosineSyms is the set cosine similarity |a ∩ b| / sqrt(|a|·|b|) of two
-// sorted, deduplicated symbol sets. Both empty yields 1.
-func cosineSyms(a, b []uint32) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := intern.IntersectCount(a, b)
-	return float64(inter) / math.Sqrt(float64(len(a))*float64(len(b)))
 }
 
 // Jaro returns the Jaro similarity of two strings in [0, 1].
@@ -157,35 +121,4 @@ func JaroWinkler(a, b string) float64 {
 		prefix++
 	}
 	return j + float64(prefix)*jaroWinklerPrefixScale*(1-j)
-}
-
-// MongeElkan returns the (symmetrized) Monge-Elkan similarity of two token
-// slices under the Jaro-Winkler inner measure: for each token of one side,
-// the best Jaro-Winkler score against the other side, averaged; the two
-// directions are averaged for symmetry.
-func MongeElkan(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	return (mongeElkanDirected(a, b) + mongeElkanDirected(b, a)) / 2
-}
-
-func mongeElkanDirected(a, b []string) float64 {
-	total := 0.0
-	for _, ta := range a {
-		best := 0.0
-		for _, tb := range b {
-			if s := JaroWinkler(ta, tb); s > best {
-				best = s
-				if best == 1 {
-					break
-				}
-			}
-		}
-		total += best
-	}
-	return total / float64(len(a))
 }

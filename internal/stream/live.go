@@ -125,6 +125,11 @@ type LiveConfig struct {
 	// written does not stop the run: that store keeps its state resident,
 	// stops spilling, and Err reports the failure.
 	Storage storage.Config
+	// Assigned, if set, reports whether the caller has assigned a profile
+	// ID: RestoreLive rejects a snapshot whose collection or clusters name
+	// a profile it has not, since every match and cluster member the
+	// restored pipeline reports is one of them. Nil accepts every ID.
+	Assigned func(id int) bool
 }
 
 // splitStorage divides the pipeline's storage budget between the posting
@@ -1370,8 +1375,28 @@ func RestoreLive(r io.Reader, strategy core.Strategy, cfg LiveConfig) (*Live, er
 	if err := sr.Gob("findk", &kst); err != nil {
 		return fail(err)
 	}
-	var cst cluster.State
+	if err := kst.Check(); err != nil {
+		return fail(err)
+	}
+	// Non-nil maps bound what a damaged gob count can allocate (DESIGN.md §9).
+	cst := cluster.State{Parent: map[int]int{}, Size: map[int]int{}}
 	if err := sr.Gob("clusters", &cst); err != nil {
+		return fail(err)
+	}
+	if cfg.Assigned != nil {
+		for id := range cst.Parent {
+			if !cfg.Assigned(id) {
+				return fail(fmt.Errorf("stream: snapshot clusters name profile %d, which was never assigned", id))
+			}
+		}
+		for _, id := range col.ProfileIDs() {
+			if !cfg.Assigned(id) {
+				return fail(fmt.Errorf("stream: snapshot collection holds profile %d, which was never assigned", id))
+			}
+		}
+	}
+	clusters, err := cluster.Restore(cst)
+	if err != nil {
 		return fail(err)
 	}
 	var rst metrics.RecorderState
@@ -1409,7 +1434,7 @@ func RestoreLive(r io.Reader, strategy core.Strategy, cfg LiveConfig) (*Live, er
 
 	st := &liveState{
 		col:               col,
-		clusters:          cluster.Restore(cst),
+		clusters:          clusters,
 		rec:               metrics.RestoreRecorder(rst, l.cfg.GroundTruth),
 		executed:          storage.LoadDedupStore(dedupCfg, acc.Executed),
 		windowIDs:         acc.WindowIDs,

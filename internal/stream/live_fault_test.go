@@ -31,14 +31,13 @@ func faultCoreConfig() core.Config {
 	return cfg
 }
 
-// faultStrategies builds fresh instances of all four checkpointable
+// faultStrategies builds fresh instances of all three checkpointable
 // strategies.
 func faultStrategies() map[string]func() core.Strategy {
 	return map[string]func() core.Strategy{
 		"I-PCS": func() core.Strategy { return core.NewIPCS(faultCoreConfig()) },
 		"I-PBS": func() core.Strategy { return core.NewIPBS(faultCoreConfig()) },
 		"I-PES": func() core.Strategy { return core.NewIPES(faultCoreConfig()) },
-		"I-SN":  func() core.Strategy { return core.NewISN(faultCoreConfig(), 0) },
 	}
 }
 

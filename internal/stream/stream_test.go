@@ -171,23 +171,18 @@ func TestSlowStreamIdleJump(t *testing.T) {
 }
 
 func TestExtensionStrategiesIntegration(t *testing.T) {
-	// The AUTO selector and the I-SN extension must run end-to-end through
-	// the simulated pipeline with sane quality.
-	for name, mk := range map[string]func() core.Strategy{
-		"AUTO": func() core.Strategy { return core.NewAuto(coreCfg()) },
-		"I-SN": func() core.Strategy { return core.NewISN(coreCfg(), 0) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			cfg := DefaultConfig(true, match.JS, smallDA.GroundTruth)
-			res := Run(mk(), Schedule(smallDA.Increments(20), 0), cfg)
-			if res.Curve.FinalPC() < 0.6 {
-				t.Errorf("%s PC = %.3f, want >= 0.6", name, res.Curve.FinalPC())
-			}
-			if res.Profiles != smallDA.NumProfiles() {
-				t.Errorf("%s ingested %d profiles", name, res.Profiles)
-			}
-		})
-	}
+	// The AUTO selector must run end-to-end through the simulated pipeline
+	// with sane quality.
+	t.Run("AUTO", func(t *testing.T) {
+		cfg := DefaultConfig(true, match.JS, smallDA.GroundTruth)
+		res := Run(core.NewAuto(coreCfg()), Schedule(smallDA.Increments(20), 0), cfg)
+		if res.Curve.FinalPC() < 0.6 {
+			t.Errorf("AUTO PC = %.3f, want >= 0.6", res.Curve.FinalPC())
+		}
+		if res.Profiles != smallDA.NumProfiles() {
+			t.Errorf("AUTO ingested %d profiles", res.Profiles)
+		}
+	})
 }
 
 func TestBlockFilteringReducesComparisons(t *testing.T) {

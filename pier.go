@@ -73,10 +73,6 @@ const (
 	// paper's future-work heuristic): I-PBS for short homogeneous records,
 	// I-PES otherwise.
 	Auto Algorithm = "AUTO"
-	// ISN is an extension beyond the paper: incremental sorted-neighborhood
-	// prioritization over a dynamic token index, catching near-miss keys
-	// that token blocking cannot pair (e.g. leading-character typos).
-	ISN Algorithm = "I-SN"
 )
 
 // MatchFunc selects the similarity function of the matching step.
@@ -92,15 +88,6 @@ const (
 	// JaroWinkler similarity over the joined values: mid-cost, tuned for
 	// person and organization names.
 	JaroWinkler
-	// CosineSim is set cosine similarity over token sets.
-	CosineSim
-	// OverlapSim is the overlap coefficient over token sets — forgiving
-	// when one profile is much shorter than the other.
-	OverlapSim
-	// MongeElkanSim matches token lists through a Jaro-Winkler inner
-	// measure: the most robust (and most expensive) option for short,
-	// noisy records.
-	MongeElkanSim
 )
 
 // WeightScheme selects the meta-blocking weighting scheme used to rank
@@ -312,7 +299,7 @@ type Options struct {
 	// streams; the oldest are evicted. 0 keeps everything.
 	Window int
 	// Keyer, when set, overrides Blocking with a custom blocking-key
-	// extractor — e.g. one learned with LearnAttributeClustering.
+	// extractor.
 	Keyer KeyerFunc
 	// CheckInvariants enables runtime self-verification of the pipeline's
 	// internal structures: the strategy's comparison index (heap order,
@@ -414,37 +401,6 @@ func toPublicProfile(p *profile.Profile) Profile {
 	return out
 }
 
-// LearnAttributeClustering learns an attribute-clustering blocking keyer
-// from sample profiles (see internal/blocking.NewAttrClusterer): attribute
-// names with similar value vocabularies are clustered, and blocking keys are
-// cluster-prefixed tokens, so profiles collide only on tokens of comparable
-// attributes. threshold <= 0 uses the default (0.15). Train on a
-// representative sample — e.g. the first increments — and pass the result as
-// Options.Keyer.
-func LearnAttributeClustering(sample []Profile, threshold float64) KeyerFunc {
-	internal := make([]*profile.Profile, len(sample))
-	for i, pr := range sample {
-		attrs := make([]profile.Attribute, len(pr.Attributes))
-		for j, a := range pr.Attributes {
-			attrs[j] = profile.Attribute{Name: a.Name, Value: a.Value}
-		}
-		src := profile.SourceA
-		if pr.SourceB {
-			src = profile.SourceB
-		}
-		internal[i] = &profile.Profile{ID: i, Source: src, EntityKey: pr.Key, Attributes: attrs}
-	}
-	clusterer := blocking.NewAttrClusterer(internal, threshold)
-	keyer := clusterer.Keyer()
-	return func(pr Profile) []string {
-		attrs := make([]profile.Attribute, len(pr.Attributes))
-		for j, a := range pr.Attributes {
-			attrs[j] = profile.Attribute{Name: a.Name, Value: a.Value}
-		}
-		return keyer(&profile.Profile{Attributes: attrs})
-	}
-}
-
 // matcher builds the internal matcher from the options.
 func (o Options) matcher() match.Matcher {
 	kind := match.JS
@@ -453,12 +409,6 @@ func (o Options) matcher() match.Matcher {
 		kind = match.ED
 	case JaroWinkler:
 		kind = match.JW
-	case CosineSim:
-		kind = match.COS
-	case OverlapSim:
-		kind = match.OVL
-	case MongeElkanSim:
-		kind = match.ME
 	}
 	m := match.NewMatcher(kind)
 	if o.MatchThreshold > 0 {
@@ -526,8 +476,6 @@ func (o Options) strategy(reg *obsv.Registry) (core.Strategy, error) {
 		return core.NewIPES(cfg), nil
 	case Auto:
 		return core.NewAuto(cfg), nil
-	case ISN:
-		return core.NewISN(cfg, 0), nil
 	case IPCS:
 		return core.NewIPCS(cfg), nil
 	case IPBS:

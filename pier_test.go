@@ -2,6 +2,7 @@ package pier_test
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -207,7 +208,7 @@ func TestDirtyERIgnoresSource(t *testing.T) {
 	}
 	for _, alg := range []pier.Algorithm{
 		pier.IPCS, pier.IPBS, pier.IPES, pier.IBase, pier.PPSGlobal,
-		pier.PPSLocal, pier.PBSGlobal, pier.BatchER, pier.Auto, pier.ISN,
+		pier.PPSLocal, pier.PBSGlobal, pier.BatchER, pier.Auto,
 	} {
 		t.Run(string(alg), func(t *testing.T) {
 			want, wantCmp := resolve(t, alg, twin)
@@ -346,20 +347,6 @@ func TestAutoAlgorithm(t *testing.T) {
 	}
 }
 
-func TestISNAlgorithmPublic(t *testing.T) {
-	profiles, _ := moviePairs()
-	matches, _, err := pier.Resolve(profiles, pier.Options{
-		Algorithm:  pier.ISN,
-		CleanClean: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) < 4 {
-		t.Errorf("I-SN found %d matches, want >= 4", len(matches))
-	}
-}
-
 func TestParallelismOption(t *testing.T) {
 	profiles, _ := moviePairs()
 	matches, _, err := pier.Resolve(profiles, pier.Options{
@@ -406,7 +393,6 @@ func TestAllMatchFuncsResolve(t *testing.T) {
 	profiles, _ := moviePairs()
 	for _, mf := range []pier.MatchFunc{
 		pier.Jaccard, pier.EditDistance, pier.JaroWinkler,
-		pier.CosineSim, pier.OverlapSim, pier.MongeElkanSim,
 	} {
 		matches, _, err := pier.Resolve(profiles, pier.Options{
 			CleanClean: true,
@@ -421,22 +407,28 @@ func TestAllMatchFuncsResolve(t *testing.T) {
 	}
 }
 
-func TestLearnAttributeClustering(t *testing.T) {
-	profiles, _ := moviePairs()
-	keyer := pier.LearnAttributeClustering(profiles, 0.1)
-	keys := keyer(profiles[0])
-	if len(keys) == 0 {
-		t.Fatal("learned keyer emitted no keys")
+func TestCustomKeyer(t *testing.T) {
+	// A keyer that blocks on the release year alone puts each duplicate pair
+	// in a block of its own and leaves the year-less profiles unblocked.
+	profiles, dups := moviePairs()
+	year := func(p pier.Profile) []string {
+		var keys []string
+		for _, a := range p.Attributes {
+			for _, f := range strings.FieldsFunc(a.Value, func(r rune) bool { return r < '0' || r > '9' }) {
+				keys = append(keys, f)
+			}
+		}
+		return keys
 	}
-	matches, _, err := pier.Resolve(profiles, pier.Options{
-		CleanClean: true,
-		Keyer:      keyer,
-	})
+	matches, summary, err := pier.Resolve(profiles, pier.Options{CleanClean: true, Keyer: year})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(matches) < 4 {
-		t.Errorf("attribute-clustered blocking found %d matches, want >= 4", len(matches))
+	if summary.Comparisons != len(dups) {
+		t.Errorf("year blocking ran %d comparisons, want %d", summary.Comparisons, len(dups))
+	}
+	if len(matches) != len(dups) {
+		t.Errorf("year blocking found %d matches, want %d: %v", len(matches), len(dups), matches)
 	}
 }
 
