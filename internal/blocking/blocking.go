@@ -54,11 +54,7 @@ func (b *Block) Size() int { return len(b.A) + len(b.B) }
 // Comparisons returns ||b||, the number of distinct pairwise comparisons the
 // block can generate: |A|·|B| for Clean-Clean, n(n-1)/2 for Dirty.
 func (b *Block) Comparisons(cleanClean bool) int {
-	if cleanClean {
-		return len(b.A) * len(b.B)
-	}
-	n := b.Size()
-	return n * (n - 1) / 2
+	return comparisons(storage.Meta{A: int32(len(b.A)), B: int32(len(b.B))}, cleanClean)
 }
 
 // shard is one partition of the block index: the purge tombstones and dirty
@@ -559,14 +555,27 @@ type blockStat struct {
 	size int
 }
 
-// sortedStatsBySize returns the meta of all live blocks sorted by ascending
+// comparisons is Block.Comparisons read from the resident metadata.
+func comparisons(m storage.Meta, cleanClean bool) int {
+	if cleanClean {
+		return int(m.A) * int(m.B)
+	}
+	n := m.Size()
+	return n * (n - 1) / 2
+}
+
+// sortedStatsBySize returns the meta of the live blocks sorted by ascending
 // size, ties broken by key *string* — never by raw symbol value, which
 // depends on arrival order — so scan order is stable across ingest
-// permutations (and across storage backends).
-func (c *Collection) sortedStatsBySize() []blockStat {
+// permutations (and across storage backends). With pairsOnly it keeps only
+// the blocks that can yield a comparison, decided from metadata alone.
+func (c *Collection) sortedStatsBySize(pairsOnly bool) []blockStat {
 	stats := make([]blockStat, 0, c.NumBlocks())
 	for si := 0; si < c.store.NumShards(); si++ {
 		c.store.RangeMeta(si, func(key uint32, m storage.Meta) bool {
+			if pairsOnly && comparisons(m, c.cleanClean) == 0 {
+				return true
+			}
 			sym := intern.Sym(key)
 			stats = append(stats, blockStat{sym: sym, key: c.tab.StringOf(sym), size: m.Size()})
 			return true
@@ -587,7 +596,7 @@ func (c *Collection) sortedStatsBySize() []blockStat {
 // SortedKeysBySize returns all live block keys sorted by ascending block
 // size, ties broken by key for determinism. The slice is freshly allocated.
 func (c *Collection) SortedKeysBySize() []string {
-	stats := c.sortedStatsBySize()
+	stats := c.sortedStatsBySize(false)
 	keys := make([]string, len(stats))
 	for i, st := range stats {
 		keys[i] = st.key
@@ -595,15 +604,27 @@ func (c *Collection) SortedKeysBySize() []string {
 	return keys
 }
 
-// SortedSymsBySize is SortedKeysBySize resolved to symbols — the hot-path
-// form the strategies' fallback scans keep as their cursor.
-func (c *Collection) SortedSymsBySize() []intern.Sym {
-	stats := c.sortedStatsBySize()
+// SortedPairSymsBySize is SortedKeysBySize restricted to the blocks that can
+// yield a comparison (Comparisons > 0) and resolved to symbols: the cursor of
+// the strategies' leftover scans. A block without a pair is neither sorted
+// nor listed, and nothing is faulted in.
+func (c *Collection) SortedPairSymsBySize() []intern.Sym {
+	stats := c.sortedStatsBySize(true)
 	syms := make([]intern.Sym, len(stats))
 	for i, st := range stats {
 		syms[i] = st.sym
 	}
 	return syms
+}
+
+// ComparisonsBySym returns Comparisons of the live block of sym, 0 when there
+// is none, from the resident metadata: it never faults a block in.
+func (c *Collection) ComparisonsBySym(sym intern.Sym) int {
+	m, ok := c.store.Meta(int(sym&c.mask), uint32(sym))
+	if !ok {
+		return 0
+	}
+	return comparisons(m, c.cleanClean)
 }
 
 // SortedKeysByName returns all live block keys in lexicographic order — a

@@ -3,6 +3,7 @@ package blocking
 import (
 	"pier/internal/intern"
 	"pier/internal/profile"
+	"pier/internal/storage"
 )
 
 // This file is the probe side of the query read path: the posting type a
@@ -33,11 +34,7 @@ func (p *Posting) Size() int { return len(p.A) + len(p.B) }
 
 // Comparisons returns ||b|| of the posting, mirroring Block.Comparisons.
 func (p *Posting) Comparisons(cleanClean bool) int {
-	if cleanClean {
-		return len(p.A) * len(p.B)
-	}
-	n := p.Size()
-	return n * (n - 1) / 2
+	return comparisons(storage.Meta{A: int32(len(p.A)), B: int32(len(p.B))}, cleanClean)
 }
 
 // ProbeSyms resolves the probe's blocking keys to symbols without interning:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"pier/internal/blocking"
@@ -62,19 +63,22 @@ type generator struct {
 	// the fallback scan never re-emits a marked pair.
 	Executed
 
-	// weigher is the reusable per-pair CBS weighing kernel of the fallback
-	// path (anchor-swept neighbor counts); only the (serial) fallback scan
-	// touches it.
-	weigher metablocking.Kernel
-
 	scratches []genScratch              // one per worker slot; [0] serves the serial path
 	runs      []profRun                 // per-profile output runs of the last fan-out
 	merged    []metablocking.Comparison // reused fan-out merge buffer
 	fbBuf     []metablocking.Comparison // reused fallback-scan output buffer
 
-	// scanSyms is the fallback-scan cursor: the live blocks at scanVersion,
-	// smallest first (ties by key string, so the order is independent of
-	// symbol assignment), resolved to symbols for map-free lookups.
+	// fbSyms and fbSpan weigh the block being scanned: member i's sorted
+	// live-block symbols are fbSyms[fbSpan[i].lo:fbSpan[i].hi], read from
+	// metadata the first time one of its pairs needs a weight. Both are
+	// sized by the block, never by the profile-ID range.
+	fbSyms []intern.Sym
+	fbSpan []symSpan
+
+	// scanSyms is the fallback-scan cursor: the blocks that can yield a
+	// comparison at scanVersion, smallest first (ties by key string, so the
+	// order is independent of symbol assignment), resolved to symbols for
+	// map-free lookups.
 	scanSyms    []intern.Sym
 	scanPos     int
 	scanVersion uint64
@@ -227,27 +231,32 @@ func (g *generator) candidates(col *blocking.Collection, delta []*profile.Profil
 
 // fallbackScan implements GetComparisons(B): each call takes the comparisons
 // of the next block — blocks visited from the smallest to the biggest — that
-// yields at least one unexecuted pair, weighted with the configured scheme.
-// It returns nil when every block has been visited. New data invalidates the
-// sorted order and restarts the scan; the executed-pair set keeps restarts
-// from redoing finished work. The returned slice is owned by the generator and
-// valid until its next call.
+// yields at least one unexecuted pair, weighted by CBS. It returns nil when
+// every block has been visited. The cursor lists only the blocks that can
+// yield a pair, chosen and sorted from the resident block metadata, so a
+// pairless block is never sorted and never faulted in from a spill segment.
+// New data invalidates the sorted order and restarts the scan; the
+// executed-pair set keeps restarts from redoing finished work. The returned
+// slice is owned by the generator and valid until its next call.
 func (g *generator) fallbackScan(col *blocking.Collection) ([]metablocking.Comparison, time.Duration) {
 	if !g.scanValid || g.scanVersion != col.Version() {
-		g.scanSyms = col.SortedSymsBySize()
+		g.scanSyms = col.SortedPairSymsBySize()
 		g.scanPos = 0
 		g.scanVersion = col.Version()
 		g.scanValid = true
 	}
 	var cost time.Duration
 	for g.scanPos < len(g.scanSyms) {
-		b := col.BlockBySym(g.scanSyms[g.scanPos])
+		sym := g.scanSyms[g.scanPos]
 		g.scanPos++
-		if b == nil {
+		// A cursor restored from an image that listed every live block can
+		// still name pairless ones; the metadata skips them unfetched.
+		n := col.ComparisonsBySym(sym)
+		if n == 0 {
 			continue
 		}
-		cmps := g.blockComparisons(col, b)
-		cost += g.cfg.Costs.Generate(b.Comparisons(col.CleanClean()))
+		cmps := g.blockComparisons(col, col.BlockBySym(sym))
+		cost += g.cfg.Costs.Generate(n)
 		if len(cmps) > 0 {
 			return cmps, cost
 		}
@@ -255,36 +264,56 @@ func (g *generator) fallbackScan(col *blocking.Collection) ([]metablocking.Compa
 	return nil, cost
 }
 
-// blockComparisons generates the unexecuted comparisons of one block, each
-// weighted by the CBS-style shared-block count of its pair, into the reused
-// fallback buffer.
+// symSpan locates one block member's sorted live-block symbols in fbSyms;
+// lo < 0 means not read yet.
+type symSpan struct{ lo, hi int32 }
+
+// blockComparisons generates the unexecuted comparisons of one block into the
+// reused fallback buffer, each weighted by its pair's shared live blocks:
+// the intersection of the two members' sorted live-block symbols, which is
+// metablocking.SharedBlocks, read from metadata without fetching any block.
 func (g *generator) blockComparisons(col *blocking.Collection, b *blocking.Block) []metablocking.Comparison {
 	out := g.fbBuf[:0]
-	emit := func(x, y int) {
-		key := profile.PairKey(x, y)
-		if g.Marked(key) {
+	n := len(b.A) + len(b.B)
+	g.fbSpan = slices.Grow(g.fbSpan[:0], n)[:n]
+	for i := range g.fbSpan {
+		g.fbSpan[i].lo = -1
+	}
+	g.fbSyms = g.fbSyms[:0]
+	bsize := b.Size()
+	emit := func(i, j, x, y int) {
+		if g.Marked(profile.PairKey(x, y)) {
 			return
 		}
-		out = append(out, metablocking.Comparison{
-			X:      x,
-			Y:      y,
-			Weight: float64(g.weigher.SharedBlocks(col, x, y)),
-			BSize:  b.Size(),
-		})
+		shared := intern.IntersectCount(g.liveSyms(col, i, x), g.liveSyms(col, j, y))
+		out = append(out, metablocking.Comparison{X: x, Y: y, Weight: float64(shared), BSize: bsize})
 	}
 	if col.CleanClean() {
-		for _, x := range b.A {
-			for _, y := range b.B {
-				emit(x, y)
+		for i, x := range b.A {
+			for j, y := range b.B {
+				emit(i, len(b.A)+j, x, y)
 			}
 		}
 	} else {
 		for i, x := range b.A {
-			for _, y := range b.A[i+1:] {
-				emit(x, y)
+			for j := i + 1; j < len(b.A); j++ {
+				emit(i, j, x, b.A[j])
 			}
 		}
 	}
 	g.fbBuf = out
 	return out
+}
+
+// liveSyms returns the sorted live-block symbols of member i (profile id) of
+// the block being scanned, reading them on first use.
+func (g *generator) liveSyms(col *blocking.Collection, i, id int) []intern.Sym {
+	sp := &g.fbSpan[i]
+	if sp.lo < 0 {
+		lo := len(g.fbSyms)
+		g.fbSyms = col.AppendLiveSymsOf(id, g.fbSyms)
+		slices.Sort(g.fbSyms[lo:])
+		*sp = symSpan{lo: int32(lo), hi: int32(len(g.fbSyms))}
+	}
+	return g.fbSyms[sp.lo:sp.hi]
 }

@@ -74,9 +74,9 @@ func (e *Executed) restorePrivate(keys []uint64) {
 // and saved verbatim with the block collection, and a strategy image is only
 // ever restored alongside the collection it was checkpointed with (the
 // snapshot container orders the sections that way), so the symbols resolve
-// identically after the restore. The weigher is a cache keyed on the
-// collection's identity and version; it rebuilds itself on first use after a
-// restore.
+// identically after the restore. Images written before the cursor held only
+// pair-bearing blocks may list pairless ones too; the scan skips those from
+// the block metadata, so they restore unchanged.
 type generatorImage struct {
 	Marked      []uint64
 	ScanSyms    []uint32
@@ -111,7 +111,6 @@ func (g *generator) restore(img generatorImage) error {
 	g.scanPos = img.ScanPos
 	g.scanVersion = img.ScanVersion
 	g.scanValid = img.ScanValid
-	g.weigher = metablocking.Kernel{} // cache: rebuilt lazily
 	return nil
 }
 

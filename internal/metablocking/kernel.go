@@ -60,7 +60,7 @@ type dslot struct {
 //   - Candidates: all weighted edges of one new profile in a single sweep
 //     over its (ghosted) blocks, on the incremental generation hot path.
 //   - SharedBlocks: per-pair CBS weights during block scans (I-PBS emission,
-//     fallback scans), amortized by sweeping the anchor's blocks once into
+//     the PBS baseline), amortized by sweeping the anchor's blocks once into
 //     neighbor counts and answering each partner in O(1).
 //   - BeginProbe/Accumulate/Partners/ProbeStats: the serving path's probe-side
 //     accumulation over pinned posting snapshots (stream.Query), which never

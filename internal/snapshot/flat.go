@@ -52,50 +52,6 @@ func AppendSet(buf []byte, keys []uint64) []byte {
 	return buf
 }
 
-// SortKeys sorts keys ascending in place: an LSD radix sort over bytes that
-// skips every byte position on which all keys agree, so pair keys whose IDs
-// use a few bits of each half sort in a few linear passes.
-func SortKeys(keys []uint64) {
-	if len(keys) < 2 {
-		return
-	}
-	src, dst := keys, make([]uint64, len(keys))
-	var differ uint64 // the bits on which some key differs from the first
-	for _, k := range src {
-		differ |= k ^ src[0]
-	}
-	var counts [8][256]int
-	var passes []int // the byte positions on which keys differ
-	for b := range counts {
-		if byte(differ>>(8*b)) != 0 {
-			passes = append(passes, b)
-		}
-	}
-	for _, k := range src {
-		for _, b := range passes {
-			counts[b][byte(k>>(8*b))]++
-		}
-	}
-	for _, b := range passes {
-		c := &counts[b]
-		at := 0
-		for d := range c {
-			n := c[d]
-			c[d] = at
-			at += n
-		}
-		for _, k := range src {
-			d := byte(k >> (8 * b))
-			dst[c[d]] = k
-			c[d]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &keys[0] {
-		copy(keys, src)
-	}
-}
-
 // Decoder reads the fields of one flat section in the order they were
 // appended. The first failure sticks: later reads return zero values, and Err
 // and Finish report it.

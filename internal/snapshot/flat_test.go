@@ -3,35 +3,10 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
-	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 )
-
-// TestSortKeys checks the radix sort against slices.Sort on pair-key shaped
-// inputs (few varying bytes), full 64-bit keys, duplicates and tiny inputs.
-func TestSortKeys(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	inputs := [][]uint64{nil, {7}, {3, 3, 3}, {2, 1}}
-	pairs := make([]uint64, 5000)
-	for i := range pairs {
-		pairs[i] = uint64(rng.Intn(5000))<<32 | uint64(rng.Intn(5000))
-	}
-	wide := make([]uint64, 5000)
-	for i := range wide {
-		wide[i] = rng.Uint64()
-	}
-	inputs = append(inputs, pairs, wide)
-	for _, in := range inputs {
-		got, want := slices.Clone(in), slices.Clone(in)
-		SortKeys(got)
-		slices.Sort(want)
-		if !slices.Equal(got, want) {
-			t.Fatalf("SortKeys of %d keys disagrees with slices.Sort", len(in))
-		}
-	}
-}
 
 // TestSetRoundTrip checks AppendSet/Set, including the extremes of the key
 // range, and that a gap that overflows 64 bits is an error.

@@ -1,14 +1,10 @@
 package storage
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/bits"
 	"os"
-	"slices"
-	"sort"
 )
 
 // DedupStore is the executed-pair set of the live stream: a set of uint64
@@ -68,14 +64,12 @@ func LoadDedupStore(cfg Config, keys []uint64) DedupStore {
 		sg, err := d.writeKeys(keys)
 		if err == nil {
 			d.segs = append(d.segs, sg)
+			d.sealed = sg.count
 			return d
 		}
 		d.fail(fmt.Errorf("storage: writing restored dedup segment: %w", err))
 	}
-	d.active = make(map[uint64]struct{}, len(keys))
-	for _, k := range keys {
-		d.active[k] = struct{}{}
-	}
+	d.active.fill(keys)
 	return d
 }
 
@@ -231,63 +225,71 @@ func (d *memDedup) Range(fn func(key uint64) bool) error {
 func (d *memDedup) Err() error   { return nil }
 func (d *memDedup) Close() error { return nil }
 
-// spillDedup bounds the resident set LSM-style: recent keys live in an
-// in-memory active map; when the active set (plus tombstones) outgrows its
-// share of the budget it is sealed into an immutable sorted segment of raw
-// big-endian uint64s on disk. Lookups consult the active map, then the
-// tombstone map, then each segment — guarded by an in-memory bloom bitset
-// and fence index per segment, so a miss almost never touches disk and a
-// hit costs one bounded ReadAt. Deletes of sealed keys become tombstones;
-// when tombstones pile up or segments proliferate, everything is merged
-// into one segment and the tombstones drop.
+// spillDedup bounds the resident set LSM-style. Recent keys live in the
+// active table, a flat open-addressing table like memDedup; when the active
+// and tombstone tables together reach sealAt keys, the active table is
+// radix-sorted and sealed into an immutable segment of raw big-endian uint64s
+// on disk. Lookups consult the active table, then the tombstone table, then
+// the segments newest first. Each segment keeps a resident blocked bloom
+// filter, which answers from one 64-byte block, and a fence index, so a miss
+// almost never touches disk and a hit costs one bounded ReadAt. Deletes of
+// sealed keys become tombstones.
 //
-// Resident overhead per sealed key is ~1.5 bytes (10 bloom bits + one fence
-// word per 64 keys) — the part of the set that cannot spill; the budget
-// proper prices the active and tombstone maps.
+// Segments compact size-tiered: after a seal, the two newest segments merge
+// while the older holds at most twice the newer's keys. Sizes then more than
+// double from newest to oldest, and since a seal writes more than sealAt/2
+// keys, a lookup probes at most ⌈log2(sealed/sealAt)⌉+1 segments. Merges
+// stream both inputs in large chunks. Tombstones drop in a full merge of
+// every segment, which runs when they reach half of sealAt or a quarter of
+// the sealed keys.
+//
+// The budget prices the two tables at dedupKeyCost bytes per key: a table
+// kept at most half full holds 16–32 bytes per key, so the tables stay
+// inside the budget up to each one's rounding to its 64-slot minimum. Resident
+// overhead per sealed key is ~1.4 bytes (10 bloom bits and one fence word per
+// 64 keys), plus one cached 512-byte fence block per segment; it rides on top
+// of the budget.
 //
 // Membership is exact: blooms only short-circuit misses, and segment reads
 // finish with a binary search over the sorted keys. Invariants: a key lives
-// in the active map or in at most one segment, never both; tombstones only
+// in the active table or in at most one segment, never both; tombstones only
 // name sealed keys.
 type spillDedup struct {
 	dir    string // own temp dir, created at first seal
 	parent string
 	sealAt int // seal the active set at this many active+tombstone keys
 
-	active map[uint64]struct{}
-	tombs  map[uint64]struct{}
-	segs   []*dedupSeg
-	n      int   // exact live count
-	err    error // first failed segment write or read; sealing and merging stop once set
+	active memDedup
+	tombs  memDedup
+	segs   []*dedupSeg // oldest first
+	sealed int         // keys held in segs, tombstoned ones included
+	n      int         // exact live count
+	wbuf   []byte      // segment write buffer, reused
+	rbufs  [][]byte    // segment read buffers, one per merging cursor, reused
+	err    error       // first failed segment write or read; sealing and merging stop once set
 	closed bool
 }
 
-// dedupEntryCost approximates the resident bytes of one key in a Go map —
-// the unit the budget is priced in.
-const dedupEntryCost = 48
+// dedupKeyCost is the budget price of one active or tombstone key: the bytes
+// a key takes in a flat table that has just doubled.
+const dedupKeyCost = 32
 
-// maxDedupSegs bounds the per-lookup bloom cascade; exceeding it triggers a
-// full merge.
-const maxDedupSegs = 16
+// dedupChunk is the byte size of one segment read or write while merging,
+// scanning and sealing.
+const dedupChunk = 64 << 10
 
 func newSpillDedup(cfg Config) *spillDedup {
-	sealAt := int(cfg.Budget / dedupEntryCost)
-	if sealAt < 1024 {
-		sealAt = 1024
-	}
 	return &spillDedup{
 		parent: cfg.Dir,
-		sealAt: sealAt,
-		active: make(map[uint64]struct{}),
-		tombs:  make(map[uint64]struct{}),
+		sealAt: max(int(cfg.Budget/dedupKeyCost), 1024),
 	}
 }
 
 func (d *spillDedup) Has(key uint64) bool {
-	if _, ok := d.active[key]; ok {
+	if d.active.Has(key) {
 		return true
 	}
-	if _, ok := d.tombs[key]; ok {
+	if d.tombs.Has(key) {
 		return false
 	}
 	found, _ := d.inSegs(key) // a failed read answers "present"
@@ -297,37 +299,37 @@ func (d *spillDedup) Has(key uint64) bool {
 func (d *spillDedup) Add(key uint64) { d.AddIfNew(key) }
 
 func (d *spillDedup) AddIfNew(key uint64) bool {
-	if _, ok := d.active[key]; ok {
+	if d.active.Has(key) {
 		return false
 	}
-	if _, ok := d.tombs[key]; ok {
+	if d.tombs.Has(key) {
 		// The sealed copy becomes live again; no second copy needed.
-		delete(d.tombs, key)
+		d.tombs.Delete(key)
 		d.n++
 		return true
 	}
 	if found, _ := d.inSegs(key); found {
 		return false
 	}
-	d.active[key] = struct{}{}
+	d.active.Add(key)
 	d.n++
 	d.maintain()
 	return true
 }
 
 func (d *spillDedup) Delete(key uint64) {
-	if _, ok := d.active[key]; ok {
-		delete(d.active, key)
+	if d.active.Has(key) {
+		d.active.Delete(key)
 		d.n--
 		return
 	}
-	if _, ok := d.tombs[key]; ok {
+	if d.tombs.Has(key) {
 		return
 	}
 	// After a failed read the key may stay: Len counts it, and a probe
 	// answers "present" either way.
 	if found, err := d.inSegs(key); found && err == nil {
-		d.tombs[key] = struct{}{}
+		d.tombs.Add(key)
 		d.n--
 		d.maintain()
 	}
@@ -336,29 +338,24 @@ func (d *spillDedup) Delete(key uint64) {
 func (d *spillDedup) Len() int { return d.n }
 
 func (d *spillDedup) Range(fn func(key uint64) bool) error {
-	for k := range d.active {
-		if !fn(k) {
-			return nil
-		}
+	stop := false
+	d.active.Range(func(key uint64) bool {
+		stop = !fn(key)
+		return !stop
+	})
+	if stop {
+		return nil
 	}
 	for _, sg := range d.segs {
-		done := false
-		err := sg.scan(func(key uint64) bool {
-			if _, dead := d.tombs[key]; dead {
-				return true
+		c := sg.cursor(d.readBuf(0))
+		for ; c.valid; c.next() {
+			if !d.tombs.Has(c.head) && !fn(c.head) {
+				return nil
 			}
-			if !fn(key) {
-				done = true
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			d.fail(err)
-			return err
 		}
-		if done {
-			return nil
+		if c.err != nil {
+			d.fail(c.err)
+			return c.err
 		}
 	}
 	return nil
@@ -379,8 +376,7 @@ func (d *spillDedup) Close() error {
 	}
 	d.closed = true
 	for _, sg := range d.segs {
-		sg.f.Close()
-		os.Remove(sg.path)
+		sg.release()
 	}
 	d.segs = nil
 	if d.dir != "" {
@@ -411,127 +407,162 @@ func (d *spillDedup) inSegs(key uint64) (found bool, err error) {
 	return false, nil
 }
 
-// maintain seals an over-budget active set and merges when segments or
-// tombstones pile up. After a failed segment write or read it does nothing.
+// maintain runs a full merge once tombstones pile up, then seals an
+// over-budget active set and compacts the newest segments. After a failed
+// segment write or read it does nothing.
 func (d *spillDedup) maintain() {
 	if d.err != nil {
 		return
 	}
-	if len(d.active)+len(d.tombs) >= d.sealAt {
-		d.seal()
+	if nt := d.tombs.Len(); nt > 0 && (2*nt >= d.sealAt || 4*nt > d.sealed) {
+		d.merge()
 		if d.err != nil {
 			return
 		}
 	}
-	sealed := 0
-	for _, sg := range d.segs {
-		sealed += sg.count
-	}
-	if len(d.segs) > maxDedupSegs || (sealed > 0 && len(d.tombs)*4 > sealed) {
-		d.merge()
+	if d.active.Len()+d.tombs.Len() >= d.sealAt {
+		d.seal()
+		d.compact()
 	}
 }
 
-// seal freezes the active set into a sorted segment. A failed write keeps
-// the active set and records the error.
+// seal writes the active set into a new, newest segment. The table's keys
+// are gathered and radix-sorted inside its own slots, so a failed write
+// rebuilds the active set from them and records the error.
 func (d *spillDedup) seal() {
-	if len(d.active) == 0 {
+	if d.active.Len() == 0 {
 		return
 	}
-	keys := make([]uint64, 0, len(d.active))
-	for k := range d.active {
-		keys = append(keys, k)
+	slots := d.active.slots
+	keys := slots[:0]
+	for _, k := range slots {
+		if k != 0 {
+			keys = append(keys, k)
+		}
 	}
-	slices.Sort(keys)
+	if d.active.hasZero {
+		keys = append(keys, 0) // room is left: the table is at most half full
+	}
+	// The table's free half is the radix buffer.
+	SortKeys(keys, slots[len(keys):])
+	d.active = memDedup{}
 	sg, err := d.writeKeys(keys)
 	if err != nil {
+		d.active.fill(keys)
 		d.fail(fmt.Errorf("storage: sealing dedup segment: %w", err))
 		return
 	}
 	d.segs = append(d.segs, sg)
-	d.active = make(map[uint64]struct{})
+	d.sealed += sg.count
 }
 
-// merge rewrites every segment into one, dropping tombstoned keys. Segments
-// hold disjoint key sets, so the merge is a plain k-way minimum take. A
-// failed write keeps the segments and tombstones and records the error.
-func (d *spillDedup) merge() {
-	if len(d.segs) == 0 {
+// compact merges the two newest segments while the older holds at most
+// twice the newer's keys, so segment sizes more than double from newest to
+// oldest. Tombstoned keys are carried along; only a full merge drops them.
+func (d *spillDedup) compact() {
+	for d.err == nil && len(d.segs) >= 2 {
+		n := len(d.segs)
+		if d.segs[n-2].count > 2*d.segs[n-1].count {
+			return
+		}
+		d.mergeFrom(n-2, false)
+	}
+}
+
+// merge rewrites every segment into one, dropping tombstoned keys.
+func (d *spillDedup) merge() { d.mergeFrom(0, true) }
+
+// mergeFrom rewrites segs[from:] into one segment, dropping tombstoned keys
+// (and their tombstones) when dropTombs is set. Segments hold disjoint key
+// sets, so the merge is a plain k-way minimum take. A failed read or write
+// keeps the segments and tombstones and records the error.
+func (d *spillDedup) mergeFrom(from int, dropTombs bool) {
+	in := d.segs[from:]
+	if len(in) == 0 {
 		return
 	}
-	total := 0
-	for _, sg := range d.segs {
-		total += sg.count
+	count := 0
+	cursors := make([]*segCursor, len(in))
+	for i, sg := range in {
+		count += sg.count
+		cursors[i] = sg.cursor(d.readBuf(i))
 	}
-	count := total - len(d.tombs)
-	cursors := make([]*segCursor, len(d.segs))
-	for i, sg := range d.segs {
-		cursors[i] = sg.cursor()
+	if dropTombs {
+		count -= d.tombs.Len()
 	}
-	merged, err := d.writeSeg(count, func(yield func(uint64)) {
-		for {
-			best := -1
-			for i, cur := range cursors {
-				if !cur.valid {
-					continue
-				}
-				if best < 0 || cur.head < cursors[best].head {
-					best = i
-				}
+	w, err := d.newSegWriter(count)
+	for err == nil {
+		best := -1
+		for i, c := range cursors {
+			if c.valid && (best < 0 || c.head < cursors[best].head) {
+				best = i
 			}
-			if best < 0 {
-				return
-			}
-			k := cursors[best].head
-			cursors[best].next()
-			if _, dead := d.tombs[k]; dead {
-				continue
-			}
-			yield(k)
 		}
-	})
-	for _, cur := range cursors {
-		if cur.err != nil {
-			// A failed read ended that cursor early: a merged segment
-			// would lack its keys.
-			if err == nil {
-				merged.f.Close()
-				os.Remove(merged.path)
-			}
-			err = cur.err
+		if best < 0 {
 			break
 		}
+		k := cursors[best].head
+		cursors[best].next()
+		if !dropTombs || !d.tombs.Has(k) {
+			w.add(k)
+		}
+	}
+	for _, c := range cursors {
+		if c.err != nil && err == nil {
+			// A failed read ended that cursor early: a merged segment
+			// would lack its keys.
+			err = c.err
+		}
+	}
+	var merged *dedupSeg
+	if w != nil {
+		merged, err = w.finish(err)
 	}
 	if err != nil {
 		d.fail(fmt.Errorf("storage: merging dedup segments: %w", err))
 		return
 	}
-	for _, sg := range d.segs {
-		sg.f.Close()
-		os.Remove(sg.path)
+	for _, sg := range in {
+		d.sealed -= sg.count
+		sg.release()
 	}
+	d.segs = d.segs[:from]
 	if merged.count == 0 {
-		merged.f.Close()
-		os.Remove(merged.path)
-		d.segs = d.segs[:0]
+		merged.release()
 	} else {
-		d.segs = append(d.segs[:0], merged)
+		d.segs = append(d.segs, merged)
+		d.sealed += merged.count
 	}
-	d.tombs = make(map[uint64]struct{})
+	if dropTombs {
+		d.tombs = memDedup{}
+	}
 }
 
 // writeKeys writes the ascending keys into a new segment.
 func (d *spillDedup) writeKeys(keys []uint64) (*dedupSeg, error) {
-	return d.writeSeg(len(keys), func(yield func(uint64)) {
-		for _, k := range keys {
-			yield(k)
-		}
-	})
+	w, err := d.newSegWriter(len(keys))
+	if err != nil {
+		return nil, err
+	}
+	for _, k := range keys {
+		w.add(k)
+	}
+	return w.finish(nil)
 }
 
-// writeSeg streams count ascending keys from emit into a new segment file,
-// building the bloom bitset and fence index as it goes.
-func (d *spillDedup) writeSeg(count int, emit func(yield func(uint64))) (*dedupSeg, error) {
+// segWriter streams ascending keys into a new segment file through the
+// store's reused chunk buffer, building the bloom filter and fence index as
+// it goes.
+type segWriter struct {
+	d   *spillDedup
+	sg  *dedupSeg
+	i   int
+	err error
+}
+
+// newSegWriter creates the file of a segment that will hold count keys,
+// creating the store's spill directory on first use.
+func (d *spillDedup) newSegWriter(count int) (*segWriter, error) {
 	if d.dir == "" {
 		parent := d.parent
 		if parent == "" {
@@ -547,36 +578,51 @@ func (d *spillDedup) writeSeg(count int, emit func(yield func(uint64))) (*dedupS
 	if err != nil {
 		return nil, err
 	}
-	sg := newDedupSeg(f, count)
-	w := bufio.NewWriter(f)
-	var werr error
-	i := 0
-	var buf [8]byte
-	emit(func(key uint64) {
-		if werr != nil {
-			return
-		}
-		sg.index(i, key)
-		binary.BigEndian.PutUint64(buf[:], key)
-		if _, err := w.Write(buf[:]); err != nil {
-			werr = err
-		}
-		i++
-	})
-	if werr == nil {
-		werr = w.Flush()
+	if cap(d.wbuf) < dedupChunk {
+		d.wbuf = make([]byte, 0, dedupChunk)
 	}
-	if werr != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return nil, werr
+	d.wbuf = d.wbuf[:0]
+	return &segWriter{d: d, sg: newDedupSeg(f, count)}, nil
+}
+
+// add appends the next key, which must exceed the previous one.
+func (w *segWriter) add(key uint64) {
+	if w.err != nil {
+		return
 	}
-	if i != count {
-		f.Close()
-		os.Remove(f.Name())
-		return nil, fmt.Errorf("segment writer emitted %d keys, expected %d", i, count)
+	if w.i < w.sg.count {
+		w.sg.index(w.i, key)
 	}
-	return sg, nil
+	w.i++
+	w.d.wbuf = binary.BigEndian.AppendUint64(w.d.wbuf, key)
+	if len(w.d.wbuf) == cap(w.d.wbuf) {
+		w.flush()
+	}
+}
+
+func (w *segWriter) flush() {
+	if _, err := w.sg.f.Write(w.d.wbuf); err != nil && w.err == nil {
+		w.err = err
+	}
+	w.d.wbuf = w.d.wbuf[:0]
+}
+
+// finish flushes the segment and returns it. On failure — a write error, a
+// key count off the one announced, or the caller's own err — it removes the
+// file and returns the error.
+func (w *segWriter) finish(err error) (*dedupSeg, error) {
+	w.flush()
+	if err == nil {
+		err = w.err
+	}
+	if err == nil && w.i != w.sg.count {
+		err = fmt.Errorf("segment writer got %d keys, expected %d", w.i, w.sg.count)
+	}
+	if err != nil {
+		w.sg.release()
+		return nil, err
+	}
+	return w.sg, nil
 }
 
 // fenceStride is the number of keys per fence pointer: a positive segment
@@ -589,25 +635,45 @@ type dedupSeg struct {
 	f        *os.File
 	path     string
 	count    int
-	bloom    []uint64
-	bloomLen uint64 // bits, power of two
+	bloom    []uint64 // bloomWords words per block
+	blocks   uint64   // bloom blocks, a power of two
 	fences   []uint64
 	min, max uint64
+	// block is the fence block the last probe read, blockAt its index (-1
+	// for none). A leftover scan probes the pairs of one anchor profile in
+	// a row, and their keys share a block.
+	block   [fenceStride * 8]byte
+	blockAt int
 }
 
+// bloomWords is the size of one bloom block: eight words, one 64-byte cache
+// line. A key sets and tests bloomProbes bits of one block.
+const (
+	bloomWords  = 8
+	bloomProbes = 7
+)
+
 func newDedupSeg(f *os.File, count int) *dedupSeg {
-	bits := uint64(64)
-	for bits < uint64(count)*10 {
-		bits <<= 1
+	// About 10 bits per key, as whole 512-bit blocks.
+	blocks := uint64(1)
+	for blocks*bloomWords*64 < uint64(count)*10 {
+		blocks <<= 1
 	}
 	return &dedupSeg{
-		f:        f,
-		path:     f.Name(),
-		count:    count,
-		bloom:    make([]uint64, bits/64),
-		bloomLen: bits,
-		fences:   make([]uint64, 0, count/fenceStride+1),
+		f:       f,
+		path:    f.Name(),
+		count:   count,
+		bloom:   make([]uint64, blocks*bloomWords),
+		blocks:  blocks,
+		fences:  make([]uint64, 0, count/fenceStride+1),
+		blockAt: -1,
 	}
+}
+
+// release closes and removes the segment file.
+func (sg *dedupSeg) release() {
+	sg.f.Close()
+	os.Remove(sg.path)
 }
 
 // index records key (the i-th ascending key of the segment) into the bloom
@@ -621,22 +687,31 @@ func (sg *dedupSeg) index(i int, key uint64) {
 		sg.fences = append(sg.fences, key)
 	}
 	h1, h2 := bloomHashes(key)
-	for k := uint64(0); k < 7; k++ {
-		bit := (h1 + k*h2) & (sg.bloomLen - 1)
-		sg.bloom[bit/64] |= 1 << (bit % 64)
+	blk := sg.bloomBlock(h1)
+	for k := 0; k < bloomProbes; k++ {
+		bit := (h2 >> (9 * k)) & 511
+		blk[bit/64] |= 1 << (bit % 64)
 	}
 }
 
-// bloomHashes derives the double-hashing pair a segment bloom probes with.
+// bloomHashes derives the hash pair a segment bloom probes with: h1 picks
+// the block, 9-bit slices of h2 the bits inside it.
 func bloomHashes(key uint64) (h1, h2 uint64) {
-	return mix64(key), mix64(key^0x9e3779b97f4a7c15) | 1
+	return mix64(key), mix64(key ^ 0x9e3779b97f4a7c15)
+}
+
+// bloomBlock returns the block h1 selects.
+func (sg *dedupSeg) bloomBlock(h1 uint64) []uint64 {
+	at := (h1 & (sg.blocks - 1)) * bloomWords
+	return sg.bloom[at : at+bloomWords : at+bloomWords]
 }
 
 // bloomHas checks the bloom bits of a key hashed by bloomHashes.
 func (sg *dedupSeg) bloomHas(h1, h2 uint64) bool {
-	for k := uint64(0); k < 7; k++ {
-		bit := (h1 + k*h2) & (sg.bloomLen - 1)
-		if sg.bloom[bit/64]&(1<<(bit%64)) == 0 {
+	blk := sg.bloomBlock(h1)
+	for k := 0; k < bloomProbes; k++ {
+		bit := (h2 >> (9 * k)) & 511
+		if blk[bit/64]&(1<<(bit%64)) == 0 {
 			return false
 		}
 	}
@@ -644,8 +719,8 @@ func (sg *dedupSeg) bloomHas(h1, h2 uint64) bool {
 }
 
 // contains is the exact membership probe of key, hashed by bloomHashes:
-// range check, bloom, fence-guided block read, binary search within the
-// block.
+// range check, bloom, fence-guided block read (none when the block is the
+// one the last probe read), binary search within the block.
 func (sg *dedupSeg) contains(key, h1, h2 uint64) (bool, error) {
 	if sg.count == 0 || key < sg.min || key > sg.max {
 		return false, nil
@@ -653,22 +728,29 @@ func (sg *dedupSeg) contains(key, h1, h2 uint64) (bool, error) {
 	if !sg.bloomHas(h1, h2) {
 		return false, nil
 	}
-	fi := sort.Search(len(sg.fences), func(i int) bool { return sg.fences[i] > key }) - 1
-	if fi < 0 {
-		return false, nil
+	// The last fence at or below key; fences[0] is min, so there is one.
+	lo, hi := 0, len(sg.fences)
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if sg.fences[mid] <= key {
+			lo = mid
+		} else {
+			hi = mid
+		}
 	}
-	base := fi * fenceStride
-	n := fenceStride
-	if base+n > sg.count {
-		n = sg.count - base
+	base := lo * fenceStride
+	n := min(fenceStride, sg.count-base)
+	block := sg.block[:n*8]
+	if sg.blockAt != lo {
+		sg.blockAt = -1
+		if _, err := sg.f.ReadAt(block, int64(base)*8); err != nil {
+			return false, fmt.Errorf("storage: dedup segment read %s: %w", sg.path, err)
+		}
+		sg.blockAt = lo
 	}
-	var block [fenceStride * 8]byte
-	if _, err := sg.f.ReadAt(block[:n*8], int64(base)*8); err != nil {
-		return false, fmt.Errorf("storage: dedup segment read %s: %w", sg.path, err)
-	}
-	lo, hi := 0, n
+	lo, hi = 0, n
 	for lo < hi {
-		mid := (lo + hi) / 2
+		mid := int(uint(lo+hi) >> 1)
 		v := binary.BigEndian.Uint64(block[mid*8:])
 		switch {
 		case v == key:
@@ -682,61 +764,105 @@ func (sg *dedupSeg) contains(key, h1, h2 uint64) (bool, error) {
 	return false, nil
 }
 
-// scan streams the segment's keys in ascending order until fn returns false
-// or a read fails.
-func (sg *dedupSeg) scan(fn func(key uint64) bool) error {
-	r := bufio.NewReader(io.NewSectionReader(sg.f, 0, int64(sg.count)*8))
-	var buf [8]byte
-	for i := 0; i < sg.count; i++ {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return fmt.Errorf("storage: dedup segment scan %s: %w", sg.path, err)
-		}
-		if !fn(binary.BigEndian.Uint64(buf[:])) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// segCursor streams one segment for merging. A failed read ends it early and
-// is kept in err.
+// segCursor streams one segment's keys in ascending order, dedupChunk bytes
+// per read. A failed read ends it early and is kept in err.
 type segCursor struct {
-	r     *bufio.Reader
-	left  int
+	sg    *dedupSeg
+	buf   []byte // the current chunk; pos indexes its next key
+	pos   int
+	off   int64 // file offset of the next chunk
 	head  uint64
 	valid bool
-	path  string
 	err   error
 }
 
-func (sg *dedupSeg) cursor() *segCursor {
-	c := &segCursor{
-		r:    bufio.NewReader(io.NewSectionReader(sg.f, 0, int64(sg.count)*8)),
-		left: sg.count,
-		path: sg.path,
-	}
+// cursor returns a cursor over the segment that reads into buf.
+func (sg *dedupSeg) cursor(buf []byte) *segCursor {
+	c := &segCursor{sg: sg, buf: buf[:0]}
 	c.next()
 	return c
 }
 
+// readBuf returns the i-th reusable segment read buffer, dedupChunk bytes.
+func (d *spillDedup) readBuf(i int) []byte {
+	for len(d.rbufs) <= i {
+		d.rbufs = append(d.rbufs, make([]byte, dedupChunk))
+	}
+	return d.rbufs[i]
+}
+
 func (c *segCursor) next() {
-	if c.left == 0 {
-		c.valid = false
-		return
+	if c.pos == len(c.buf) {
+		left := int64(c.sg.count)*8 - c.off
+		if left == 0 {
+			c.valid = false
+			return
+		}
+		c.buf = c.buf[:min(left, int64(cap(c.buf)))]
+		if _, err := c.sg.f.ReadAt(c.buf, c.off); err != nil {
+			c.err = fmt.Errorf("storage: dedup segment read %s: %w", c.sg.path, err)
+			c.valid = false
+			return
+		}
+		c.off += int64(len(c.buf))
+		c.pos = 0
 	}
-	var buf [8]byte
-	if _, err := io.ReadFull(c.r, buf[:]); err != nil {
-		c.err = fmt.Errorf("storage: dedup segment merge read %s: %w", c.path, err)
-		c.valid = false
-		return
-	}
-	c.head = binary.BigEndian.Uint64(buf[:])
-	c.left--
+	c.head = binary.BigEndian.Uint64(c.buf[c.pos:])
+	c.pos += 8
 	c.valid = true
 }
 
+// SortKeys sorts keys ascending in place: an LSD radix sort over bytes that
+// skips every byte position on which all keys agree, so pair keys whose IDs
+// use a few bits of each half sort in a few linear passes. The passes
+// alternate between keys and a buffer of the same length: scratch when it is
+// long enough, a new one otherwise.
+func SortKeys(keys, scratch []uint64) {
+	if len(keys) < 2 {
+		return
+	}
+	if len(scratch) < len(keys) {
+		scratch = make([]uint64, len(keys))
+	}
+	src, dst := keys, scratch[:len(keys)]
+	var differ uint64 // the bits on which some key differs from the first
+	for _, k := range src {
+		differ |= k ^ src[0]
+	}
+	var counts [8][256]int
+	var passes []int // the byte positions on which keys differ
+	for b := range counts {
+		if byte(differ>>(8*b)) != 0 {
+			passes = append(passes, b)
+		}
+	}
+	for _, k := range src {
+		for _, b := range passes {
+			counts[b][byte(k>>(8*b))]++
+		}
+	}
+	for _, b := range passes {
+		c := &counts[b]
+		at := 0
+		for d := range c {
+			n := c[d]
+			c[d] = at
+			at += n
+		}
+		for _, k := range src {
+			d := byte(k >> (8 * b))
+			dst[c[d]] = k
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
+}
+
 // mix64 is the SplitMix64 finalizer — a cheap, well-distributed 64-bit
-// mixer for the bloom's double hashing.
+// mixer for the bloom's hashes.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

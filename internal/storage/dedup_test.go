@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -113,15 +115,15 @@ func TestSpillDedupMergeDropsTombstones(t *testing.T) {
 	for i := uint64(0); i < 400; i += 3 {
 		d.Delete(i)
 	}
-	if len(d.tombs) != 0 {
+	if d.tombs.Len() != 0 {
 		// The last deletes may not have tripped maintain; force it.
 		d.merge()
 	}
 	if len(d.segs) > 1 {
 		t.Fatalf("merge left %d segments", len(d.segs))
 	}
-	if len(d.tombs) != 0 {
-		t.Fatalf("merge left %d tombstones", len(d.tombs))
+	if d.tombs.Len() != 0 {
+		t.Fatalf("merge left %d tombstones", d.tombs.Len())
 	}
 	for i := uint64(0); i < 400; i++ {
 		want := i%3 != 0
@@ -175,5 +177,142 @@ func TestSpillDedupWriteErrorKeepsActive(t *testing.T) {
 		if got, want := d.Has(k), k < 40; got != want {
 			t.Fatalf("Has(%d) = %v, want %v", k, got, want)
 		}
+	}
+}
+
+// TestSortKeys checks the radix sort against slices.Sort on pair-key shaped
+// inputs (few varying bytes), full 64-bit keys, duplicates and tiny inputs,
+// with and without a caller's scratch buffer.
+func TestSortKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	inputs := [][]uint64{nil, {7}, {3, 3, 3}, {2, 1}}
+	pairs := make([]uint64, 5000)
+	for i := range pairs {
+		pairs[i] = uint64(rng.Intn(5000))<<32 | uint64(rng.Intn(5000))
+	}
+	wide := make([]uint64, 5000)
+	for i := range wide {
+		wide[i] = rng.Uint64()
+	}
+	inputs = append(inputs, pairs, wide)
+	for _, in := range inputs {
+		want := slices.Clone(in)
+		slices.Sort(want)
+		for _, scratch := range [][]uint64{nil, make([]uint64, len(in)+3)} {
+			got := slices.Clone(in)
+			SortKeys(got, scratch)
+			if !slices.Equal(got, want) {
+				t.Fatalf("SortKeys of %d keys (scratch %d) disagrees with slices.Sort", len(in), len(scratch))
+			}
+		}
+	}
+}
+
+// TestSpillDedupTieredBound seals many times with deletes interleaved, so
+// tombstones trigger full merges too, and checks, after every op, the two bounds the set is built on: a lookup
+// probes at most ⌈log2(sealed/sealAt)⌉+1 segments, and the active and
+// tombstone tables stay inside the budget — priced at dedupKeyCost per key,
+// and in real table bytes up to each table's 64-slot minimum. Membership is
+// checked against the in-memory table throughout.
+func TestSpillDedupTieredBound(t *testing.T) {
+	const budget = 64 << 10
+	d := newSpillDedup(Config{Budget: budget, Dir: t.TempDir()})
+	defer d.Close()
+	mem := NewDedupStore(Config{})
+	rng := rand.New(rand.NewSource(5))
+	var added []uint64
+	maxSegs, seals, fullMerges := 0, 0, 0
+	for op := 0; op < 50*d.sealAt; op++ {
+		key := uint64(rng.Intn(1<<20))<<32 | uint64(rng.Intn(1<<20))
+		active, tombs := d.active.Len(), d.tombs.Len()
+		switch rng.Intn(10) {
+		case 0:
+			// Delete an earlier key, sealed by now more often than not.
+			key = added[rng.Intn(len(added))]
+			d.Delete(key)
+			mem.Delete(key)
+		case 1:
+			if d.Has(key) != mem.Has(key) {
+				t.Fatalf("op %d: Has(%#x) diverged", op, key)
+			}
+		default:
+			if d.AddIfNew(key) != mem.AddIfNew(key) {
+				t.Fatalf("op %d: AddIfNew(%#x) diverged", op, key)
+			}
+			added = append(added, key)
+		}
+		if active > 0 && d.active.Len() == 0 {
+			seals++
+		}
+		if tombs > 0 && d.tombs.Len() == 0 {
+			fullMerges++
+		}
+		if d.sealed > 0 {
+			bound := int(math.Ceil(math.Log2(float64(d.sealed)/float64(d.sealAt)))) + 1
+			if len(d.segs) > max(bound, 1) {
+				t.Fatalf("op %d: %d segments hold %d keys; the bound at sealAt %d is %d",
+					op, len(d.segs), d.sealed, d.sealAt, bound)
+			}
+		}
+		maxSegs = max(maxSegs, len(d.segs))
+		if priced := dedupKeyCost * (d.active.Len() + d.tombs.Len()); priced > budget {
+			t.Fatalf("op %d: tables priced at %d bytes, budget %d", op, priced, budget)
+		}
+		if real := 8 * (len(d.active.slots) + len(d.tombs.slots)); real > budget+2*8*memDedupMinSlots {
+			t.Fatalf("op %d: tables hold %d bytes, budget %d", op, real, budget)
+		}
+		if d.Len() != mem.Len() {
+			t.Fatalf("op %d: Len %d, want %d", op, d.Len(), mem.Len())
+		}
+	}
+	t.Logf("%d seals, %d full merges, %d keys sealed in %d segments at the end, at most %d at once",
+		seals, fullMerges, d.sealed, len(d.segs), maxSegs)
+	if seals < 32 || fullMerges == 0 || maxSegs < 3 {
+		t.Fatalf("%d seals, %d full merges and at most %d segments: the tiering is not exercised", seals, fullMerges, maxSegs)
+	}
+	if !slices.Equal(collect(d), collect(mem)) {
+		t.Fatal("Range disagrees with the in-memory table")
+	}
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSpillDedupDamagedMergedSegment is TestSpillDedupDamagedSegment for a
+// segment that a size-tiered merge wrote: probes whose read fails answer
+// "present", AddIfNew adds nothing, and Range and Err report the failure.
+func TestSpillDedupDamagedMergedSegment(t *testing.T) {
+	d := smallSpillDedup(t, 64)
+	for k := uint64(1); k <= 64*6; k++ {
+		d.Add(2 * k) // even keys only: odd ones in range are absent
+	}
+	if len(d.segs) == 0 || d.segs[0].count <= d.sealAt {
+		t.Fatalf("oldest segment holds %d keys: no tiered merge wrote it", d.segs[0].count)
+	}
+	merged := d.segs[0]
+	if err := os.Truncate(merged.path, 0); err != nil {
+		t.Fatal(err)
+	}
+	probed := false
+	for k := merged.min + 1; k < merged.max && !probed; k += 2 {
+		if !d.Has(k) {
+			continue
+		}
+		probed = true
+		if d.Err() == nil {
+			t.Fatal("a probe answered from a failed read, but Err() is nil")
+		}
+		if d.AddIfNew(k) {
+			t.Fatalf("AddIfNew(%d) added a key whose membership read failed", k)
+		}
+	}
+	if !probed {
+		t.Fatal("no absent key passed the merged segment's bloom; the test is vacuous")
+	}
+	if !d.Has(merged.min) {
+		t.Fatal("a merged key reads as absent after its segment read failed")
+	}
+	if err := d.Range(func(uint64) bool { return true }); err == nil {
+		t.Fatal("Range over a truncated merged segment returned no error")
 	}
 }

@@ -242,61 +242,135 @@ func FuzzSpillStoreOps(f *testing.F) {
 
 // FuzzSpillDedupSet drives the LSM-style spill dedup set with a fuzzer-chosen
 // op sequence against a model map: Has/Add/Delete/Len must agree with the
-// model after every op, across however many segment flushes the tiny budget
-// forces. The set promises *exact* membership — bloom filters and tombstones
-// are accelerations, never the answer — so any disagreement is a bug.
+// model after every op, across however many seals, size-tiered merges and
+// tombstone-dropping full merges the tiny seal threshold forces. The set
+// promises *exact* membership — bloom filters and tombstones are
+// accelerations, never the answer — so any disagreement is a bug.
 func FuzzSpillDedupSet(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 1, 1, 2, 1, 0, 1})
 	f.Add(bytes.Repeat([]byte{0, 7, 2, 7, 1, 7}, 40))
+	f.Add(dedupSealScript())
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		// Each flush the tiny budget forces is a real file write; cap the op
-		// count so a mutated input stays milliseconds, not seconds.
+		// Each seal is a real file write; cap the op count so a mutated
+		// input stays milliseconds, not seconds.
 		if len(ops) > 1<<9 {
 			return
 		}
-		// A budget of a few entries forces flushes every handful of Adds, so
-		// even short sequences cross the active-map/segment boundary.
-		ded := newSpillDedup(Config{Budget: 64, Dir: t.TempDir()})
-		defer ded.Close()
-		model := make(map[uint64]struct{})
-		for i := 0; i+1 < len(ops); i += 2 {
-			key := uint64(ops[i+1]) % 32 // small key space: collisions and re-adds are the point
-			switch ops[i] % 3 {
-			case 0:
-				ded.Add(key)
-				model[key] = struct{}{}
-			case 1:
-				ded.Delete(key)
-				delete(model, key)
-			case 2:
-				_, want := model[key]
-				if got := ded.Has(key); got != want {
-					t.Fatalf("op %d: Has(%d) = %v, model says %v", i/2, key, got, want)
-				}
-			}
-			if got, want := ded.Len(), len(model); got != want {
-				t.Fatalf("op %d: Len() = %d, model holds %d", i/2, got, want)
-			}
-		}
-		for key := uint64(0); key < 32; key++ {
-			_, want := model[key]
-			if got := ded.Has(key); got != want {
-				t.Fatalf("final sweep: Has(%d) = %v, model says %v", key, got, want)
-			}
-		}
-		n := 0
-		ded.Range(func(key uint64) bool {
-			if _, ok := model[key]; !ok {
-				t.Fatalf("Range yielded %d, not in the model", key)
-			}
-			n++
-			return true
-		})
-		if n != len(model) {
-			t.Fatalf("Range yielded %d keys, model holds %d", n, len(model))
-		}
+		replayDedupScript(t, ops)
 	})
+}
+
+// dedupSealScript's key space and the seal threshold replayDedupScript sets:
+// a seal every few new keys, so short scripts cross every boundary of the set.
+const (
+	dedupScriptKeys   = 32
+	dedupScriptSealAt = 4
+)
+
+// dedupSealScript is a FuzzSpillDedupSet script of op/key byte pairs (op%3:
+// 0 add, 1 delete, 2 has) that forces at least 32 seals: it fills the key
+// space, then round after round deletes a window of four sealed keys — two
+// tombstones already trigger a full merge — and adds them back, which seals
+// them anew. The replay's final sweep probes every key.
+func dedupSealScript() []byte {
+	var ops []byte
+	for k := 0; k < dedupScriptKeys; k++ {
+		ops = append(ops, 0, byte(k))
+	}
+	for r := 0; len(ops)+16 <= 1<<9; r++ {
+		w := byte(4*r+1) % dedupScriptKeys
+		for k := w; k < w+4; k++ {
+			ops = append(ops, 1, k%dedupScriptKeys)
+		}
+		for k := w; k < w+4; k++ {
+			ops = append(ops, 0, k%dedupScriptKeys)
+		}
+	}
+	return ops
+}
+
+// replayDedupScript runs a FuzzSpillDedupSet script against a model map,
+// failing on the first disagreement, and returns how many seals and full
+// merges it caused. A seal is seen as the active table emptying where the op
+// would have left keys in it, a full merge as tombstones vanishing.
+func replayDedupScript(t *testing.T, ops []byte) (seals, fullMerges int) {
+	t.Helper()
+	ded := newSpillDedup(Config{Budget: 64, Dir: t.TempDir()})
+	ded.sealAt = dedupScriptSealAt
+	defer ded.Close()
+	model := make(map[uint64]struct{})
+	for i := 0; i+1 < len(ops); i += 2 {
+		key := uint64(ops[i+1]) % dedupScriptKeys // small key space: collisions and re-adds are the point
+		active, tombs := ded.active.Len(), ded.tombs.Len()
+		_, had := model[key]
+		switch ops[i] % 3 {
+		case 0:
+			switch {
+			case ded.tombs.Has(key):
+				tombs--
+			case !had:
+				active++
+			}
+			ded.Add(key)
+			model[key] = struct{}{}
+		case 1:
+			switch {
+			case ded.active.Has(key):
+				active--
+			case had:
+				tombs++
+			}
+			ded.Delete(key)
+			delete(model, key)
+		case 2:
+			if got := ded.Has(key); got != had {
+				t.Fatalf("op %d: Has(%d) = %v, model says %v", i/2, key, got, had)
+			}
+		}
+		if active > 0 && ded.active.Len() == 0 {
+			seals++
+		}
+		if tombs > 0 && ded.tombs.Len() == 0 {
+			fullMerges++
+		}
+		if got, want := ded.Len(), len(model); got != want {
+			t.Fatalf("op %d: Len() = %d, model holds %d", i/2, got, want)
+		}
+	}
+	for key := uint64(0); key < dedupScriptKeys; key++ {
+		_, want := model[key]
+		if got := ded.Has(key); got != want {
+			t.Fatalf("final sweep: Has(%d) = %v, model says %v", key, got, want)
+		}
+	}
+	n := 0
+	if err := ded.Range(func(key uint64) bool {
+		if _, ok := model[key]; !ok {
+			t.Fatalf("Range yielded %d, not in the model", key)
+		}
+		n++
+		return true
+	}); err != nil {
+		t.Fatalf("Range: %v", err)
+	}
+	if n != len(model) {
+		t.Fatalf("Range yielded %d keys, model holds %d", n, len(model))
+	}
+	if err := ded.Err(); err != nil {
+		t.Fatalf("Err() = %v", err)
+	}
+	return seals, fullMerges
+}
+
+// TestDedupSealScriptForcesSeals pins what dedupSealScript is for: replayed,
+// it seals at least 32 times and drops tombstones in full merges.
+func TestDedupSealScriptForcesSeals(t *testing.T) {
+	seals, fullMerges := replayDedupScript(t, dedupSealScript())
+	t.Logf("%d seals, %d full merges", seals, fullMerges)
+	if seals < 32 || fullMerges == 0 {
+		t.Fatalf("the seal script caused %d seals and %d full merges, want at least 32 and 1", seals, fullMerges)
+	}
 }
 
 // FuzzDedupStore drives both DedupStore backends — the flat in-memory table

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"slices"
 	"sync"
 )
@@ -287,7 +286,10 @@ func (sg *segment) release() {
 // Frozen is an immutable read handle on one spill segment, independent of
 // the store's own lifecycle: it owns a private descriptor, so it keeps
 // serving the segment's contents after the store rewrites or unlinks it, or
-// closes. Dropped handles are closed by a finalizer.
+// closes. A dropped handle's descriptor closes when the os.File is collected.
+// The handle carries no finalizer of its own: it sits on a reference cycle
+// (handle → codec → collection → published snapshot → handle), and Go never
+// collects a cycle that holds a finalizer.
 type Frozen[V any] struct {
 	f     *os.File
 	size  int64
@@ -300,7 +302,6 @@ type Frozen[V any] struct {
 func (fz *Frozen[V]) Load() ([]uint32, []V, error) {
 	data := make([]byte, fz.size)
 	_, err := fz.f.ReadAt(data, 0)
-	runtime.KeepAlive(fz)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -745,9 +746,7 @@ func (s *spillStore[V]) Frozen(shard int) *Frozen[V] {
 	if err != nil {
 		panic(fmt.Sprintf("storage: reopening segment %s: %v", sg.path, err))
 	}
-	fz := &Frozen[V]{f: f, size: sg.size, codec: s.codec}
-	runtime.SetFinalizer(fz, func(fz *Frozen[V]) { fz.f.Close() })
-	return fz
+	return &Frozen[V]{f: f, size: sg.size, codec: s.codec}
 }
 
 func (s *spillStore[V]) TakeRewritten() []int {

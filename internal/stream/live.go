@@ -1301,7 +1301,7 @@ func (l *Live) writeSnapshot(w io.Writer, st *liveState) (int64, error) {
 		l.observeStorage(st)
 		return sw.Bytes(), fmt.Errorf("stream: checkpoint of the executed pairs: %w", err)
 	}
-	snapshot.SortKeys(acc.Executed)
+	storage.SortKeys(acc.Executed, nil)
 	for _, rj := range st.retryQ {
 		acc.Retry = append(acc.Retry, retryImage{Key: rj.key, X: rj.x, Y: rj.y, Attempts: rj.attempts})
 	}
