@@ -113,9 +113,10 @@ func TestGeneratorCandidatesMatchKernelFreeReference(t *testing.T) {
 	}
 }
 
-// TestGeneratorFallbackWeightsMatchReference pins the fallback scan's
-// anchor-swept CBS weights to the one-shot SharedBlocks reference: drain the
-// whole leftover scan of a fresh generator and recompute every weight.
+// TestGeneratorFallbackWeightsMatchReference pins the fallback scan's CBS
+// weights, each the intersection count of the pair's sorted live-block
+// symbols, to the one-shot SharedBlocks reference: drain the whole leftover
+// scan of a fresh generator and recompute every weight.
 func TestGeneratorFallbackWeightsMatchReference(t *testing.T) {
 	for _, cleanClean := range []bool{false, true} {
 		col, _ := genWorld(23, cleanClean, 80, 10)

@@ -13,10 +13,11 @@ import (
 // wrap — would surface here as a phantom partner or an inflated count.
 //
 // Script format, consumed byte-wise:
-//   op%4 == 0 → new sweep (BeginProbe)
-//   op%4 == 1 → jump the epoch to just below the wrap point
-//   else      → accumulate a posting list: next byte is the list length,
-//               then 2 bytes per id (mixed dense / overflow / negative)
+//
+//	op%4 == 0 → new sweep (BeginProbe)
+//	op%4 == 1 → jump the epoch to just below the wrap point
+//	else      → accumulate a posting list: next byte is the list length,
+//	            then 2 bytes per id (mixed dense / overflow / negative)
 func FuzzKernelScratchReset(f *testing.F) {
 	f.Add([]byte{0, 2, 3, 0, 1, 0, 2, 0, 4, 2, 2, 0, 1, 0, 5, 0, 1, 3, 0, 9})
 	f.Add([]byte{1, 0, 2, 2, 0xFF, 0xFF, 0, 0, 1, 0, 2, 2, 0xFF, 0xFF, 0, 0})

@@ -17,7 +17,7 @@ func FuzzTokenize(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		toks := Tokenize(s)
+		toks := AppendTokens(nil, s)
 		lower := strings.ToLower(s)
 		for _, tok := range toks {
 			if len(tok) < MinTokenLen {

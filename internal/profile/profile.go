@@ -11,7 +11,7 @@
 package profile
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"unicode"
@@ -85,17 +85,14 @@ func New(id int, source Source, entityKey string, nameValue ...string) *Profile 
 // callers must not mutate it.
 func (p *Profile) Tokens() []string {
 	p.tokOnce.Do(func() {
-		set := make(map[string]struct{})
+		// Sort and compact one slice of every attribute's tokens: the
+		// same set a map would collect, without hashing each token.
+		var toks []string
 		for _, a := range p.Attributes {
-			for _, t := range Tokenize(a.Value) {
-				set[t] = struct{}{}
-			}
+			toks = AppendTokens(toks, a.Value)
 		}
-		p.tokens = make([]string, 0, len(set))
-		for t := range set {
-			p.tokens = append(p.tokens, t)
-		}
-		sort.Strings(p.tokens)
+		slices.Sort(toks)
+		p.tokens = slices.Clip(slices.Compact(toks))
 	})
 	return p.tokens
 }
@@ -135,18 +132,19 @@ func (p *Profile) ValueLen() int {
 	return len([]rune(p.JoinedValues()))
 }
 
-// MinTokenLen is the minimum length of a token kept by Tokenize. One-character
-// tokens produce enormous, uninformative blocks that block purging would drop
-// anyway; filtering them at the source keeps the block index small.
+// MinTokenLen is the minimum length of a token kept by AppendTokens.
+// One-character tokens produce enormous, uninformative blocks that block
+// purging would drop anyway; filtering them at the source keeps the block
+// index small.
 const MinTokenLen = 2
 
-// Tokenize splits a value into schema-agnostic blocking tokens: maximal runs
-// of letters or digits, lowercased, with tokens shorter than MinTokenLen
-// bytes (after case folding — folding can shrink a rune, e.g. İ → i)
-// dropped. It is deterministic; the same input always yields the same token
-// sequence (duplicates preserved).
-func Tokenize(value string) []string {
-	var out []string
+// AppendTokens splits a value into schema-agnostic blocking tokens, appends
+// them to out and returns the extended slice. Tokens are maximal runs of
+// letters or digits, lowercased, with tokens shorter than MinTokenLen bytes
+// (after case folding — folding can shrink a rune, e.g. İ → i) dropped. It
+// is deterministic; the same input always yields the same token sequence
+// (duplicates preserved).
+func AppendTokens(out []string, value string) []string {
 	start := -1
 	flush := func(end int) {
 		if start >= 0 {

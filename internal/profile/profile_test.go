@@ -28,9 +28,9 @@ func TestTokenizeBasic(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			got := Tokenize(tc.in)
+			got := AppendTokens(nil, tc.in)
 			if !reflect.DeepEqual(got, tc.want) {
-				t.Errorf("Tokenize(%q) = %v, want %v", tc.in, got, tc.want)
+				t.Errorf("AppendTokens(nil, %q) = %v, want %v", tc.in, got, tc.want)
 			}
 		})
 	}
@@ -38,8 +38,8 @@ func TestTokenizeBasic(t *testing.T) {
 
 func TestTokenizeDeterministic(t *testing.T) {
 	f := func(s string) bool {
-		a := Tokenize(s)
-		b := Tokenize(s)
+		a := AppendTokens(nil, s)
+		b := AppendTokens(nil, s)
 		return reflect.DeepEqual(a, b)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -49,7 +49,7 @@ func TestTokenizeDeterministic(t *testing.T) {
 
 func TestTokenizeAllLowercaseAndMinLen(t *testing.T) {
 	f := func(s string) bool {
-		for _, tok := range Tokenize(s) {
+		for _, tok := range AppendTokens(nil, s) {
 			if tok != strings.ToLower(tok) {
 				return false
 			}
