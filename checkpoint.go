@@ -80,10 +80,9 @@ func (p *Pipeline) Checkpoint(w io.Writer) (int64, error) {
 		return 0, fmt.Errorf("pier: checkpoint: %w", err)
 	}
 	// Registered profiles are never modified, so the image is encoded from
-	// a copy of the slice header taken under the lock.
-	p.mu.Lock()
-	img := pipelineImage{Profiles: p.profiles[:len(p.profiles):len(p.profiles)], NextID: p.nextID}
-	p.mu.Unlock()
+	// the registry's published header.
+	reg := p.registry()
+	img := pipelineImage{Profiles: reg, NextID: len(reg)}
 
 	sw, err := snapshot.NewWriter(w)
 	if err != nil {
@@ -129,7 +128,7 @@ func Restore(r io.Reader, opt Options) (*Pipeline, error) {
 	if len(img.Profiles) != img.NextID {
 		return nil, fmt.Errorf("pier: restore: profile registry holds %d profiles for %d IDs", len(img.Profiles), img.NextID)
 	}
-	p.profiles, p.nextID = img.Profiles, img.NextID
+	p.profiles.Store(&img.Profiles)
 	cfg.Assigned = func(id int) bool { return 0 <= id && id < img.NextID }
 	if err := sr.Section("live", func(body io.Reader) error {
 		live, err := stream.RestoreLive(body, strategy, cfg)
@@ -141,10 +140,10 @@ func Restore(r io.Reader, opt Options) (*Pipeline, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("pier: restore: %w", err)
 	}
-	if n := p.live.Snapshot().Profiles; n > p.nextID {
+	if n := p.live.Snapshot().Profiles; n > img.NextID {
 		p.live.Interrupt()
 		p.live.Close()
-		return nil, fmt.Errorf("pier: restore: stream ingested %d profiles, registry holds %d", n, p.nextID)
+		return nil, fmt.Errorf("pier: restore: stream ingested %d profiles, registry holds %d", n, img.NextID)
 	}
 	return p, nil
 }

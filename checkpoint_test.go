@@ -307,10 +307,10 @@ func gobBytes(t *testing.T, v any) []byte {
 	return b.Bytes()
 }
 
-// withClusters returns snap with the clusters section of its live
-// checkpoint replaced by clusters; every other section is copied byte for
-// byte.
-func withClusters(t *testing.T, snap, clusters []byte) []byte {
+// withLiveSection returns snap with the named section of its live
+// checkpoint replaced by edit's rewrite of it; every other section is copied
+// byte for byte.
+func withLiveSection(t *testing.T, snap []byte, section string, edit func([]byte) []byte) []byte {
 	t.Helper()
 	sr, err := snapshot.NewReader(bytes.NewReader(snap))
 	if err != nil {
@@ -334,14 +334,14 @@ func withClusters(t *testing.T, snap, clusters []byte) []byte {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"meta", "collection", "strategy", "findk", "clusters", "recorder", "accounting"} {
-		body, err := lr.Flat(name)
+		b, err := lr.Flat(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if name == "clusters" {
-			body = clusters
+		if name == section {
+			b = edit(b)
 		}
-		lw.Flat(name, body)
+		lw.Flat(name, b)
 	}
 	var out bytes.Buffer
 	w, err := snapshot.NewWriter(&out)
@@ -353,6 +353,11 @@ func withClusters(t *testing.T, snap, clusters []byte) []byte {
 		t.Fatal(err)
 	}
 	return out.Bytes()
+}
+
+// replaceWith is a withLiveSection edit that replaces a section by body.
+func replaceWith(body []byte) func([]byte) []byte {
+	return func([]byte) []byte { return body }
 }
 
 // TestRestoreRejectsBadClusters rewrites a checkpoint's clusters section:
@@ -384,7 +389,7 @@ func TestRestoreRejectsBadClusters(t *testing.T) {
 		{"unassigned member", cluster.State{Parent: map[int]int{0: 0, n: 0}, Size: map[int]int{0: 2}, Clusters: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := withClusters(t, snap.Bytes(), gobBytes(t, &tc.st))
+			bad := withLiveSection(t, snap.Bytes(), "clusters", replaceWith(gobBytes(t, &tc.st)))
 			done := make(chan error, 1)
 			go func() {
 				r, err := pier.Restore(bytes.NewReader(bad), opt)
@@ -406,7 +411,7 @@ func TestRestoreRejectsBadClusters(t *testing.T) {
 	// The same rewrite with the checkpoint's own image restores, so the
 	// failures above are the clusters' doing.
 	good := cluster.State{Parent: map[int]int{0: 0, 1: 0}, Size: map[int]int{0: 2}, Clusters: 1}
-	r, err := pier.Restore(bytes.NewReader(withClusters(t, snap.Bytes(), gobBytes(t, &good))), opt)
+	r, err := pier.Restore(bytes.NewReader(withLiveSection(t, snap.Bytes(), "clusters", replaceWith(gobBytes(t, &good)))), opt)
 	if err != nil {
 		t.Fatalf("a well-formed clusters section does not restore: %v", err)
 	}
@@ -507,7 +512,7 @@ func TestGobImagesBoundMapAllocation(t *testing.T) {
 		}},
 		{"clusters", func() error {
 			bad := hugeMap(t, &struct{ Parent map[int]int }{map[int]int{0x0A0B0C0D: 1}}, intKey)
-			_, err := pier.Restore(bytes.NewReader(withClusters(t, snap.Bytes(), bad)), opt)
+			_, err := pier.Restore(bytes.NewReader(withLiveSection(t, snap.Bytes(), "clusters", replaceWith(bad))), opt)
 			return err
 		}},
 	} {

@@ -1,6 +1,8 @@
 package blocking
 
 import (
+	"slices"
+
 	"pier/internal/intern"
 	"pier/internal/profile"
 	"pier/internal/storage"
@@ -41,12 +43,18 @@ func (p *Posting) Comparisons(cleanClean bool) int {
 // keys never seen by ingest are dropped (they cannot have a block). Safe for
 // concurrent use with ingest.
 func (c *Collection) ProbeSyms(p *profile.Profile) []intern.Sym {
+	return c.AppendProbeSyms(nil, p)
+}
+
+// AppendProbeSyms is ProbeSyms appending to buf, so a caller can reuse one
+// buffer across probes. buf grows at most once.
+func (c *Collection) AppendProbeSyms(buf []intern.Sym, p *profile.Profile) []intern.Sym {
 	keys := c.keyer(p)
-	syms := make([]intern.Sym, 0, len(keys))
+	buf = slices.Grow(buf, len(keys))
 	for _, k := range keys {
 		if sym, ok := c.tab.Sym(k); ok {
-			syms = append(syms, sym)
+			buf = append(buf, sym)
 		}
 	}
-	return syms
+	return buf
 }

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Source identifies the data source a profile belongs to. Clean-Clean ER
@@ -85,14 +86,18 @@ func New(id int, source Source, entityKey string, nameValue ...string) *Profile 
 // callers must not mutate it.
 func (p *Profile) Tokens() []string {
 	p.tokOnce.Do(func() {
-		// Sort and compact one slice of every attribute's tokens: the
-		// same set a map would collect, without hashing each token.
-		var toks []string
+		// Sort and compact every attribute's tokens in a stack buffer — the
+		// same set a map would collect, without hashing each token — and
+		// allocate the cached set once, at its final size.
+		var buf [32]string
+		toks := buf[:0]
 		for _, a := range p.Attributes {
 			toks = AppendTokens(toks, a.Value)
 		}
 		slices.Sort(toks)
-		p.tokens = slices.Clip(slices.Compact(toks))
+		if toks = slices.Compact(toks); len(toks) > 0 {
+			p.tokens = slices.Clone(toks)
+		}
 	})
 	return p.tokens
 }
@@ -144,7 +149,41 @@ const MinTokenLen = 2
 // (after case folding — folding can shrink a rune, e.g. İ → i) dropped. It
 // is deterministic; the same input always yields the same token sequence
 // (duplicates preserved).
+//
+// Values that are lower-case ASCII are scanned byte by byte and their
+// tokens are substrings of value. The first upper-case letter or non-ASCII
+// byte hands the rest of the value, from the start of the token it falls
+// in, to the rune scan (appendTokensRunes). Either way the tokens and their
+// order are the same.
 func AppendTokens(out []string, value string) []string {
+	start := -1
+	for i := 0; i < len(value); i++ {
+		switch c := value[i]; {
+		case 'a' <= c && c <= 'z' || '0' <= c && c <= '9':
+			if start < 0 {
+				start = i
+			}
+		case c >= utf8.RuneSelf || 'A' <= c && c <= 'Z':
+			if start < 0 {
+				start = i
+			}
+			return appendTokensRunes(out, value[start:])
+		default:
+			if start >= 0 && i-start >= MinTokenLen {
+				out = append(out, value[start:i])
+			}
+			start = -1
+		}
+	}
+	if start >= 0 && len(value)-start >= MinTokenLen {
+		out = append(out, value[start:])
+	}
+	return out
+}
+
+// appendTokensRunes is AppendTokens for any value: it scans runes and
+// lowercases each token.
+func appendTokensRunes(out []string, value string) []string {
 	start := -1
 	flush := func(end int) {
 		if start >= 0 {

@@ -464,8 +464,10 @@ type preppedInc struct {
 // each profile's matcher form, and hands the increment to the pipeline
 // goroutine over the bounded prepped channel. Increments flow through
 // strictly in push order, so ingestion order — and therefore every result —
-// is identical to the unpipelined pipeline's. When Push's channel closes,
-// prep flushes what remains and closes prepped.
+// is identical to the unpipelined pipeline's. When Push's channel closes
+// (Stop or Interrupt), prep flushes what remains and closes prepped; once
+// the loop has exited, nothing receives from prepped, so prep returns
+// instead of waiting there.
 func (l *Live) prep(col *blocking.Collection) {
 	defer close(l.prepped)
 	for inc := range l.incoming {
@@ -475,7 +477,11 @@ func (l *Live) prep(col *blocking.Collection) {
 				l.cfg.Matcher.Prepare(p)
 			}
 		}
-		l.prepped <- preppedInc{inc: inc, syms: syms}
+		select {
+		case l.prepped <- preppedInc{inc: inc, syms: syms}:
+		case <-l.done:
+			return
+		}
 	}
 }
 
@@ -628,7 +634,10 @@ func (l *Live) Stop() *LiveResult {
 // Stop (aborting the drain).
 func (l *Live) Interrupt() *LiveResult {
 	l.mu.Lock()
-	l.closed = true
+	if !l.closed {
+		l.closed = true
+		close(l.incoming) // ends the prep goroutine
+	}
 	if !l.interrupted {
 		l.interrupted = true
 		close(l.intr)

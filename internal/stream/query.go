@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pier/internal/blocking"
+	"pier/internal/intern"
 	"pier/internal/match"
 	"pier/internal/metablocking"
 	"pier/internal/profile"
@@ -71,16 +72,19 @@ type QueryAnswer struct {
 	Elapsed time.Duration
 }
 
-// probeScratch is one query's reusable scratch: the probe-side sweep kernel,
-// whose dense epoch-stamped arrays replace a per-query partner map, and the
-// top-K selection heap. probeScratches pools it across queries, so a warm
-// query accumulates and ranks its partners without allocating. Pool size is
+// probeScratch is one query's reusable scratch: the probe's symbols and
+// posting views, the probe-side sweep kernel, whose dense epoch-stamped
+// arrays replace a per-query partner map, and the top-K selection heap.
+// probeScratches pools it across queries, so a warm query looks up,
+// accumulates and ranks its partners without allocating. Pool size is
 // bounded by query concurrency (the admission gate's in-flight cap); kernels
 // never touch the collection, only the member lists of the pinned posting
 // views.
 type probeScratch struct {
-	kern metablocking.Kernel
-	top  []ranked
+	syms     []intern.Sym
+	postings []*blocking.Posting
+	kern     metablocking.Kernel
+	top      []ranked
 }
 
 var probeScratches = sync.Pool{New: func() any { return new(probeScratch) }}
@@ -181,8 +185,9 @@ func (l *Live) Query(ctx context.Context, probe *profile.Profile, opt QueryOptio
 	// Pin one published snapshot for the whole query: every lookup below is
 	// lock-free and observes the same version.
 	view := col.ProbeView()
-	syms := col.ProbeSyms(probe)
-	postings := view.AppendPostings(make([]*blocking.Posting, 0, len(syms)), syms)
+	sc := probeScratches.Get().(*probeScratch)
+	sc.syms = col.AppendProbeSyms(sc.syms[:0], probe)
+	postings := view.AppendPostings(sc.postings[:0], sc.syms)
 
 	// Aggregate per-partner statistics over the probe's posting copies —
 	// shared-block count, ARCS reciprocal sum — exactly as incremental
@@ -191,7 +196,6 @@ func (l *Live) Query(ctx context.Context, probe *profile.Profile, opt QueryOptio
 	// every indexed profile is a legitimate partner. The pooled sweep kernel
 	// replaces the per-query partner map; it only ever reads the pinned
 	// posting views, never the live collection.
-	sc := probeScratches.Get().(*probeScratch)
 	kern := &sc.kern
 	kern.BeginProbe()
 	for _, p := range postings {
@@ -242,7 +246,8 @@ func (l *Live) Query(ctx context.Context, probe *profile.Profile, opt QueryOptio
 	for i, r := range top {
 		cands[i] = QueryCandidate{ID: r.id, Weight: r.w}
 	}
-	sc.top = top
+	clear(postings) // the pool must not pin posting views past this query
+	sc.postings, sc.top = postings[:0], top
 	probeScratches.Put(sc)
 
 	// Resolve profiles and match on the calling goroutine. Profiles come

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"pier"
 	"pier/internal/dataset"
+	"pier/internal/stream"
 )
 
 // TestSpillPipelinesAreFreed runs pipeline lifecycles under a StorageBudget
@@ -97,5 +100,51 @@ func TestSpillPipelinesAreFreed(t *testing.T) {
 	if fd1 > fd0 {
 		t.Errorf("open descriptors grew %d -> %d over %d lifecycles: segment handles of closed pipelines stay open",
 			fd0, fd1, cycles)
+	}
+}
+
+// TestRejectedRestoreEndsGoroutines restores a checkpoint whose stream
+// counted one profile more than its registry holds, which Restore rejects
+// after the stream has started, and requires the goroutine count to return
+// to its baseline. The rejection interrupts the restored stream, and
+// Interrupt used to leave its prep stage waiting for input for good: one
+// goroutine leaked per rejected Restore.
+func TestRejectedRestoreEndsGoroutines(t *testing.T) {
+	profiles, _ := moviePairs()
+	opt := pier.Options{Algorithm: pier.IPES, CleanClean: true}
+	p, err := pier.NewPipeline(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Push(profiles); err != nil {
+		t.Fatal(err)
+	}
+	p.Stop()
+	var snap bytes.Buffer
+	if _, err := p.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	bad := withLiveSection(t, snap.Bytes(), "accounting", func(img []byte) []byte {
+		acc, err := stream.DecodeAccounting(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc.Profiles++
+		return acc.AppendImage(nil)
+	})
+
+	base := runtime.NumGoroutine()
+	const restores = 8
+	for range restores {
+		if _, err := pier.Restore(bytes.NewReader(bad), opt); err == nil || !strings.Contains(err.Error(), "registry holds") {
+			t.Fatalf("Restore of a stream with more profiles than its registry: err = %v", err)
+		}
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n > base {
+		t.Fatalf("%d goroutines after %d rejected restores, %d before", n, restores, base)
 	}
 }

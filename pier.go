@@ -151,7 +151,8 @@ func Attr(nameValue ...string) []Attribute {
 	return out
 }
 
-// Match is one detected duplicate pair.
+// Match is one detected duplicate pair. X and Y are the values passed to
+// Push, shared with the pipeline's registry: they must not be modified.
 type Match struct {
 	X, Y       Profile
 	Similarity float64
@@ -196,7 +197,9 @@ var (
 
 // QueryCandidate is one ranked candidate of a Query answer.
 type QueryCandidate struct {
-	// Profile is the indexed profile the probe was compared against.
+	// Profile is the indexed profile the probe was compared against: the
+	// value passed to Push, shared with the pipeline's registry. It must not
+	// be modified.
 	Profile Profile
 	// Weight is the meta-blocking scheme weight of (probe, candidate) —
 	// the ranking key, comparable across candidates of one query.
@@ -349,15 +352,12 @@ type KeyerFunc func(Profile) []string
 type MatcherFunc func(ctx context.Context, x, y Profile) (bool, error)
 
 // contextMatcher wraps Options.Matcher in the retry/timeout/breaker
-// envelope, or returns nil when no custom matcher is configured.
-func (o Options) contextMatcher() match.ContextMatcher {
+// envelope, or returns nil when no custom matcher is configured. public
+// resolves the internal profiles the matcher is handed (Pipeline.public).
+func (o Options) contextMatcher(public func(*profile.Profile) Profile) match.ContextMatcher {
 	if o.Matcher == nil {
 		return nil
 	}
-	custom := o.Matcher
-	inner := match.ContextFunc(func(ctx context.Context, a, b *profile.Profile) (bool, error) {
-		return custom(ctx, toPublicProfile(a), toPublicProfile(b))
-	})
 	fcfg := match.DefaultFallibleConfig()
 	if o.MatchTimeout > 0 {
 		fcfg.Timeout = o.MatchTimeout
@@ -369,15 +369,23 @@ func (o Options) contextMatcher() match.ContextMatcher {
 	} else if o.MatchRetries < 0 {
 		fcfg.MaxRetries = 0
 	}
-	return match.NewFallible(inner, fcfg)
+	return match.NewFallible(customMatcher(o.Matcher, public), fcfg)
 }
 
-// keyer resolves the blocking-key extractor.
-func (o Options) keyer() blocking.Keyer {
+// customMatcher adapts a MatcherFunc to internal profiles through public.
+func customMatcher(custom MatcherFunc, public func(*profile.Profile) Profile) match.ContextFunc {
+	return func(ctx context.Context, a, b *profile.Profile) (bool, error) {
+		return custom(ctx, public(a), public(b))
+	}
+}
+
+// keyer resolves the blocking-key extractor; public resolves the internal
+// profiles a custom Keyer is handed (Pipeline.public).
+func (o Options) keyer(public func(*profile.Profile) Profile) blocking.Keyer {
 	if o.Keyer != nil {
 		custom := o.Keyer
 		return func(p *profile.Profile) []string {
-			return custom(toPublicProfile(p))
+			return custom(public(p))
 		}
 	}
 	switch o.Blocking {
@@ -391,7 +399,8 @@ func (o Options) keyer() blocking.Keyer {
 }
 
 // toPublicProfile converts an internal profile back to the API type (the
-// caller's Key is stored as the internal EntityKey).
+// caller's Key is stored as the internal EntityKey). Only a query's probe,
+// which has no registry entry, needs it (Pipeline.public).
 func toPublicProfile(p *profile.Profile) Profile {
 	out := Profile{Key: p.EntityKey, SourceB: p.Source == profile.SourceB}
 	out.Attributes = make([]Attribute, len(p.Attributes))

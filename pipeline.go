@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"pier/internal/core"
 	"pier/internal/match"
@@ -24,12 +25,16 @@ var ErrStopped = errors.New("pier: Push after Stop")
 // increments, when the pipeline works off the globally best leftover
 // comparisons.
 type Pipeline struct {
-	mu       sync.Mutex
-	live     *stream.Live
-	gate     *serve.Gate
-	topK     int       // Query's matcher budget, from Options.QueryTopK
-	profiles []Profile // by internal ID, for reporting matches
-	nextID   int
+	mu   sync.Mutex // serializes Push against Stop; guards stopped, summary, clusters
+	live *stream.Live
+	gate *serve.Gate
+	topK int // Query's matcher budget, from Options.QueryTopK
+	// profiles is the profile registry: the caller's profiles by internal
+	// ID, which match reports, query answers, clusters and a custom
+	// Matcher or Keyer read. Push appends under mu and publishes the grown
+	// header; readers load it once, without a lock. Registered profiles
+	// are never modified, so a loaded header stays valid.
+	profiles atomic.Pointer[[]Profile]
 	stopped  bool
 	summary  Summary
 	clusters [][]Profile
@@ -66,16 +71,17 @@ func build(opt Options) (*Pipeline, core.Strategy, stream.LiveConfig, error) {
 		}),
 		topK: opt.QueryTopK,
 	}
+	p.profiles.Store(new([]Profile))
 	cfg := stream.LiveConfig{
 		CleanClean:     opt.CleanClean,
 		MaxBlockSize:   opt.maxBlockSize(),
 		Matcher:        opt.matcher(),
-		ContextMatcher: opt.contextMatcher(),
+		ContextMatcher: opt.contextMatcher(p.public),
 		Scheme:         opt.scheme(),
 		TickEvery:      opt.TickEvery,
 		Parallelism:    opt.Parallelism,
 		Shards:         opt.Shards,
-		Keyer:          opt.keyer(),
+		Keyer:          opt.keyer(p.public),
 		Window:         opt.Window,
 		Metrics:        reg,
 		Storage:        storage.Config{Budget: opt.StorageBudget},
@@ -88,10 +94,8 @@ func build(opt Options) (*Pipeline, core.Strategy, stream.LiveConfig, error) {
 	if opt.OnMatch != nil {
 		onMatch := opt.OnMatch
 		cfg.OnMatch = func(m stream.LiveMatch) {
-			p.mu.Lock()
-			x, y := p.profiles[m.X.ID], p.profiles[m.Y.ID]
-			p.mu.Unlock()
-			onMatch(Match{X: x, Y: y, Similarity: m.Similarity})
+			reg := p.registry()
+			onMatch(Match{X: reg[m.X.ID], Y: reg[m.Y.ID], Similarity: m.Similarity})
 		}
 	}
 	return p, strategy, cfg, nil
@@ -105,10 +109,13 @@ func (p *Pipeline) Push(increment []Profile) error {
 		p.mu.Unlock()
 		return ErrStopped
 	}
+	reg := p.registry()
 	internal := make([]*profile.Profile, len(increment))
 	for i, pr := range increment {
-		internal[i] = p.convert(pr)
+		internal[i] = toInternal(len(reg), pr)
+		reg = append(reg, pr)
 	}
+	p.profiles.Store(&reg)
 	p.mu.Unlock()
 	if err := p.live.Push(internal); err != nil {
 		return ErrStopped
@@ -116,12 +123,24 @@ func (p *Pipeline) Push(increment []Profile) error {
 	return nil
 }
 
-// convert registers a caller profile under a fresh internal ID. The caller
-// holds p.mu.
-func (p *Pipeline) convert(pr Profile) *profile.Profile {
-	id := p.nextID
-	p.nextID++
-	p.profiles = append(p.profiles, pr)
+// registry returns the profile registry as of its latest publication. Every
+// ID the stream reports was registered by Push before its increment reached
+// the stream (or restored with the registry), so it indexes the result.
+func (p *Pipeline) registry() []Profile { return *p.profiles.Load() }
+
+// public resolves an internal profile to the caller's value: a registered
+// profile is read from the registry, and a query's probe (ID -1), which is
+// never registered, is converted.
+func (p *Pipeline) public(ip *profile.Profile) Profile {
+	if reg := p.registry(); 0 <= ip.ID && ip.ID < len(reg) {
+		return reg[ip.ID]
+	}
+	return toPublicProfile(ip)
+}
+
+// toInternal converts a caller profile to the internal type under the given
+// ID.
+func toInternal(id int, pr Profile) *profile.Profile {
 	src := profile.SourceA
 	if pr.SourceB {
 		src = profile.SourceB
@@ -162,20 +181,13 @@ func (p *Pipeline) QueryTenant(ctx context.Context, tenant string, probe Profile
 	// The probe lives outside the pipeline's ID space: it is never
 	// registered, and the negative ID cannot collide with (or be mistaken
 	// for) an ingested profile.
-	src := profile.SourceA
-	if probe.SourceB {
-		src = profile.SourceB
-	}
-	attrs := make([]profile.Attribute, len(probe.Attributes))
-	for i, a := range probe.Attributes {
-		attrs[i] = profile.Attribute{Name: a.Name, Value: a.Value}
-	}
-	internal := &profile.Profile{ID: -1, Source: src, EntityKey: probe.Key, Attributes: attrs}
-
-	ans, err := p.live.Query(ctx, internal, stream.QueryOptions{TopK: p.topK})
+	ans, err := p.live.Query(ctx, toInternal(-1, probe), stream.QueryOptions{TopK: p.topK})
 	if err != nil {
 		return nil, err
 	}
+	// Answers are read from the registry, loaded once: every candidate was
+	// registered before the index version the query read was published.
+	reg := p.registry()
 	res := &QueryResult{
 		Candidates: make([]QueryCandidate, len(ans.Candidates)),
 		Considered: ans.Considered,
@@ -183,7 +195,7 @@ func (p *Pipeline) QueryTenant(ctx context.Context, tenant string, probe Profile
 	}
 	for i, c := range ans.Candidates {
 		res.Candidates[i] = QueryCandidate{
-			Profile:    toPublicProfile(c.Profile),
+			Profile:    reg[c.ID],
 			Weight:     c.Weight,
 			Similarity: c.Similarity,
 			Match:      c.Match,
@@ -240,11 +252,12 @@ func (p *Pipeline) Stop() Summary {
 	}
 	p.mu.Lock()
 	p.summary = s
+	reg := p.registry()
 	p.clusters = make([][]Profile, len(res.Clusters))
 	for i, ids := range res.Clusters {
 		members := make([]Profile, len(ids))
 		for j, id := range ids {
-			members[j] = p.profiles[id]
+			members[j] = reg[id]
 		}
 		p.clusters[i] = members
 	}
@@ -262,7 +275,9 @@ func (p *Pipeline) Close() error {
 
 // Clusters returns the resolved entity clusters (groups of profiles believed
 // to describe the same real-world entity, each with at least two members).
-// It must be called after Stop; before Stop it returns nil.
+// Members are the values passed to Push, shared with the pipeline's
+// registry: they must not be modified. It must be called after Stop; before
+// Stop it returns nil.
 func (p *Pipeline) Clusters() [][]Profile {
 	p.mu.Lock()
 	defer p.mu.Unlock()

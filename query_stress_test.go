@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,7 +35,9 @@ func stressIncrement(k int) []pier.Profile {
 // from several goroutines while Push keeps ingesting, under -race. Admission
 // rejections (ErrOverloaded, ErrRateLimited) are expected and tolerated; any
 // admitted answer must be untorn: all candidates from one increment, every
-// weight exactly 2 (both sentinel blocks from the same published version).
+// weight exactly 2 (both sentinel blocks from the same published version),
+// and every candidate's Profile the value pushed, read from the registry
+// while Push keeps appending to it.
 func TestPipelineQueryUnderIngestStress(t *testing.T) {
 	const nIncs = 30
 	p, err := pier.NewPipeline(pier.Options{
@@ -54,6 +57,12 @@ func TestPipelineQueryUnderIngestStress(t *testing.T) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	var answered, rejected atomic.Int64
+	pushedByKey := map[string]pier.Profile{}
+	for k := 0; k < nIncs; k++ {
+		for _, pr := range stressIncrement(k) {
+			pushedByKey[pr.Key] = pr
+		}
+	}
 
 	check := func(k int, res *pier.QueryResult) {
 		if len(res.Candidates) == 0 {
@@ -70,6 +79,9 @@ func TestPipelineQueryUnderIngestStress(t *testing.T) {
 			}
 			if c.Weight != 2 {
 				t.Errorf("increment %d: candidate %q weight %v, want 2", k, c.Profile.Key, c.Weight)
+			}
+			if !reflect.DeepEqual(c.Profile, pushedByKey[c.Profile.Key]) {
+				t.Errorf("increment %d: candidate %+v is not the pushed profile", k, c.Profile)
 			}
 		}
 	}
