@@ -24,7 +24,8 @@
 //
 // With -cpuprofile/-memprofile the run writes pprof profiles for offline
 // analysis with `go tool pprof`, and -parallelism sets the worker count of
-// the parallel pipeline stages (0 = one worker per CPU, 1 = exact serial).
+// batch matching, the pipeline's only parallel stage (0 = one worker per
+// CPU, 1 = exact serial).
 //
 // Exit codes: 0 on success, 2 for usage errors (bad flags, unknown
 // algorithm, missing input), 1 for runtime failures (unreadable files,
@@ -96,8 +97,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	window := fs.Int("window", 0, "profile window for unbounded streams (0 keeps everything)")
 	memBudget := fs.Int64("mem-budget", 0, "resident-byte budget for the blocking index and dedup set; cold index blocks spill to temp files (0 keeps everything in memory; results are identical for every value)")
 	metricsAddr := fs.String("metrics", "", "serve /metrics and /debug/vars on this address (e.g. :9090; empty disables)")
-	parallelism := fs.Int("parallelism", 0, "worker count of the parallel pipeline stages (0 = one per CPU, 1 = exact serial)")
-	shards := fs.Int("shards", 0, "blocking-index shard count, rounded up to a power of two (0 = heuristic, 1 = unsharded; results are identical for every value)")
+	parallelism := fs.Int("parallelism", 0, "worker count of batch matching, forked only for batches heavy enough to pay for it (0 = one per CPU, 1 = exact serial)")
+	shards := fs.Int("shards", 0, "blocking-index shard count, rounded up to a power of two (0 = one shard; it partitions the index and buys no concurrency; results are identical for every value)")
 	ckptPath := fs.String("checkpoint", "", "write the pipeline state to this file on completion (and periodically with -checkpoint-every)")
 	ckptEvery := fs.Int("checkpoint-every", 0, "also checkpoint every N increments (requires -checkpoint)")
 	restorePath := fs.String("restore", "", "resume from a checkpoint file instead of starting fresh")
@@ -130,8 +131,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-mem-budget must be non-negative")
 	}
 
-	// One registry covers both parallel stages (candidate generation and
-	// batch matching), so /metrics shows the whole pipeline.
+	// One registry covers candidate generation and batch matching, so
+	// /metrics shows the whole pipeline.
 	reg := obsv.NewRegistry()
 	cfg := core.DefaultConfig()
 	cfg.Parallelism = *parallelism

@@ -65,7 +65,6 @@ var allowedImports = map[string][]string{
 		"pier/internal/match",
 		"pier/internal/metablocking",
 		"pier/internal/obsv",
-		"pier/internal/pool",
 		"pier/internal/profile",
 		"pier/internal/queue",
 	},

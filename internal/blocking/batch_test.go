@@ -73,10 +73,11 @@ func equalCollections(t *testing.T, want, got *Collection) {
 	}
 }
 
-// TestAddBatchMatchesSerial pins the AddBatch contract: for every worker and
-// shard count, batch ingest must reproduce serial Add bit-for-bit — blocks,
-// member order, purge tombstones, ofProf — including purge decisions made
-// mid-increment.
+// TestAddBatchMatchesSerial pins the AddBatch contract: for every shard
+// count, batch ingest must reproduce serial Add bit-for-bit — blocks, member
+// order, purge tombstones, ofProf — including purge decisions made
+// mid-increment. The worker dimension pins that AddBatch's pool argument has
+// no effect.
 func TestAddBatchMatchesSerial(t *testing.T) {
 	profiles := randomProfiles(300, 40, 7)
 	serial := NewCollectionStorage(true, 8, nil, 1, storage.Config{})
@@ -137,4 +138,20 @@ func TestAddBatchDuplicatePanics(t *testing.T) {
 		}
 	}()
 	c.AddBatch(profiles[:4], pool.New(2))
+}
+
+// TestNormalizeShards pins the shard-count resolution: zero and negative
+// requests mean one shard (ingest is serial, so more buy nothing), others
+// round up to a power of two and clamp at 256.
+func TestNormalizeShards(t *testing.T) {
+	for _, c := range []struct{ in, want int }{
+		{-3, 1}, {0, 1}, {1, 1}, {3, 4}, {8, 8}, {300, 256},
+	} {
+		if got := normalizeShards(c.in); got != c.want {
+			t.Errorf("normalizeShards(%d) = %d, want %d", c.in, got, c.want)
+		}
+	}
+	if n := NewCollection(false, 0).NumShards(); n != 1 {
+		t.Errorf("NewCollection shard count = %d, want 1", n)
+	}
 }

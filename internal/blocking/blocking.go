@@ -12,22 +12,20 @@
 // token count, never recomputing existing blocks.
 //
 // Internally every blocking key is interned to a dense uint32 symbol
-// (internal/intern) and the block index is sharded by symbol (power-of-two
-// shard count, one lock per shard): posting lists, purge tombstones and the
-// profile→blocks index all operate on symbols, and AddBatch fans an
-// increment's postings out with one worker per shard while reproducing the
-// serial Add transition exactly. See DESIGN.md §10.
+// (internal/intern) and the block index is partitioned by symbol
+// (power-of-two shard count, one by default): posting lists, purge
+// tombstones and the profile→blocks index all operate on symbols. Ingest is
+// serial on the owner goroutine; the shard count partitions the index and
+// the spill store, and buys no concurrency. See DESIGN.md §10.
 package blocking
 
 import (
 	"cmp"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"pier/internal/intern"
@@ -60,24 +58,21 @@ func (b *Block) Comparisons(cleanClean bool) int {
 // shard is one partition of the block index: the purge tombstones and dirty
 // log of every symbol s with s & mask == shard index. The posting lists
 // themselves live in the collection's storage.PostingStore under the same
-// shard layout (store.go). The mutex serializes concurrent ingest into the
-// shard (AddBatch runs one worker per shard); readers follow the
-// collection-wide single-writer contract instead of locking.
+// shard layout (store.go). Like the rest of the live index it follows the
+// collection-wide single-writer contract.
 type shard struct {
-	mu     sync.Mutex
 	purged map[intern.Sym]struct{}
-	// dirty logs the symbols mutated since the last PublishSnapshot, appended
-	// under mu by whichever worker owns the shard; empty (and never appended
-	// to) while the collection is not in snapshot-tracking mode.
+	// dirty logs the symbols mutated since the last PublishSnapshot; empty
+	// (and never appended to) while the collection is not in
+	// snapshot-tracking mode.
 	dirty []intern.Sym
 }
 
 // Collection is an incrementally maintained block collection plus the
 // profile registry for all profiles seen so far. Mutations follow a
 // single-writer contract: only the pipeline's owner goroutine calls Add,
-// AddBatch, or Remove (AddBatch's internal fan-out is the one exception, and
-// it synchronizes on the shard mutexes). The owner's own reads therefore stay
-// lock-free. Concurrent *readers* on other goroutines — the online query path
+// AddBatch, or Remove. The owner's own reads therefore stay lock-free.
+// Concurrent *readers* on other goroutines — the online query path
 // — never touch the live state: they pin the immutable snapshot the owner
 // last published (ProbeView, rcu.go) and resolve probe keys through the
 // concurrency-safe symbol table (ProbeSyms, probe.go).
@@ -89,7 +84,7 @@ type Collection struct {
 	tab    *intern.Table
 	shards []shard
 	mask   intern.Sym // len(shards)-1; shard of sym s is s & mask
-	// store holds the posting lists, sharded like the lock shards. The
+	// store holds the posting lists under the same shard layout. The
 	// default backend is a plain in-memory map; NewCollectionStorage can
 	// select the budgeted disk-spill backend instead (see store.go).
 	store storage.PostingStore[*Block]
@@ -101,16 +96,11 @@ type Collection struct {
 
 	version uint64 // bumped on every mutation, for cache invalidation
 
-	// RCU publication state (rcu.go). snapOn is set once by the owner's first
-	// PublishSnapshot and read by shard workers afterwards; the pool's fan-out
-	// synchronization orders that write before every worker read. dirtyReg is
-	// owner-only (registry mutations never run on workers).
+	// RCU publication state (rcu.go), owner-only like the index itself:
+	// snapOn is set once by the first PublishSnapshot.
 	snapOn   bool
 	snap     atomic.Pointer[Snap]
 	dirtyReg []int
-
-	batchSyms [][]intern.Sym // AddBatch scratch: per-profile interned symbols
-	batchKept [][]bool       // AddBatch scratch: per-token kept flags
 }
 
 // Keyer extracts the blocking keys of a profile. The default is
@@ -132,22 +122,12 @@ func NewCollection(cleanClean bool, maxBlockSize int) *Collection {
 }
 
 // normalizeShards resolves a requested shard count: it is rounded up to a
-// power of two and clamped to [1, 256]; shards <= 0 selects the default
-// heuristic, the smallest power of two >= GOMAXPROCS, capped at 64 (one
-// ingest worker per shard saturates the CPUs; more shards only buy finer
-// purge-lock granularity). The shard count is an ingest concurrency knob,
-// never a semantic one: the collection's observable state is identical for
-// every value.
+// power of two and clamped to [1, 256]; shards <= 0 means one shard. Ingest
+// is serial, so the shard count only partitions the index (and the spill
+// store's segments) and buys no concurrency. It is never a semantic knob: the
+// collection's observable state is identical for every value.
 func normalizeShards(shards int) int {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-		if shards > 64 {
-			shards = 64
-		}
-	}
-	if shards > 256 {
-		shards = 256
-	}
+	shards = min(max(shards, 1), 256)
 	n := 1
 	for n < shards {
 		n <<= 1
@@ -167,8 +147,7 @@ func (c *Collection) shardOf(sym intern.Sym) *shard { return &c.shards[sym&c.mas
 // addSym applies the per-token ingest transition to sh (which must own sym):
 // skip if tombstoned, create-or-append the posting, purge on overflow. It
 // reports whether the symbol is a live block key for the added profile — the
-// kept condition of the profile→blocks index. Callers hold sh.mu when the
-// collection is ingesting concurrently.
+// kept condition of the profile→blocks index.
 func (c *Collection) addSym(sh *shard, p *profile.Profile, sym intern.Sym) bool {
 	if _, dead := sh.purged[sym]; dead {
 		return false
@@ -218,11 +197,7 @@ func (c *Collection) Add(p *profile.Profile) int {
 	syms := make([]intern.Sym, 0, len(toks))
 	for _, tok := range toks {
 		sym := c.tab.Intern(tok)
-		sh := c.shardOf(sym)
-		sh.mu.Lock()
-		kept := c.addSym(sh, p, sym)
-		sh.mu.Unlock()
-		if kept {
+		if c.addSym(c.shardOf(sym), p, sym) {
 			syms = append(syms, sym)
 		}
 	}
@@ -245,11 +220,7 @@ func (c *Collection) addPrepared(p *profile.Profile, syms []intern.Sym) int {
 	c.version++
 	kept := make([]intern.Sym, 0, len(syms))
 	for _, sym := range syms {
-		sh := c.shardOf(sym)
-		sh.mu.Lock()
-		ok := c.addSym(sh, p, sym)
-		sh.mu.Unlock()
-		if ok {
+		if c.addSym(c.shardOf(sym), p, sym) {
 			kept = append(kept, sym)
 		}
 	}
@@ -260,10 +231,6 @@ func (c *Collection) addPrepared(p *profile.Profile, syms []intern.Sym) int {
 	c.maintainStore()
 	return len(syms)
 }
-
-// addBatchParallelMin is the smallest increment worth the batch fan-out;
-// below it AddBatch degenerates to serial Add calls.
-const addBatchParallelMin = 4
 
 // PrepareBatch tokenizes the increment's profiles and interns their blocking
 // keys, returning one symbol slice per profile for AddBatchPrepared. It
@@ -281,15 +248,11 @@ func (c *Collection) PrepareBatch(delta []*profile.Profile) [][]intern.Sym {
 	return symsOf
 }
 
-// AddBatch integrates a whole increment, fanning the work out over workers:
-// first tokenization and symbol interning per profile, then posting-list
-// appends with one worker per shard. Each shard worker walks the increment in
-// arrival order and applies the exact serial Add transition to the symbols it
-// owns, so the resulting collection — blocks, member order, purge tombstones,
-// profile→blocks index — is bit-for-bit identical to len(delta) serial Add
-// calls, for every worker and shard count. It returns the total number of
-// tokens indexed. A nil or serial pool, a single shard, or a tiny increment
-// all fall back to serial Add.
+// AddBatch integrates a whole increment: len(delta) Add calls in arrival
+// order. It returns the total number of tokens indexed. The pool argument has
+// no effect: ingest runs on the calling goroutine, because fanning the
+// posting-list appends out over the shards never beat the serial loop (see
+// DESIGN.md §10). It stays in the signature for existing callers.
 func (c *Collection) AddBatch(delta []*profile.Profile, workers *pool.Pool) int {
 	return c.AddBatchPrepared(delta, nil, workers)
 }
@@ -298,93 +261,20 @@ func (c *Collection) AddBatch(delta []*profile.Profile, workers *pool.Pool) int 
 // (symsOf[i] are delta[i]'s keys, in key order); a nil symsOf makes it intern
 // in place, which is exactly AddBatch. The resulting collection state is
 // identical either way — preparation only moves the tokenize+intern work onto
-// another goroutine's clock.
-func (c *Collection) AddBatchPrepared(delta []*profile.Profile, symsOf [][]intern.Sym, workers *pool.Pool) int {
+// another goroutine's clock. Like AddBatch's, the pool argument has no effect.
+func (c *Collection) AddBatchPrepared(delta []*profile.Profile, symsOf [][]intern.Sym, _ *pool.Pool) int {
 	if symsOf != nil && len(symsOf) != len(delta) {
 		panic(fmt.Sprintf("blocking: %d prepared symbol slices for %d profiles", len(symsOf), len(delta)))
 	}
-	if workers == nil || workers.Serial() || len(c.shards) == 1 || len(delta) < addBatchParallelMin {
-		total := 0
-		for i, p := range delta {
-			if symsOf != nil {
-				total += c.addPrepared(p, symsOf[i])
-			} else {
-				total += c.Add(p)
-			}
-		}
-		return total
-	}
-	var keptOf [][]bool
-	if symsOf == nil {
-		symsOf, keptOf = c.batchScratch(len(delta))
-		workers.ForEach(len(delta), func(i int) {
-			symsOf[i] = c.tab.InternAll(c.keyer(delta[i]), symsOf[i][:0])
-		})
-	} else {
-		_, keptOf = c.batchScratch(len(delta))
-	}
 	total := 0
 	for i, p := range delta {
-		if _, dup := c.profiles[p.ID]; dup {
-			panic(fmt.Sprintf("blocking: duplicate profile ID %d", p.ID))
-		}
-		c.profiles[p.ID] = p
-		total += len(symsOf[i])
-		if cap(keptOf[i]) < len(symsOf[i]) {
-			keptOf[i] = make([]bool, len(symsOf[i]))
-		}
-		keptOf[i] = keptOf[i][:len(symsOf[i])]
-	}
-	c.version += uint64(len(delta))
-	workers.ForEach(len(c.shards), func(si int) {
-		sh := &c.shards[si]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		owned := intern.Sym(si)
-		for i, p := range delta {
-			syms := symsOf[i]
-			kf := keptOf[i]
-			for j, sym := range syms {
-				if sym&c.mask != owned {
-					continue
-				}
-				// Every slot is owned by exactly one shard worker, which is
-				// its only writer; the symbol slices stay read-only here.
-				kf[j] = c.addSym(sh, p, sym)
-			}
-		}
-	})
-	for i, p := range delta {
-		syms := symsOf[i]
-		kept := make([]intern.Sym, 0, len(syms))
-		for j, sym := range syms {
-			if keptOf[i][j] {
-				kept = append(kept, sym)
-			}
-		}
-		c.ofProf[p.ID] = kept
-		if c.snapOn {
-			c.dirtyReg = append(c.dirtyReg, p.ID)
+		if symsOf != nil {
+			total += c.addPrepared(p, symsOf[i])
+		} else {
+			total += c.Add(p)
 		}
 	}
-	c.maintainStore()
 	return total
-}
-
-// batchScratch returns the reusable per-profile symbol and kept-flag buffers
-// for an increment of n profiles, growing the scratch as needed.
-func (c *Collection) batchScratch(n int) ([][]intern.Sym, [][]bool) {
-	if cap(c.batchSyms) < n {
-		grown := make([][]intern.Sym, n)
-		copy(grown, c.batchSyms)
-		c.batchSyms = grown
-		grownKept := make([][]bool, n)
-		copy(grownKept, c.batchKept)
-		c.batchKept = grownKept
-	}
-	c.batchSyms = c.batchSyms[:n]
-	c.batchKept = c.batchKept[:n]
-	return c.batchSyms, c.batchKept
 }
 
 // Remove evicts a profile from the collection: it is deleted from the
@@ -399,16 +289,14 @@ func (c *Collection) Remove(id int) {
 		return
 	}
 	for _, sym := range c.ofProf[id] {
-		sh := c.shardOf(sym)
-		sh.mu.Lock()
 		b, live := c.getBlock(sym)
 		if !live {
-			sh.mu.Unlock()
 			continue
 		}
 		if c.snapOn {
 			// Published snapshots alias the posting arrays: removal must
 			// replace the slice, never shift elements a pinned view can see.
+			sh := c.shardOf(sym)
 			sh.dirty = append(sh.dirty, sym)
 			b.A = removeIDCopy(b.A, id)
 			b.B = removeIDCopy(b.B, id)
@@ -421,7 +309,6 @@ func (c *Collection) Remove(id int) {
 		} else {
 			c.putBlock(sym, b)
 		}
-		sh.mu.Unlock()
 	}
 	delete(c.ofProf, id)
 	delete(c.profiles, id)

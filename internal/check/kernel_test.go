@@ -32,7 +32,7 @@ func TestKernelMatchesReferenceOnShardedCollections(t *testing.T) {
 			t.Parallel()
 			incs := ds.Increments(5)
 			for _, shards := range []int{1, 4} {
-				col := ShardedFinalCollection(ds.CleanClean, incs, shards, 4)
+				col := ShardedFinalCollection(ds.CleanClean, incs, shards)
 				var kern metablocking.Kernel
 				var blocks []*blocking.Block
 				for _, id := range col.ProfileIDs() {
@@ -58,9 +58,9 @@ func TestKernelMatchesReferenceOnShardedCollections(t *testing.T) {
 	}
 }
 
-// TestKernelTraceParallelismShardInvariance crosses the two concurrency knobs
-// the kernel sits under: strategy Parallelism (per-worker kernel scratch in
-// the generation fan-out) and index shard count (batch ingest layout). For
+// TestKernelTraceParallelismShardInvariance crosses the two knobs the kernel
+// sits under, strategy Parallelism and index shard count, neither of which
+// may change anything (candidate generation is serial). For
 // every strategy, the full drain sequence ⟨X, Y, Weight⟩ must be identical
 // across all (Parallelism × shards) combinations — the existing batteries pin
 // each axis against the serial reference separately; this pins the cross.
@@ -81,7 +81,7 @@ func TestKernelTraceParallelismShardInvariance(t *testing.T) {
 				for _, par := range []int{1, 4} {
 					for _, shards := range []int{1, 4} {
 						label := fmt.Sprintf("%s par=%d shards=%d", name, par, shards)
-						got := ShardedIngestTrace(mk(par), ds.CleanClean, incs, shards, 4)
+						got := ShardedIngestTrace(mk(par), ds.CleanClean, incs, shards)
 						if refTrace == nil {
 							refTrace, refLabel = got, label
 							continue

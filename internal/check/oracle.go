@@ -1,13 +1,18 @@
 package check
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"time"
 
 	"pier/internal/baseline"
 	"pier/internal/core"
 	"pier/internal/dataset"
+	"pier/internal/match"
+	"pier/internal/pool"
 	"pier/internal/profile"
+	"pier/internal/stream"
 )
 
 // NewBatchReference returns the batch ER baseline as the differential
@@ -116,12 +121,67 @@ func PermutationInvariance(mk func() core.Strategy, ds *dataset.Dataset, k int, 
 	return diffSets(name+" stream order", base, fmt.Sprintf("permuted order (seed=%d)", seed), got)
 }
 
+// forkSpin is how long MatchFork's matcher busy-waits per comparison: a
+// batch of two comparisons then carries more measured work than the live
+// pipeline's fork grain (250 µs), so runs with several workers really fork.
+const forkSpin = 130 * time.Microsecond
+
+// MatchFork asserts that the live pipeline's match fork changes nothing a
+// drained run produces. For each parallelism it streams the increments
+// through stream.LiveRun with a Jaccard matcher slowed by forkSpin, then
+// stops. Every run must execute exactly the co-blocked pairs of the final
+// collection, each once, and classify as many matches as the first run.
+// A run with more than one worker must have forked at least one batch, so
+// the oracle is never vacuous.
+func MatchFork(mk func() core.Strategy, cleanClean bool, incs [][]*profile.Profile, parallelism []int) error {
+	want := BlockPairs(FinalCollection(cleanClean, incs))
+	js := match.NewMatcher(match.JS)
+	slow := match.ContextFunc(func(_ context.Context, a, b *profile.Profile) (bool, error) {
+		for t0 := time.Now(); time.Since(t0) < forkSpin; {
+		}
+		return js.Match(a, b), nil
+	})
+	refMatches := -1
+	for _, par := range parallelism {
+		got := map[uint64]int{}
+		cfg := LiveConfigFor(cleanClean)
+		cfg.ContextMatcher = slow
+		cfg.Parallelism = par
+		cfg.OnExecuted = func(k uint64) { got[k]++ }
+		l := stream.LiveRun(mk(), cfg)
+		for _, inc := range incs {
+			if err := l.Push(inc); err != nil {
+				return fmt.Errorf("check: push: %w", err)
+			}
+		}
+		res := l.Stop()
+		name := fmt.Sprintf("live parallelism=%d", par)
+		if err := exactlyOnce(name, got); err != nil {
+			return err
+		}
+		if err := diffSets(name, toSet(got), "co-blocked reference", want); err != nil {
+			return err
+		}
+		if refMatches < 0 {
+			refMatches = res.Matches
+		} else if res.Matches != refMatches {
+			return fmt.Errorf("check: %s classified %d matches, parallelism=%d %d",
+				name, res.Matches, parallelism[0], refMatches)
+		}
+		forked := l.Registry().Histogram("pier_match_par_seconds", "", nil).Count()
+		if pool.Resolve(par) > 1 && len(want) > 1 && forked == 0 {
+			return fmt.Errorf("check: %s never forked a batch; oracle is vacuous", name)
+		}
+	}
+	return nil
+}
+
 // Battery runs every applicable oracle for every PIER strategy over the
 // dataset: brute-force and batch-differential completeness, set-level split
 // invariance for all three block-based strategies, strict ingest-trace
-// invariance for I-PCS/I-PES, and within-increment permutation
-// invariance — each at every requested parallelism. It returns the first
-// failure.
+// invariance for I-PCS/I-PES, and within-increment permutation invariance.
+// The requested parallelism values sweep the one stage that runs in
+// parallel, the live match fork (MatchFork). It returns the first failure.
 func Battery(ds *dataset.Dataset, splits []int, parallelism []int) error {
 	if len(splits) == 0 {
 		splits = []int{1, 2, 5, 10}
@@ -130,41 +190,39 @@ func Battery(ds *dataset.Dataset, splits []int, parallelism []int) error {
 		parallelism = []int{1}
 	}
 	midK := splits[len(splits)/2]
-	for _, par := range parallelism {
-		cfg := CoreConfig()
-		cfg.Parallelism = par
-		factories := map[string]func() core.Strategy{
-			"I-PCS": func() core.Strategy { return core.NewIPCS(cfg) },
-			"I-PBS": func() core.Strategy { return core.NewIPBS(cfg) },
-			"I-PES": func() core.Strategy { return core.NewIPES(cfg) },
+	cfg := CoreConfig()
+	factories := map[string]func() core.Strategy{
+		"I-PCS": func() core.Strategy { return core.NewIPCS(cfg) },
+		"I-PBS": func() core.Strategy { return core.NewIPBS(cfg) },
+		"I-PES": func() core.Strategy { return core.NewIPES(cfg) },
+	}
+	for name, mk := range factories {
+		wrap := func(oracle string, err error) error {
+			if err != nil {
+				return fmt.Errorf("%s/%s (dataset=%s): %w", name, oracle, ds.Name, err)
+			}
+			return nil
 		}
-		for name, mk := range factories {
-			wrap := func(oracle string, err error) error {
-				if err != nil {
-					return fmt.Errorf("%s/%s (parallelism=%d, dataset=%s): %w", name, oracle, par, ds.Name, err)
-				}
-				return nil
-			}
-			if err := wrap("brute-force", BruteForce(mk(), ds.CleanClean, ds.Increments(midK))); err != nil {
-				return err
-			}
-			if err := wrap("differential-batch", Differential(mk(), NewBatchReference(cfg), ds.CleanClean, ds.Increments(midK))); err != nil {
-				return err
-			}
-			if err := wrap("split-invariance", SplitInvariance(mk, ds, splits)); err != nil {
-				return err
-			}
-			if err := wrap("permutation-invariance", PermutationInvariance(mk, ds, midK, 42)); err != nil {
-				return err
-			}
+		if err := wrap("brute-force", BruteForce(mk(), ds.CleanClean, ds.Increments(midK))); err != nil {
+			return err
 		}
-		for name, mk := range map[string]func() core.Strategy{
-			"I-PCS": func() core.Strategy { return core.NewIPCS(cfg) },
-			"I-PES": func() core.Strategy { return core.NewIPES(cfg) },
-		} {
-			if err := IngestInvariance(mk, ds, splits); err != nil {
-				return fmt.Errorf("%s/ingest-invariance (parallelism=%d, dataset=%s): %w", name, par, ds.Name, err)
-			}
+		if err := wrap("differential-batch", Differential(mk(), NewBatchReference(cfg), ds.CleanClean, ds.Increments(midK))); err != nil {
+			return err
+		}
+		if err := wrap("split-invariance", SplitInvariance(mk, ds, splits)); err != nil {
+			return err
+		}
+		if err := wrap("permutation-invariance", PermutationInvariance(mk, ds, midK, 42)); err != nil {
+			return err
+		}
+		if err := wrap("match-fork", MatchFork(mk, ds.CleanClean, ds.Increments(midK), parallelism)); err != nil {
+			return err
+		}
+		if name == "I-PBS" {
+			continue
+		}
+		if err := wrap("ingest-invariance", IngestInvariance(mk, ds, splits)); err != nil {
+			return err
 		}
 	}
 	return nil

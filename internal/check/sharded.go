@@ -6,56 +6,52 @@ import (
 	"pier/internal/blocking"
 	"pier/internal/core"
 	"pier/internal/dataset"
-	"pier/internal/pool"
 	"pier/internal/profile"
 	"pier/internal/storage"
 )
 
-// This file holds the sharded-ingest differential oracles: the sharded,
-// parallel batch-ingest path of the blocking index (NewCollectionStorage +
-// AddBatch) must be observationally identical to serial Add — same blocks,
-// same member order, same tombstones, same strategy drain sequences — for
-// every shard and worker count. Shard count is a concurrency knob, never a
-// semantic one; these oracles are what make that claim checkable rather than
-// aspirational.
+// This file holds the sharded-ingest differential oracles: the batch-ingest
+// path of a sharded blocking index (NewCollectionStorage + AddBatch) must be
+// observationally identical to serial Add on one shard — same blocks, same
+// member order, same tombstones, same strategy drain sequences — for every
+// shard count. Shard count is never a semantic knob; these oracles are what
+// make that claim checkable rather than aspirational.
 
 // ShardedFinalCollection blocks the whole stream into a sharded collection via
-// parallel batch ingest — the counterpart of FinalCollection for the sharded
-// path. Purging stays disabled for the same reason as there.
-func ShardedFinalCollection(cleanClean bool, incs [][]*profile.Profile, shards, workers int) *blocking.Collection {
-	return ShardedFinalCollectionStorage(cleanClean, incs, shards, workers, storage.Config{})
+// batch ingest — the counterpart of FinalCollection for the sharded path.
+// Purging stays disabled for the same reason as there.
+func ShardedFinalCollection(cleanClean bool, incs [][]*profile.Profile, shards int) *blocking.Collection {
+	return ShardedFinalCollectionStorage(cleanClean, incs, shards, storage.Config{})
 }
 
 // ShardedFinalCollectionStorage is ShardedFinalCollection with an explicit
 // storage backend for the collection under test: the oracles that compare a
 // spill-backed collection against the in-memory reference build their subject
 // here.
-func ShardedFinalCollectionStorage(cleanClean bool, incs [][]*profile.Profile, shards, workers int, scfg storage.Config) *blocking.Collection {
+func ShardedFinalCollectionStorage(cleanClean bool, incs [][]*profile.Profile, shards int, scfg storage.Config) *blocking.Collection {
 	col := blocking.NewCollectionStorage(cleanClean, 0, nil, shards, scfg)
-	w := pool.New(workers)
 	for _, inc := range incs {
-		col.AddBatch(inc, w)
+		col.AddBatch(inc, nil)
 	}
 	return col
 }
 
 // ShardedIngestTrace is IngestTrace with the collection built through the
-// sharded parallel batch path instead of serial Add: UpdateIndex once per
-// increment over a sharded collection, then a full drain. If the sharded index
-// is truly equivalent, the emission sequence matches IngestTrace exactly.
-func ShardedIngestTrace(s core.Strategy, cleanClean bool, incs [][]*profile.Profile, shards, workers int) []Trace {
-	return ShardedIngestTraceStorage(s, cleanClean, incs, shards, workers, storage.Config{})
+// sharded batch path instead of serial Add: UpdateIndex once per increment
+// over a sharded collection, then a full drain. If the sharded index is truly
+// equivalent, the emission sequence matches IngestTrace exactly.
+func ShardedIngestTrace(s core.Strategy, cleanClean bool, incs [][]*profile.Profile, shards int) []Trace {
+	return ShardedIngestTraceStorage(s, cleanClean, incs, shards, storage.Config{})
 }
 
 // ShardedIngestTraceStorage is ShardedIngestTrace with an explicit storage
 // backend: the strategy sees a collection that spills cold blocks, and must
 // still emit the exact serial sequence.
-func ShardedIngestTraceStorage(s core.Strategy, cleanClean bool, incs [][]*profile.Profile, shards, workers int, scfg storage.Config) []Trace {
+func ShardedIngestTraceStorage(s core.Strategy, cleanClean bool, incs [][]*profile.Profile, shards int, scfg storage.Config) []Trace {
 	col := blocking.NewCollectionStorage(cleanClean, 0, nil, shards, scfg)
 	defer col.Close()
-	w := pool.New(workers)
 	for _, inc := range incs {
-		col.AddBatch(inc, w)
+		col.AddBatch(inc, nil)
 		s.UpdateIndex(col, inc)
 	}
 	var out []Trace
@@ -120,13 +116,13 @@ func blockKeys(c *blocking.Collection, id int) []string {
 	return out
 }
 
-// ShardedEquivalence asserts that sharded parallel batch ingest is
+// ShardedEquivalence asserts that sharded batch ingest is
 // indistinguishable from serial Add at two levels: the final collection state
 // (blocks, member order, versions, profile→blocks index, all resolved to key
 // strings) and the exact strategy drain sequence ⟨X, Y, Weight⟩ over
 // collections built each way. mk constructs a fresh strategy per run.
-func ShardedEquivalence(mk func() core.Strategy, cleanClean bool, incs [][]*profile.Profile, shards, workers int) error {
-	return ShardedEquivalenceStorage(mk, cleanClean, incs, shards, workers, storage.Config{})
+func ShardedEquivalence(mk func() core.Strategy, cleanClean bool, incs [][]*profile.Profile, shards int) error {
+	return ShardedEquivalenceStorage(mk, cleanClean, incs, shards, storage.Config{})
 }
 
 // ShardedEquivalenceStorage is ShardedEquivalence with an explicit storage
@@ -134,55 +130,52 @@ func ShardedEquivalence(mk func() core.Strategy, cleanClean bool, incs [][]*prof
 // in memory, so a non-zero scfg turns the oracle into a differential test of
 // the spill backend itself — any residency-dependent behavior shows up as a
 // divergence from the in-memory reference.
-func ShardedEquivalenceStorage(mk func() core.Strategy, cleanClean bool, incs [][]*profile.Profile, shards, workers int, scfg storage.Config) error {
+func ShardedEquivalenceStorage(mk func() core.Strategy, cleanClean bool, incs [][]*profile.Profile, shards int, scfg storage.Config) error {
 	serial := FinalCollection(cleanClean, incs)
-	sharded := ShardedFinalCollectionStorage(cleanClean, incs, shards, workers, scfg)
+	sharded := ShardedFinalCollectionStorage(cleanClean, incs, shards, scfg)
 	defer sharded.Close()
-	if err := diffCollections("serial Add", serial, fmt.Sprintf("sharded(%d) AddBatch(workers=%d)", shards, workers), sharded); err != nil {
+	if err := diffCollections("serial Add", serial, fmt.Sprintf("sharded(%d) AddBatch", shards), sharded); err != nil {
 		return err
 	}
 	s := mk()
 	ref := IngestTrace(s, cleanClean, incs)
-	got := ShardedIngestTraceStorage(mk(), cleanClean, incs, shards, workers, scfg)
+	got := ShardedIngestTraceStorage(mk(), cleanClean, incs, shards, scfg)
 	n := len(ref)
 	if len(got) < n {
 		n = len(got)
 	}
 	for i := 0; i < n; i++ {
 		if ref[i] != got[i] {
-			return fmt.Errorf("check: %s drain sequences diverge at position %d: serial emitted %+v, sharded(%d, workers=%d) emitted %+v",
-				s.Name(), i, ref[i], shards, workers, got[i])
+			return fmt.Errorf("check: %s drain sequences diverge at position %d: serial emitted %+v, sharded(%d) emitted %+v",
+				s.Name(), i, ref[i], shards, got[i])
 		}
 	}
 	if len(ref) != len(got) {
-		return fmt.Errorf("check: %s drain sequences diverge in length: serial emitted %d comparisons, sharded(%d, workers=%d) emitted %d",
-			s.Name(), len(ref), shards, workers, len(got))
+		return fmt.Errorf("check: %s drain sequences diverge in length: serial emitted %d comparisons, sharded(%d) emitted %d",
+			s.Name(), len(ref), shards, len(got))
 	}
 	return nil
 }
 
-// ShardedBattery runs ShardedEquivalence for every PIER strategy across a
-// shard × worker matrix, at the middle split of the canonical matrix. Unlike
+// ShardedBattery runs ShardedEquivalence for every PIER strategy across the
+// requested shard counts, at the middle split of the canonical matrix. Unlike
 // IngestInvariance this includes I-PBS: the increments are identical on both
 // sides, so even its boundary-sensitive UpdateIndex must trace identically —
 // only the index construction underneath differs.
-func ShardedBattery(ds *dataset.Dataset, splits, shardCounts, workerCounts []int) error {
-	return ShardedBatteryStorage(ds, splits, shardCounts, workerCounts, storage.Config{})
+func ShardedBattery(ds *dataset.Dataset, splits, shardCounts []int) error {
+	return ShardedBatteryStorage(ds, splits, shardCounts, storage.Config{})
 }
 
 // ShardedBatteryStorage is ShardedBattery with an explicit storage backend on
-// the sharded side — the full strategy × shards × workers matrix asserting
+// the sharded side — the full strategy × shards matrix asserting
 // that a spill-backed index traces identically to the in-memory serial
 // reference.
-func ShardedBatteryStorage(ds *dataset.Dataset, splits, shardCounts, workerCounts []int, scfg storage.Config) error {
+func ShardedBatteryStorage(ds *dataset.Dataset, splits, shardCounts []int, scfg storage.Config) error {
 	if len(splits) == 0 {
 		splits = []int{1, 2, 5, 10}
 	}
 	if len(shardCounts) == 0 {
 		shardCounts = []int{1, 4, 8}
-	}
-	if len(workerCounts) == 0 {
-		workerCounts = []int{1, 4}
 	}
 	midK := splits[len(splits)/2]
 	incs := ds.Increments(midK)
@@ -193,12 +186,10 @@ func ShardedBatteryStorage(ds *dataset.Dataset, splits, shardCounts, workerCount
 		"I-PES": func() core.Strategy { return core.NewIPES(cfg) },
 	}
 	for _, shards := range shardCounts {
-		for _, workers := range workerCounts {
-			for name, mk := range factories {
-				if err := ShardedEquivalenceStorage(mk, ds.CleanClean, incs, shards, workers, scfg); err != nil {
-					return fmt.Errorf("%s/sharded-equivalence (shards=%d, workers=%d, dataset=%s): %w",
-						name, shards, workers, ds.Name, err)
-				}
+		for name, mk := range factories {
+			if err := ShardedEquivalenceStorage(mk, ds.CleanClean, incs, shards, scfg); err != nil {
+				return fmt.Errorf("%s/sharded-equivalence (shards=%d, dataset=%s): %w",
+					name, shards, ds.Name, err)
 			}
 		}
 	}

@@ -11,15 +11,15 @@ import (
 )
 
 // TestShardedBattery is the sharded-ingest acceptance matrix: for every
-// strategy, shard count ∈ {1,4,8}, and worker count ∈ {1,4}, the parallel
-// batch-built index and the drains over it must match serial Add exactly, over
-// the same three seeded datasets as the main battery.
+// strategy and shard count ∈ {1,4,8}, the batch-built index and the drains
+// over it must match serial Add exactly, over the same three seeded datasets
+// as the main battery.
 func TestShardedBattery(t *testing.T) {
 	for _, ds := range harnessDatasets(t) {
 		ds := ds
 		t.Run(ds.Name, func(t *testing.T) {
 			t.Parallel()
-			if err := ShardedBattery(ds, nil, nil, nil); err != nil {
+			if err := ShardedBattery(ds, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -77,15 +77,15 @@ func TestDiffCollectionsFires(t *testing.T) {
 }
 
 // TestShardedEquivalenceOnBuiltCollections exercises the exported oracle
-// directly on a hand-rolled increment cut, including the degenerate shard and
-// worker counts the heuristic would never pick.
+// directly on a hand-rolled increment cut, including shard counts the
+// default never picks.
 func TestShardedEquivalenceOnBuiltCollections(t *testing.T) {
 	ds := mutDataset()
 	incs := ds.Increments(3)
 	cfg := CoreConfig()
 	mk := func() core.Strategy { return core.NewIPCS(cfg) }
 	for _, shards := range []int{1, 2, 16} {
-		if err := ShardedEquivalence(mk, ds.CleanClean, incs, shards, 3); err != nil {
+		if err := ShardedEquivalence(mk, ds.CleanClean, incs, shards); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 	}

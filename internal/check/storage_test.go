@@ -36,12 +36,12 @@ func TestShardedBatteryStorageSpill(t *testing.T) {
 		t.Run(ds.Name, func(t *testing.T) {
 			t.Parallel()
 			scfg := storage.Config{Budget: 4 << 10, Dir: t.TempDir()}
-			if err := ShardedBatteryStorage(ds, nil, []int{4}, []int{1, 4}, scfg); err != nil {
+			if err := ShardedBatteryStorage(ds, nil, []int{4}, scfg); err != nil {
 				t.Fatal(err)
 			}
 			// The battery's middle split is five increments.
 			half := storage.Config{Budget: pricedIndexBytes(ds.CleanClean, ds.Increments(5)) / 2, Dir: t.TempDir()}
-			if err := ShardedBatteryStorage(ds, nil, []int{1}, []int{1}, half); err != nil {
+			if err := ShardedBatteryStorage(ds, nil, []int{1}, half); err != nil {
 				t.Fatalf("one shard at half the index: %v", err)
 			}
 		})

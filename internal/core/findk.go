@@ -72,6 +72,12 @@ func (a *AdaptiveK) ObserveService(perComparison time.Duration) {
 	a.service = a.ema(a.service, perComparison.Seconds())
 }
 
+// ServiceTime returns the smoothed per-comparison service time, zero before
+// the first observation.
+func (a *AdaptiveK) ServiceTime() time.Duration {
+	return time.Duration(a.service * float64(time.Second))
+}
+
 func (a *AdaptiveK) ema(cur, sample float64) float64 {
 	if cur == 0 {
 		return sample

@@ -8,21 +8,14 @@ import (
 	"pier/internal/intern"
 	"pier/internal/metablocking"
 	"pier/internal/obsv"
-	"pier/internal/pool"
 	"pier/internal/profile"
 )
 
-// parallelThreshold is the minimum increment size worth fanning out: below
-// it, goroutine startup dominates the per-profile work. Well under any real
-// increment size, so the parallel path is exercised by normal workloads.
-const parallelThreshold = 4
-
-// genScratch is the reusable per-worker state of candidate generation: the
-// block enumeration and ghosting buffers, the sweep kernel (dense
-// epoch-stamped partner scratch + denominator caches), and the worker's
-// output run. Scratch never influences results — it only recycles
-// allocations — so any worker may process any profile, and the fan-out stays
-// allocation-flat once every worker's kernel has grown to the ID range.
+// genScratch is the reusable state of candidate generation: the block
+// enumeration and ghosting buffers, the sweep kernel (dense epoch-stamped
+// partner scratch + denominator caches), and the output run. Scratch never
+// influences results — it only recycles allocations — so generation stays
+// allocation-flat once the kernel has grown to the ID range.
 type genScratch struct {
 	kern     metablocking.Kernel
 	blocks   []*blocking.Block
@@ -40,33 +33,23 @@ type genScratch struct {
 // from the block collection smallest-block-first so that idle time keeps
 // producing useful work.
 //
-// Per-profile candidate generation is independent by construction — the
-// smaller-ID rule in metablocking.Candidates generates every unordered pair
-// exactly once, from the later profile, against collection state that already
-// contains the whole increment — so candidates fans the profiles out over the
-// pool's dynamic scheduler: workers pull profile indices from a shared atomic
-// counter, append each profile's pruned comparisons to their own scratch, and
-// record the (worker, offset, length) run per profile index. The merge walks
-// profile indices in order and concatenates the recorded runs, so the output
-// is bit-for-bit identical to the serial one for every Config.Parallelism —
-// while zipf-skewed profiles (one hot profile with huge blocks next to many
-// cold ones) no longer serialize on whichever static chunk they landed in.
+// Candidates are generated profile by profile, in increment order, on the
+// calling goroutine. Config.Parallelism has no effect here: a per-profile
+// fan-out was never faster than this loop, not even at 2 500-profile
+// increments (DESIGN.md §6).
 type generator struct {
-	cfg  Config
-	pool *pool.Pool
+	cfg Config
 
 	// genSec, when instrumented, records the wall time of each candidates()
-	// call — the stage whose parallel speedup the pool exists to buy.
+	// call.
 	genSec *obsv.Histogram
 
 	// Executed is the strategy's executed-pair set: Dequeue marks it, and
 	// the fallback scan never re-emits a marked pair.
 	Executed
 
-	scratches []genScratch              // one per worker slot; [0] serves the serial path
-	runs      []profRun                 // per-profile output runs of the last fan-out
-	merged    []metablocking.Comparison // reused fan-out merge buffer
-	fbBuf     []metablocking.Comparison // reused fallback-scan output buffer
+	sc    genScratch                // reused candidate-generation state
+	fbBuf []metablocking.Comparison // reused fallback-scan output buffer
 
 	// fbSyms and fbSpan weigh the block being scanned: member i's sorted
 	// live-block symbols are fbSyms[fbSpan[i].lo:fbSpan[i].hi], read from
@@ -86,32 +69,11 @@ type generator struct {
 }
 
 func newGenerator(cfg Config) *generator {
-	g := &generator{
-		cfg:  cfg,
-		pool: pool.New(cfg.Parallelism),
-	}
+	g := &generator{cfg: cfg}
 	if cfg.Metrics != nil {
-		g.pool.Instrument(
-			cfg.Metrics.Gauge("pier_gen_workers_busy", "candidate-generation workers currently executing"),
-			cfg.Metrics.Counter("pier_gen_tasks_total", "per-profile candidate-generation tasks completed"),
-		)
 		g.genSec = cfg.Metrics.Histogram("pier_gen_seconds", "wall time of candidate generation per increment", obsv.ExpBuckets(1e-6, 10, 8))
 	}
 	return g
-}
-
-// scratchFor returns the worker scratch slots for n workers, growing the pool
-// of slots on first use and resetting each slot's output run.
-func (g *generator) scratchFor(n int) []genScratch {
-	for len(g.scratches) < n {
-		g.scratches = append(g.scratches, genScratch{})
-	}
-	scs := g.scratches[:n]
-	for i := range scs {
-		scs[i].out = scs[i].out[:0]
-		scs[i].cost = 0
-	}
-	return scs
 }
 
 // perProfile runs lines 1–9 of Algorithm 2 for one profile — block filtering,
@@ -146,31 +108,11 @@ func (g *generator) perProfile(sc *genScratch, col *blocking.Collection, p *prof
 	}
 }
 
-// profRun locates one profile's pruned comparisons inside its worker's
-// scratch output: worker w produced run [off, off+n) of scs[w].out for the
-// profile. Recorded during the fan-out, consumed by the in-order merge.
-type profRun struct {
-	w, off, n int32
-}
-
-// runsFor returns the per-profile run table for n profiles, grown as needed.
-func (g *generator) runsFor(n int) []profRun {
-	if cap(g.runs) < n {
-		g.runs = make([]profRun, n)
-	}
-	g.runs = g.runs[:n]
-	return g.runs
-}
-
 // candidates runs lines 1–9 of Algorithm 2 over the increment: block
 // ghosting with β, candidate generation against earlier profiles, and I-WNP
-// pruning. It returns the weighted comparison list and the modeled cost.
-// Large increments fan out over the pool's dynamic scheduler (workers pull
-// profile indices from a shared counter — skew-proof under zipf block-size
-// distributions); outputs are merged in profile order, so the result is
-// identical for every Config.Parallelism setting. The returned slice is owned
-// by the generator and valid until its next call; strategies consume it
-// immediately.
+// pruning. It returns the weighted comparison list and the modeled cost. The
+// returned slice is owned by the generator and valid until its next call;
+// strategies consume it immediately.
 func (g *generator) candidates(col *blocking.Collection, delta []*profile.Profile) ([]metablocking.Comparison, time.Duration) {
 	if len(delta) == 0 {
 		return nil, 0
@@ -179,54 +121,15 @@ func (g *generator) candidates(col *blocking.Collection, delta []*profile.Profil
 	if g.genSec != nil {
 		t0 = time.Now()
 	}
-	workers := g.pool.Workers()
-	if g.pool.Serial() || len(delta) < parallelThreshold {
-		workers = 1
-	}
-	if workers > len(delta) {
-		workers = len(delta)
-	}
-	scs := g.scratchFor(workers)
-	var out []metablocking.Comparison
-	var cost time.Duration
-	if workers == 1 {
-		sc := &scs[0]
-		for _, p := range delta {
-			g.perProfile(sc, col, p)
-		}
-		out, cost = sc.out, sc.cost
-	} else {
-		// Fan out: the per-profile work only reads the collection (the
-		// whole increment is already blocked before UpdateIndex runs), so
-		// concurrent tasks never race; each task writes only its worker's
-		// scratch and its own run slot, and the single-writer merge below
-		// is the only other mutation.
-		runs := g.runsFor(len(delta))
-		g.pool.ForEachWorker(len(delta), func(w, i int) {
-			sc := &scs[w]
-			off := len(sc.out)
-			g.perProfile(sc, col, delta[i])
-			runs[i] = profRun{w: int32(w), off: int32(off), n: int32(len(sc.out) - off)}
-		})
-		total := 0
-		for i := range scs {
-			total += len(scs[i].out)
-			cost += scs[i].cost
-		}
-		merged := g.merged[:0]
-		if cap(merged) < total {
-			merged = make([]metablocking.Comparison, 0, total)
-		}
-		for _, r := range runs {
-			merged = append(merged, scs[r.w].out[r.off:r.off+r.n]...)
-		}
-		g.merged = merged
-		out = merged
+	sc := &g.sc
+	sc.out, sc.cost = sc.out[:0], 0
+	for _, p := range delta {
+		g.perProfile(sc, col, p)
 	}
 	if g.genSec != nil {
 		g.genSec.Observe(time.Since(t0).Seconds())
 	}
-	return out, cost
+	return sc.out, sc.cost
 }
 
 // fallbackScan implements GetComparisons(B): each call takes the comparisons

@@ -91,7 +91,7 @@ func ciLess(a, b ciEntry) bool {
 func NewIPBS(cfg Config) *IPBS {
 	return &IPBS{
 		cfg:     cfg,
-		index:   queue.NewBounded(cfg.IndexCapacity, metablocking.LessBlockCentric),
+		index:   queue.NewBounded(cfg.IndexCapacity, metablocking.CompareBlockCentric),
 		ci:      make(map[intern.Sym]int, 256),
 		pi:      make(map[intern.Sym][]int, 256),
 		minHeap: queue.NewHeap(ciLess),

@@ -24,7 +24,7 @@ type IPCS struct {
 func NewIPCS(cfg Config) *IPCS {
 	return &IPCS{
 		gen:   newGenerator(cfg),
-		index: queue.NewBounded(cfg.IndexCapacity, metablocking.Less),
+		index: queue.NewBounded(cfg.IndexCapacity, metablocking.Compare),
 	}
 }
 

@@ -85,7 +85,7 @@ func NewIPES(cfg Config) *IPES {
 		gen:         newGenerator(cfg),
 		entityQueue: queue.NewHeap(entityLess),
 		epq:         make(map[int]*entityState),
-		pq:          queue.NewBounded(cfg.IndexCapacity, metablocking.Less),
+		pq:          queue.NewBounded(cfg.IndexCapacity, metablocking.Compare),
 	}
 	if cfg.Metrics != nil {
 		s.entitiesGauge = cfg.Metrics.Gauge("pier_ipes_entities", "entities tracked in I-PES's E_PQ, with or without pending comparisons")
@@ -196,7 +196,7 @@ func (s *IPES) epqPush(id int, c metablocking.Comparison) {
 	st, ok := s.epq[id]
 	if !ok {
 		st = &entityState{id: id, slot: -1}
-		st.q.Init(s.cfg.PerEntityCapacity, metablocking.Less)
+		st.q.Init(s.cfg.PerEntityCapacity, metablocking.Compare)
 		s.epq[id] = st
 	}
 	st.insSum += c.Weight

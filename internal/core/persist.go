@@ -308,7 +308,7 @@ func (s *IPES) LoadState(r io.Reader) error {
 	s.nonEmpty = nil
 	for id, sti := range img.EPQ {
 		st := &entityState{insSum: sti.InsSum, insCount: sti.InsCount, id: id, slot: -1}
-		st.q.Init(s.cfg.PerEntityCapacity, metablocking.Less)
+		st.q.Init(s.cfg.PerEntityCapacity, metablocking.Compare)
 		st.q.Restore(sti.Items)
 		s.epq[id] = st
 		if st.q.Len() > 0 {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"pier/internal/blocking"
 	"pier/internal/dataset"
@@ -13,8 +12,7 @@ import (
 // skewedIncrement builds one increment whose per-profile generation cost is
 // zipf-skewed the way real vocabularies are: a handful of hot profiles share
 // very popular tokens (huge blocks, many candidates), the long tail shares
-// almost nothing. Static contiguous chunking puts neighboring hot profiles in
-// the same chunk; the dynamic scheduler must not care.
+// almost nothing.
 func skewedIncrement(n int) []*profile.Profile {
 	out := make([]*profile.Profile, n)
 	for i := 0; i < n; i++ {
@@ -44,10 +42,10 @@ func genFor(t *testing.T, inc []*profile.Profile, parallelism int) (*generator, 
 	return newGenerator(cfg), col
 }
 
-// TestCandidatesDeterministicAcrossParallelism pins the tentpole determinism
-// contract: the merged comparison list and the modeled cost are bit-for-bit
-// identical for Parallelism 1, 2 and 8 on a zipf-skewed increment — the
-// dynamic scheduler balances load without perturbing emission order.
+// TestCandidatesDeterministicAcrossParallelism pins that Config.Parallelism
+// has no effect on candidate generation: the comparison list and the modeled
+// cost are bit-for-bit identical for Parallelism 1, 2 and 8 on a zipf-skewed
+// increment.
 func TestCandidatesDeterministicAcrossParallelism(t *testing.T) {
 	inc := skewedIncrement(512)
 	gBase, colBase := genFor(t, inc, 1)
@@ -91,93 +89,5 @@ func TestCandidatesDeterministicOnDataset(t *testing.T) {
 				t.Fatalf("parallelism %d: comparison %d diverged", par, i)
 			}
 		}
-	}
-}
-
-// perProfileCosts extracts each profile's modeled generation cost through a
-// serial generator — the ground truth the balance simulation schedules.
-func perProfileCosts(t *testing.T, inc []*profile.Profile) []time.Duration {
-	t.Helper()
-	g, col := genFor(t, inc, 1)
-	costs := make([]time.Duration, len(inc))
-	sc := &g.scratchFor(1)[0]
-	prev := time.Duration(0)
-	for i, p := range inc {
-		g.perProfile(sc, col, p)
-		costs[i] = sc.cost - prev
-		prev = sc.cost
-	}
-	return costs
-}
-
-// TestDynamicSchedulingBalancesSkew asserts the scheduling *policy* the pool
-// implements — each idle worker pulls the next profile index — keeps every
-// worker within 2× its fair share of modeled cost on the zipf-skewed
-// increment, while static contiguous chunking (the pre-dynamic scheduler)
-// does not get that guarantee. The policy is simulated with a virtual clock
-// (greedy list scheduling, the idealization of counter-pulling with real
-// durations) because on an arbitrarily-scheduled test machine the actual
-// per-worker assignment is timing-dependent; the determinism tests above pin
-// the real implementation's output, this test pins the balance property of
-// its assignment rule.
-func TestDynamicSchedulingBalancesSkew(t *testing.T) {
-	const workers = 8
-	inc := skewedIncrement(512)
-	costs := perProfileCosts(t, inc)
-
-	var total, maxItem time.Duration
-	for _, c := range costs {
-		total += c
-		if c > maxItem {
-			maxItem = c
-		}
-	}
-	fair := total / workers
-	if maxItem > fair {
-		t.Fatalf("test data broken: max per-profile cost %v exceeds fair share %v — no scheduler could balance it", maxItem, fair)
-	}
-
-	// Dynamic pull: the next index goes to the worker that frees up first.
-	var loads [workers]time.Duration
-	for _, c := range costs {
-		minW := 0
-		for w := 1; w < workers; w++ {
-			if loads[w] < loads[minW] {
-				minW = w
-			}
-		}
-		loads[minW] += c
-	}
-	maxDyn := time.Duration(0)
-	for _, l := range loads {
-		if l > maxDyn {
-			maxDyn = l
-		}
-	}
-	if maxDyn > 2*fair {
-		t.Fatalf("dynamic scheduling: worst worker %v exceeds 2× fair share %v", maxDyn, fair)
-	}
-
-	// Static contiguous chunking, for the record: the hot profiles are
-	// clustered at the front, so the first chunk absorbs nearly all of them.
-	chunk := (len(costs) + workers - 1) / workers
-	maxStatic := time.Duration(0)
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(costs) {
-			hi = len(costs)
-		}
-		var sum time.Duration
-		for _, c := range costs[lo:hi] {
-			sum += c
-		}
-		if sum > maxStatic {
-			maxStatic = sum
-		}
-	}
-	t.Logf("fair share %v; dynamic worst %v (%.2fx fair); static worst %v (%.2fx fair)",
-		fair, maxDyn, float64(maxDyn)/float64(fair), maxStatic, float64(maxStatic)/float64(fair))
-	if maxDyn > maxStatic {
-		t.Fatalf("dynamic scheduling (%v) lost to static chunking (%v) on skewed data", maxDyn, maxStatic)
 	}
 }

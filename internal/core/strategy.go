@@ -126,16 +126,12 @@ type Config struct {
 	PerEntityCapacity int
 	// Costs is the virtual-time cost model charged for maintenance work.
 	Costs match.CostModel
-	// Parallelism is the number of workers candidate generation fans the
-	// increment's per-profile work out over: 0 (the default) or negative
-	// uses one worker per CPU, 1 forces exact serial execution. Results are
-	// merged in profile order, so every setting produces bit-for-bit the
-	// same index state; only wall-clock time changes. The strategies'
-	// index mutation itself stays single-writer per the Strategy contract.
+	// Parallelism has no effect: candidate generation runs serially on the
+	// caller, because its per-profile fan-out never beat the serial loop.
+	// The field stays for existing callers.
 	Parallelism int
 	// Metrics, if set, is the registry candidate generation registers its
-	// worker-pool instruments in (busy-workers gauge, task counter, stage
-	// timers). Nil disables instrumentation.
+	// stage timer in. Nil disables instrumentation.
 	Metrics *obsv.Registry
 	// CheckInvariants enables per-update self-verification of the
 	// strategies' index structures (interval-heap order, I-PES pending

@@ -12,6 +12,7 @@
 package metablocking
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -37,26 +38,32 @@ func (c Comparison) String() string {
 	return fmt.Sprintf("c(%d,%d|w=%.3f,b=%d)", c.X, c.Y, c.Weight, c.BSize)
 }
 
-// Less orders comparisons by ascending Weight (ties by pair key for
-// determinism); priority queues built on it pop the highest weight first.
-func Less(a, b Comparison) bool {
+// Compare orders comparisons by ascending Weight, ties by descending pair
+// key for determinism: it is negative when a is worse than b and zero only
+// for the same pair at the same weight. Priority queues built on it pop the
+// highest weight first. Sorts and queues call it once per pair of elements,
+// where a comparator built from Less needs two calls.
+func Compare(a, b Comparison) int {
 	if a.Weight != b.Weight {
-		return a.Weight < b.Weight
+		if a.Weight < b.Weight {
+			return -1
+		}
+		return 1
 	}
-	return a.Key() > b.Key()
+	return cmp.Compare(b.Key(), a.Key())
 }
 
-// LessBlockCentric is the I-PBS order: a comparison is better when its
-// generating block is smaller; among equal block sizes, higher weight wins.
-// Less(a, b) == true means a is worse than b.
-func LessBlockCentric(a, b Comparison) bool {
+// Less reports whether a is worse than b under Compare.
+func Less(a, b Comparison) bool { return Compare(a, b) < 0 }
+
+// CompareBlockCentric is the I-PBS order: a comparison is better when its
+// generating block is smaller; among equal block sizes, Compare decides. A
+// negative result means a is worse than b.
+func CompareBlockCentric(a, b Comparison) int {
 	if a.BSize != b.BSize {
-		return a.BSize > b.BSize
+		return cmp.Compare(b.BSize, a.BSize)
 	}
-	if a.Weight != b.Weight {
-		return a.Weight < b.Weight
-	}
-	return a.Key() > b.Key()
+	return Compare(a, b)
 }
 
 // Scheme is a meta-blocking edge weighting scheme.
@@ -128,19 +135,11 @@ func (s Scheme) Weight(common int, arcs float64, bx, by, total int) float64 {
 	}
 }
 
-// cmpByWeightDesc is the descending-Less order as a slices.SortFunc
-// comparator (best comparison first). Less is a total order — ties resolve by
-// pair key and a pair appears at most once per list — so stability is moot.
-func cmpByWeightDesc(a, b Comparison) int {
-	switch {
-	case Less(b, a):
-		return -1
-	case Less(a, b):
-		return 1
-	default:
-		return 0
-	}
-}
+// cmpByWeightDesc is the descending Compare order as a slices.SortFunc
+// comparator (best comparison first). Compare is a total order — ties
+// resolve by pair key and a pair appears at most once per list — so
+// stability is moot.
+func cmpByWeightDesc(a, b Comparison) int { return Compare(b, a) }
 
 // IWNP is the incremental Weighted Node Pruning of [17]: given the candidate
 // comparisons of one profile, it drops every comparison whose weight is

@@ -271,13 +271,13 @@ func TestLessOrderings(t *testing.T) {
 		t.Error("Less must order by weight")
 	}
 	// Block-centric: smaller BSize is better even with lower weight.
-	if !LessBlockCentric(b, a) {
-		t.Error("LessBlockCentric must prefer smaller BSize")
+	if CompareBlockCentric(b, a) >= 0 {
+		t.Error("CompareBlockCentric must prefer smaller BSize")
 	}
 	sameB1 := Comparison{X: 1, Y: 2, Weight: 1, BSize: 5}
 	sameB2 := Comparison{X: 1, Y: 3, Weight: 2, BSize: 5}
-	if !LessBlockCentric(sameB1, sameB2) {
-		t.Error("LessBlockCentric must fall back to weight within a block size")
+	if CompareBlockCentric(sameB1, sameB2) >= 0 {
+		t.Error("CompareBlockCentric must fall back to weight within a block size")
 	}
 }
 

@@ -61,20 +61,6 @@ func TestTryForEachNoPanicRunsAll(t *testing.T) {
 	}
 }
 
-func TestForEachRepanicsOriginalValue(t *testing.T) {
-	defer func() {
-		if r := recover(); r != "original value" {
-			t.Errorf("recovered %v, want the original panic value", r)
-		}
-	}()
-	New(2).ForEach(10, func(i int) {
-		if i == 3 {
-			panic("original value")
-		}
-	})
-	t.Fatal("ForEach returned instead of panicking")
-}
-
 func TestPanicKeepsInstrumentsConsistent(t *testing.T) {
 	reg := obsv.NewRegistry()
 	busy := reg.Gauge("busy", "")

@@ -1,12 +1,11 @@
-// Package pool provides the bounded worker pool shared by the pipeline's
-// parallel stages: candidate generation in the prioritization strategies and
-// similarity computation in the live matcher. Both stages are embarrassingly
-// parallel over independent items, but their consumers require deterministic
-// results, so the pool only offers an *indexed* parallel-for: workers pull
-// item indices from a shared counter (dynamic load balancing) and write
-// results into caller-owned, index-addressed slots, which the caller then
-// merges in index order. Execution order is nondeterministic; merged output
-// is bit-for-bit identical to a serial run.
+// Package pool provides the bounded worker pool of the pipeline's one
+// parallel stage: similarity computation in the live matcher. The stage is
+// embarrassingly parallel over independent comparisons, but its consumer
+// requires deterministic results, so the pool only offers an *indexed*
+// parallel-for: workers pull item indices from a shared counter (dynamic load
+// balancing) and write results into caller-owned, index-addressed slots,
+// which the caller then reads in index order. Execution order is
+// nondeterministic; the output is bit-for-bit identical to a serial run.
 package pool
 
 import (
@@ -46,12 +45,10 @@ func Resolve(parallelism int) int {
 }
 
 // Pool fans indexed tasks out over a fixed number of workers. The zero-cost
-// configuration is workers == 1: ForEach then runs the loop inline on the
+// configuration is workers == 1: TryForEach then runs the loop inline on the
 // calling goroutine, spawning nothing — the knob's "exact serial behavior"
-// setting. A Pool is stateless between ForEach calls and safe for reuse; a
-// single ForEach call must not be issued concurrently with another on the
-// same Pool only if the instruments are shared and the caller cares about
-// gauge accuracy (the arithmetic itself is atomic and safe).
+// setting. A Pool is stateless between TryForEach calls and safe for reuse;
+// concurrent calls on one Pool are safe too, though they share its gauge.
 type Pool struct {
 	workers int
 
@@ -80,36 +77,14 @@ func (p *Pool) Workers() int { return p.workers }
 // Serial reports whether the pool runs tasks inline on the caller.
 func (p *Pool) Serial() bool { return p.workers <= 1 }
 
-// ForEach runs fn(i) for every i in [0, n), fanning the calls out over at
+// TryForEach runs fn(i) for every i in [0, n), fanning the calls out over at
 // most Workers() goroutines and returning once all have completed. fn must be
 // safe to call concurrently for distinct indices; writes it performs to
-// distinct index-addressed slots need no further synchronization (ForEach's
-// completion is a happens-before barrier for the caller). With one worker —
-// or a single task — the loop runs inline in increasing index order.
-func (p *Pool) ForEach(n int, fn func(i int)) {
-	if err := p.TryForEach(n, fn); err != nil {
-		// Callers of ForEach opted out of error handling; re-raise the
-		// original panic value on the calling goroutine, where it is
-		// actionable, instead of crashing an anonymous worker.
-		panic(err.(*PanicError).Value)
-	}
-}
-
-// ForEachWorker is ForEach for callers that accumulate into per-worker
-// scratch: fn(w, i) runs task i on worker w, where w < min(Workers(), n) is
-// stable for the lifetime of one call. Tasks are still pulled dynamically
-// from the shared counter — the assignment of indices to workers is
-// load-balanced and nondeterministic — so callers needing deterministic
-// output must record (worker, position) per index-addressed result and merge
-// in index order, never in worker order. Serial pools run inline with w == 0.
-func (p *Pool) ForEachWorker(n int, fn func(w, i int)) {
-	if err := p.TryForEachWorker(n, fn); err != nil {
-		panic(err.(*PanicError).Value)
-	}
-}
-
-// TryForEach is ForEach with panic isolation: a panic inside fn is recovered
-// in the worker that hit it, captured with its stack, and returned as a
+// distinct index-addressed slots need no further synchronization (the return
+// is a happens-before barrier for the caller). With one worker — or a single
+// task — the loop runs inline in increasing index order.
+//
+// A panic inside fn is recovered in the worker that hit it, captured with its stack, and returned as a
 // *PanicError after every in-flight task has finished. Remaining undispatched
 // indices are skipped once a panic is observed — the batch is failing anyway,
 // so the pool drains rather than burns through it — which means on error the
@@ -117,12 +92,6 @@ func (p *Pool) ForEachWorker(n int, fn func(w, i int)) {
 // which indices ran. If several in-flight tasks panic, the lowest-indexed one
 // is reported.
 func (p *Pool) TryForEach(n int, fn func(i int)) error {
-	return p.TryForEachWorker(n, func(_, i int) { fn(i) })
-}
-
-// TryForEachWorker is ForEachWorker with TryForEach's panic isolation and
-// error contract.
-func (p *Pool) TryForEachWorker(n int, fn func(w, i int)) error {
 	if n <= 0 {
 		return nil
 	}
@@ -132,7 +101,7 @@ func (p *Pool) TryForEachWorker(n int, fn func(w, i int)) error {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := p.run(0, i, fn); err != nil {
+			if err := p.run(i, fn); err != nil {
 				return err
 			}
 		}
@@ -145,7 +114,7 @@ func (p *Pool) TryForEachWorker(n int, fn func(w, i int)) error {
 	var failed atomic.Bool
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for {
 				if failed.Load() {
@@ -155,7 +124,7 @@ func (p *Pool) TryForEachWorker(n int, fn func(w, i int)) error {
 				if i >= n {
 					return
 				}
-				if err := p.run(w, i, fn); err != nil {
+				if err := p.run(i, fn); err != nil {
 					failed.Store(true)
 					mu.Lock()
 					if firstErr == nil || err.Index < firstErr.Index {
@@ -165,7 +134,7 @@ func (p *Pool) TryForEachWorker(n int, fn func(w, i int)) error {
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -178,7 +147,7 @@ func (p *Pool) TryForEachWorker(n int, fn func(w, i int)) error {
 // fn to a *PanicError. The busy gauge is decremented on the panic path too,
 // so a recovered batch leaves the instruments consistent; the task counter
 // only counts tasks that completed.
-func (p *Pool) run(w, i int, fn func(w, i int)) (perr *PanicError) {
+func (p *Pool) run(i int, fn func(i int)) (perr *PanicError) {
 	if p.busy != nil {
 		p.busy.Add(1)
 		defer p.busy.Add(-1)
@@ -188,7 +157,7 @@ func (p *Pool) run(w, i int, fn func(w, i int)) (perr *PanicError) {
 			perr = &PanicError{Value: r, Stack: debug.Stack(), Index: i}
 		}
 	}()
-	fn(w, i)
+	fn(i)
 	if p.tasks != nil {
 		p.tasks.Inc()
 	}

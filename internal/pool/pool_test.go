@@ -8,6 +8,14 @@ import (
 	"pier/internal/obsv"
 )
 
+// mustRun is TryForEach for tasks that never panic.
+func mustRun(t *testing.T, p *Pool, n int, fn func(i int)) {
+	t.Helper()
+	if err := p.TryForEach(n, fn); err != nil {
+		t.Fatalf("TryForEach = %v", err)
+	}
+}
+
 func TestResolve(t *testing.T) {
 	maxprocs := runtime.GOMAXPROCS(0)
 	cases := []struct{ in, want int }{
@@ -29,7 +37,7 @@ func TestForEachCoversAllIndicesOnce(t *testing.T) {
 		p := New(workers)
 		const n = 1000
 		hits := make([]atomic.Int32, n)
-		p.ForEach(n, func(i int) { hits[i].Add(1) })
+		mustRun(t, p, n, func(i int) { hits[i].Add(1) })
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: index %d executed %d times", workers, i, got)
@@ -44,7 +52,7 @@ func TestForEachSerialRunsInOrder(t *testing.T) {
 		t.Fatal("New(1).Serial() = false")
 	}
 	var order []int
-	p.ForEach(5, func(i int) { order = append(order, i) }) // inline: no race
+	mustRun(t, p, 5, func(i int) { order = append(order, i) }) // inline: no race
 	for i, got := range order {
 		if got != i {
 			t.Fatalf("serial order = %v", order)
@@ -55,11 +63,11 @@ func TestForEachSerialRunsInOrder(t *testing.T) {
 func TestForEachMoreWorkersThanTasks(t *testing.T) {
 	p := New(16)
 	var count atomic.Int32
-	p.ForEach(3, func(i int) { count.Add(1) })
+	mustRun(t, p, 3, func(i int) { count.Add(1) })
 	if count.Load() != 3 {
 		t.Errorf("executed %d tasks, want 3", count.Load())
 	}
-	p.ForEach(0, func(i int) { t.Error("fn called for n=0") })
+	mustRun(t, p, 0, func(i int) { t.Error("fn called for n=0") })
 }
 
 func TestInstrumentation(t *testing.T) {
@@ -68,7 +76,7 @@ func TestInstrumentation(t *testing.T) {
 	tasks := reg.Counter("tasks", "")
 	p := New(4).Instrument(busy, tasks)
 	const n = 200
-	p.ForEach(n, func(i int) {})
+	mustRun(t, p, n, func(i int) {})
 	if got := tasks.Value(); got != n {
 		t.Errorf("tasks counter = %d, want %d", got, n)
 	}
@@ -87,7 +95,7 @@ func TestParallelMergeMatchesSerial(t *testing.T) {
 		serial[i] = work(i)
 	}
 	par := make([]int, n)
-	New(8).ForEach(n, func(i int) { par[i] = work(i) })
+	mustRun(t, New(8), n, func(i int) { par[i] = work(i) })
 	for i := range serial {
 		if serial[i] != par[i] {
 			t.Fatalf("slot %d: serial %d != parallel %d", i, serial[i], par[i])

@@ -10,31 +10,32 @@ import "slices"
 // type is their shared backbone. A capacity <= 0 means unbounded.
 //
 // PushAll into an empty queue skips the heap: it sorts the elements once and
-// serves PopBest from the sorted run. When less is a total order over the
+// serves PopBest from the sorted run. When cmp is a total order over the
 // queued elements, every operation returns what the same elements pushed one
 // by one would have returned.
 type Bounded[T any] struct {
 	depq     DEPQ[T]
 	capacity int
-	// run is a bulk load not yet popped, sorted ascending under less, so
+	// run is a bulk load not yet popped, sorted ascending under cmp, so
 	// PopBest takes from its end. While it is non-empty depq is empty.
 	run []T
 }
 
 // NewBounded returns a bounded best-first queue with the given capacity and
-// order. less(a, b) must report whether a has strictly lower priority than b.
-func NewBounded[T any](capacity int, less func(a, b T) bool) *Bounded[T] {
+// order. cmp(a, b) must be negative when a has strictly lower priority than
+// b, zero when they tie and positive otherwise.
+func NewBounded[T any](capacity int, cmp func(a, b T) int) *Bounded[T] {
 	b := &Bounded[T]{}
-	b.Init(capacity, less)
+	b.Init(capacity, cmp)
 	return b
 }
 
 // Init initializes b in place as an empty queue with the given capacity and
 // order — the value-embedding alternative to NewBounded for callers holding
 // many queues (one heap object for the enclosing struct instead of three).
-func (b *Bounded[T]) Init(capacity int, less func(a, b T) bool) {
+func (b *Bounded[T]) Init(capacity int, cmp func(a, b T) int) {
 	*b = Bounded[T]{capacity: capacity}
-	b.depq.less = less
+	b.depq.cmp = cmp
 }
 
 // Len returns the number of queued elements.
@@ -70,15 +71,7 @@ func (b *Bounded[T]) PushAll(xs []T) {
 		return
 	}
 	run := append(b.run[:0], xs...)
-	slices.SortFunc(run, func(x, y T) int {
-		switch {
-		case b.depq.less(x, y):
-			return -1
-		case b.depq.less(y, x):
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(run, b.depq.cmp)
 	if b.capacity > 0 && len(run) > b.capacity {
 		run = run[:copy(run, run[len(run)-b.capacity:])]
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestBoundedKeepsTopK(t *testing.T) {
-	b := NewBounded(3, intLess)
+	b := NewBounded(3, intCmp)
 	for _, x := range []int{5, 1, 9, 3, 7, 2, 8} {
 		b.Push(x)
 	}
@@ -31,7 +31,7 @@ func TestBoundedKeepsTopK(t *testing.T) {
 }
 
 func TestBoundedDropReporting(t *testing.T) {
-	b := NewBounded(2, intLess)
+	b := NewBounded(2, intCmp)
 	if _, dropped := b.Push(10); dropped {
 		t.Error("first push reported a drop")
 	}
@@ -55,7 +55,7 @@ func TestBoundedDropReporting(t *testing.T) {
 }
 
 func TestBoundedUnbounded(t *testing.T) {
-	b := NewBounded(0, intLess)
+	b := NewBounded(0, intCmp)
 	for i := 0; i < 1000; i++ {
 		if _, dropped := b.Push(i); dropped {
 			t.Fatal("unbounded queue dropped an element")
@@ -76,7 +76,7 @@ func TestBoundedMatchesReference(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		capacity := 1 + rng.Intn(20)
 		n := rng.Intn(200)
-		b := NewBounded(capacity, intLess)
+		b := NewBounded(capacity, intCmp)
 		var all []int
 		for i := 0; i < n; i++ {
 			x := rng.Intn(1000)
@@ -142,7 +142,7 @@ func TestHeapRandomAgainstSort(t *testing.T) {
 
 func BenchmarkDEPQPushPop(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	q := NewDEPQ(intLess)
+	q := NewDEPQ(intCmp)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Push(rng.Int())
@@ -155,7 +155,7 @@ func BenchmarkDEPQPushPop(b *testing.B) {
 
 func BenchmarkBoundedPush(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	q := NewBounded(1024, intLess)
+	q := NewBounded(1024, intCmp)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Push(rng.Int())

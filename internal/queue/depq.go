@@ -9,20 +9,24 @@
 package queue
 
 // DEPQ is a double-ended priority queue implemented as an interval heap
-// (van Leeuwen & Wood). less defines the total order: less(a, b) means a
-// orders strictly before b. Min/PopMin operate on the least element under
-// this order, Max/PopMax on the greatest.
+// (van Leeuwen & Wood). cmp defines the total order, three-way: cmp(a, b)
+// is negative when a orders strictly before b, zero when they tie and
+// positive otherwise. Min/PopMin operate on the least element under this
+// order, Max/PopMax on the greatest.
 //
 // The zero value is not usable; construct with NewDEPQ.
 type DEPQ[T any] struct {
-	less func(a, b T) bool
-	a    []T
+	cmp func(a, b T) int
+	a   []T
 }
 
-// NewDEPQ returns an empty double-ended priority queue ordered by less.
-func NewDEPQ[T any](less func(a, b T) bool) *DEPQ[T] {
-	return &DEPQ[T]{less: less}
+// NewDEPQ returns an empty double-ended priority queue ordered by cmp.
+func NewDEPQ[T any](cmp func(a, b T) int) *DEPQ[T] {
+	return &DEPQ[T]{cmp: cmp}
 }
+
+// less reports whether a orders strictly before b.
+func (q *DEPQ[T]) less(a, b T) bool { return q.cmp(a, b) < 0 }
 
 // Len returns the number of elements in the queue.
 func (q *DEPQ[T]) Len() int { return len(q.a) }

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"cmp"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,8 +10,10 @@ import (
 
 func intLess(a, b int) bool { return a < b }
 
+var intCmp = cmp.Compare[int]
+
 func TestDEPQEmpty(t *testing.T) {
-	q := NewDEPQ(intLess)
+	q := NewDEPQ(intCmp)
 	if q.Len() != 0 {
 		t.Fatalf("Len() = %d, want 0", q.Len())
 	}
@@ -29,7 +32,7 @@ func TestDEPQEmpty(t *testing.T) {
 }
 
 func TestDEPQSingleElement(t *testing.T) {
-	q := NewDEPQ(intLess)
+	q := NewDEPQ(intCmp)
 	q.Push(42)
 	if v, ok := q.Min(); !ok || v != 42 {
 		t.Errorf("Min() = %v,%v want 42,true", v, ok)
@@ -47,7 +50,7 @@ func TestDEPQSingleElement(t *testing.T) {
 
 func TestDEPQTwoElements(t *testing.T) {
 	for _, pair := range [][2]int{{1, 2}, {2, 1}, {5, 5}} {
-		q := NewDEPQ(intLess)
+		q := NewDEPQ(intCmp)
 		q.Push(pair[0])
 		q.Push(pair[1])
 		lo, hi := pair[0], pair[1]
@@ -89,7 +92,7 @@ func popAllMin(q *DEPQ[int]) []int {
 
 func TestDEPQHeapsortAscending(t *testing.T) {
 	f := func(xs []int) bool {
-		q := NewDEPQ(intLess)
+		q := NewDEPQ(intCmp)
 		for _, x := range xs {
 			q.Push(x)
 		}
@@ -113,7 +116,7 @@ func TestDEPQHeapsortAscending(t *testing.T) {
 
 func TestDEPQHeapsortDescending(t *testing.T) {
 	f := func(xs []int) bool {
-		q := NewDEPQ(intLess)
+		q := NewDEPQ(intCmp)
 		for _, x := range xs {
 			q.Push(x)
 		}
@@ -140,7 +143,7 @@ func TestDEPQHeapsortDescending(t *testing.T) {
 func TestDEPQRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
-		q := NewDEPQ(intLess)
+		q := NewDEPQ(intCmp)
 		var ref []int
 		for op := 0; op < 500; op++ {
 			switch r := rng.Intn(10); {
@@ -194,7 +197,7 @@ func TestDEPQRandomOps(t *testing.T) {
 // after random pushes and pops.
 func TestDEPQIntervalInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	q := NewDEPQ(intLess)
+	q := NewDEPQ(intCmp)
 	check := func() {
 		n := len(q.a)
 		for i := 0; i+1 < n; i += 2 {
@@ -231,7 +234,7 @@ func TestDEPQIntervalInvariant(t *testing.T) {
 }
 
 func TestDEPQDuplicateValues(t *testing.T) {
-	q := NewDEPQ(intLess)
+	q := NewDEPQ(intCmp)
 	for i := 0; i < 100; i++ {
 		q.Push(5)
 	}

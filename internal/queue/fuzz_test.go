@@ -42,7 +42,7 @@ func FuzzIntervalHeap(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 5, 1, 2})
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 2, 2, 1, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		q := NewDEPQ(intLess)
+		q := NewDEPQ(intCmp)
 		ref := &refModel{}
 		for i := 0; i < len(ops); i++ {
 			switch ops[i] % 3 {
@@ -96,8 +96,8 @@ func FuzzBounded(f *testing.F) {
 	f.Add(uint8(15), []byte{2, 5, 4, 4, 2, 9, 0, 3, 1, 2, 3, 7, 7, 1, 1})
 	f.Fuzz(func(t *testing.T, capacity uint8, ops []byte) {
 		cap := int(capacity%16) + 1
-		bulk := NewBounded(cap, intLess) // takes PushAll
-		each := NewBounded(cap, intLess) // takes the same elements by Push
+		bulk := NewBounded(cap, intCmp) // takes PushAll
+		each := NewBounded(cap, intCmp) // takes the same elements by Push
 		ref := &refModel{}
 		push := func(v int) {
 			each.Push(v)
@@ -140,7 +140,7 @@ func FuzzBounded(f *testing.F) {
 					push(v)
 				}
 			case 3:
-				restored := NewBounded(cap, intLess)
+				restored := NewBounded(cap, intCmp)
 				restored.Restore(bulk.Snapshot())
 				bulk = restored
 			}

@@ -8,7 +8,7 @@ import (
 // fillDEPQ builds an interval heap with the values 0..n-1 pushed in a mixed
 // order.
 func fillDEPQ(n int) *DEPQ[int] {
-	q := NewDEPQ(intLess)
+	q := NewDEPQ(intCmp)
 	for i := 0; i < n; i++ {
 		q.Push((i * 7) % n)
 	}
@@ -51,7 +51,7 @@ func TestDEPQVerifyFiresOnCorruption(t *testing.T) {
 }
 
 func TestBoundedVerifyFiresOnOverCapacity(t *testing.T) {
-	b := NewBounded(4, intLess)
+	b := NewBounded(4, intCmp)
 	for i := 0; i < 4; i++ {
 		b.Push(i)
 	}

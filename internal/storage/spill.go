@@ -339,8 +339,7 @@ type spillShard[V any] struct {
 }
 
 // spillStore is the budgeted backend. One leaf mutex serializes every call:
-// residency, the byte budget, and the LRU clock are global state, and the
-// store sits below the blocking collection's locks in the lock order.
+// residency, the byte budget, and the LRU clock are global state.
 type spillStore[V any] struct {
 	codec  Codec[V]
 	budget int64

@@ -63,9 +63,8 @@ type Meta struct {
 func (m Meta) Size() int { return int(m.A) + int(m.B) }
 
 // Codec serializes single values for spill segments and prices entries for
-// the byte budget. Implementations must be safe for concurrent use (they are
-// called from AddBatch shard workers) and AppendValue must be deterministic
-// for a given value so spill segments are reproducible.
+// the byte budget. AppendValue must be deterministic for a given value so
+// spill segments are reproducible.
 type Codec[V any] interface {
 	// AppendValue appends the encoding of v to buf and returns the extended
 	// slice.
@@ -213,8 +212,8 @@ func (s *memStore[V]) Put(shard int, key uint32, v V) {
 		delta -= s.codec.Size(s.codec.MetaOf(old))
 	}
 	m[key] = v
-	// Atomic because AddBatch shard workers put concurrently (into disjoint
-	// shards) while a metrics scraper may read the total.
+	// Atomic because a metrics scraper may read the total while the owner
+	// puts.
 	s.bytes.Add(int64(delta))
 }
 

@@ -2,7 +2,9 @@ package stream
 
 import (
 	"context"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -114,32 +116,58 @@ func TestDriveFullStream(t *testing.T) {
 	}
 }
 
+// TestLiveParallelMatchingEquivalent is the match fork's determinism test:
+// with a matcher slow enough that batches cross the fork grain, runs at
+// Parallelism 1, 2 and 4 execute the same pairs and find the same matches,
+// ground-truth pairs and clusters, and the parallel runs really fork.
 func TestLiveParallelMatchingEquivalent(t *testing.T) {
-	d := dataset.DA(0.05, 21)
-	run := func(parallelism int) *LiveResult {
+	d := dataset.DA(0.02, 21)
+	type outcome struct {
+		res      *LiveResult
+		executed map[uint64]struct{}
+		forked   int64
+	}
+	run := func(parallelism int) outcome {
+		var forked atomic.Int64
+		executed := map[uint64]struct{}{}
 		l := LiveRun(core.NewIPES(core.DefaultConfig()), LiveConfig{
-			CleanClean:   true,
-			MaxBlockSize: DefaultMaxBlockSize,
-			Matcher:      match.NewMatcher(match.ED),
-			TickEvery:    time.Millisecond,
-			GroundTruth:  d.GroundTruth,
-			Parallelism:  parallelism,
+			CleanClean:     true,
+			MaxBlockSize:   DefaultMaxBlockSize,
+			ContextMatcher: spinMatcher(130*time.Microsecond, &forked),
+			TickEvery:      time.Millisecond,
+			GroundTruth:    d.GroundTruth,
+			Parallelism:    parallelism,
+			OnExecuted:     func(k uint64) { executed[k] = struct{}{} },
 		})
 		for _, inc := range d.Increments(5) {
 			l.Push(inc)
 		}
-		return l.Stop()
+		return outcome{l.Stop(), executed, forked.Load()}
 	}
 	seq := run(1)
-	par := run(-1) // all CPUs
-	if seq.Matches != par.Matches {
-		t.Errorf("parallel matcher found %d matches, sequential %d", par.Matches, seq.Matches)
+	if seq.forked != 0 || seq.res.Comparisons == 0 {
+		t.Fatalf("serial run forked %d of %d comparisons", seq.forked, seq.res.Comparisons)
 	}
-	if seq.Curve.FinalFound != par.Curve.FinalFound {
-		t.Errorf("parallel PC differs: %d vs %d", par.Curve.FinalFound, seq.Curve.FinalFound)
-	}
-	if len(seq.Clusters) != len(par.Clusters) {
-		t.Errorf("cluster counts differ: %d vs %d", len(par.Clusters), len(seq.Clusters))
+	for _, par := range []int{2, 4} {
+		got := run(par)
+		if got.forked == 0 {
+			t.Errorf("parallelism %d never forked a batch", par)
+		}
+		if len(got.executed) != len(seq.executed) {
+			t.Errorf("parallelism %d executed %d pairs, serial %d", par, len(got.executed), len(seq.executed))
+		}
+		for k := range seq.executed {
+			if _, ok := got.executed[k]; !ok {
+				t.Fatalf("parallelism %d never executed pair %v", par, k)
+			}
+		}
+		if got.res.Matches != seq.res.Matches || got.res.Curve.FinalFound != seq.res.Curve.FinalFound {
+			t.Errorf("parallelism %d: %d matches, %d found; serial %d, %d",
+				par, got.res.Matches, got.res.Curve.FinalFound, seq.res.Matches, seq.res.Curve.FinalFound)
+		}
+		if fmt.Sprint(got.res.Clusters) != fmt.Sprint(seq.res.Clusters) {
+			t.Errorf("parallelism %d: clusters differ from the serial run's", par)
+		}
 	}
 }
 

@@ -283,18 +283,19 @@ type Options struct {
 	// TickEvery is how often idle pipelines reconsider leftover
 	// comparisons; 0 means the default (50ms).
 	TickEvery time.Duration
-	// Parallelism is the worker count of the pipeline's parallel stages —
-	// per-profile candidate generation and within-batch similarity
-	// computation. 0 (the default) or negative uses one worker per CPU;
-	// 1 forces exact serial execution; n > 1 uses n workers. Results are
-	// identical for every setting (parallel work is merged back in
-	// deterministic order); only throughput changes.
+	// Parallelism is the worker count of within-batch similarity
+	// computation, the pipeline's only parallel stage. 0 (the default) or
+	// negative uses one worker per CPU; 1 forces exact serial execution;
+	// n > 1 uses n workers. A batch is forked over the workers only when
+	// its comparison count times the measured per-comparison matcher time
+	// is large enough to pay for the fork; lighter batches run inline.
+	// Results are identical for every setting; only throughput changes.
 	Parallelism int
 	// Shards is the blocking index's shard count, rounded up to a power of
-	// two and clamped to [1, 256]. It is an ingest concurrency knob, never a
-	// semantic one: the pipeline's results are identical for every value. 0
-	// (the default) picks the smallest power of two >= GOMAXPROCS, capped at
-	// 64; 1 forces an unsharded index.
+	// two and clamped to [1, 256]; 0 (the default) means one shard. Ingest
+	// is serial, so the count only partitions the index and buys no
+	// concurrency. It is never a semantic knob: the pipeline's results are
+	// identical for every value.
 	Shards int
 	// Blocking selects the blocking-key extractor (default TokenBlocking).
 	Blocking Blocking
@@ -474,9 +475,8 @@ func (o Options) maxBlockSize() int {
 }
 
 // strategy instantiates the selected algorithm. reg, if non-nil, is the
-// metrics registry the strategy's candidate-generation pool reports into —
-// the same registry the live pipeline uses, so one endpoint covers both
-// parallel stages.
+// metrics registry the strategy's candidate generation reports into — the
+// same registry the live pipeline uses, so one endpoint covers both.
 func (o Options) strategy(reg *obsv.Registry) (core.Strategy, error) {
 	cfg := o.coreConfig()
 	cfg.Metrics = reg

@@ -56,8 +56,8 @@ func NewPipeline(opt Options) (*Pipeline, error) {
 // registry), and the Pipeline shell. NewPipeline starts it fresh; Restore
 // starts it from a checkpoint.
 func build(opt Options) (*Pipeline, core.Strategy, stream.LiveConfig, error) {
-	// One registry serves both parallel stages: the strategy's candidate-
-	// generation pool and the live matcher pool report side by side.
+	// One registry serves the strategy's candidate generation and the live
+	// matcher, which report side by side.
 	reg := obsv.NewRegistry()
 	strategy, err := opt.strategy(reg)
 	if err != nil {
