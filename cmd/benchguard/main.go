@@ -19,9 +19,11 @@
 // The run fails (exit 1) when any guarded benchmark exceeds its baseline by
 // more than 10% (allocs/op), 25% (B/op) or 200% (ns/op, a 3× reading), and
 // when a guarded benchmark is missing from the input — a gate that silently
-// stops measuring is worse than no gate. A baseline file that does not parse,
-// names a section other than allocs, bytes, ns and notes, or guards nothing
-// exits 2.
+// stops measuring is worse than no gate. A reading as far below its row fails
+// too, asking for a re-record, since a loose row lets a regression in; the ns
+// floor is below zero, so only allocs/op and B/op can fail low. A baseline
+// file that does not parse, names a section other than allocs, bytes, ns and
+// notes, or guards nothing exits 2.
 package main
 
 import (
@@ -174,8 +176,8 @@ func resolveNames(got, base map[string]float64) map[string]float64 {
 // gate compares each guarded baseline entry against the resolved
 // observations in name order, writing verdicts to out/errOut. unit labels the
 // metric in messages ("allocs/op", "B/op" or "ns/op"). It returns true when
-// any guarded benchmark regressed past maxRegress or is missing from the
-// input.
+// any guarded benchmark reads more than maxRegress above or below its row, or
+// is missing from the input.
 func gate(base, resolved map[string]float64, maxRegress float64, unit string, out, errOut io.Writer) bool {
 	names := make([]string, 0, len(base))
 	for name := range base {
@@ -196,6 +198,10 @@ func gate(base, resolved map[string]float64, maxRegress float64, unit string, ou
 		case have > limit:
 			fmt.Fprintf(errOut, "benchguard: FAIL %s: %.0f %s exceeds baseline %.0f by more than %.0f%% (limit %.0f)\n",
 				name, have, unit, want, maxRegress*100, limit)
+			failed = true
+		case have < want*(1-maxRegress):
+			fmt.Fprintf(errOut, "benchguard: FAIL %s: %.0f %s is more than %.0f%% below baseline %.0f: re-record the row\n",
+				name, have, unit, maxRegress*100, want)
 			failed = true
 		case have < want:
 			fmt.Fprintf(out, "benchguard: ok   %s: %.0f %s (improved from baseline %.0f — consider re-recording)\n", name, have, unit, want)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -235,5 +236,32 @@ func TestGateVerdictsInNameOrder(t *testing.T) {
 	c := strings.Index(out.String(), "BenchmarkC")
 	if !(a >= 0 && a < b && b < c) {
 		t.Errorf("verdicts not in name order:\n%s", out.String())
+	}
+}
+
+func TestRunAllocsAndBytesAreTwoSided(t *testing.T) {
+	base := `{"allocs": {"BenchmarkQuery": 100}, "bytes": {"BenchmarkQuery": 1000}, "ns": {"BenchmarkQuery": 1000}}`
+	line := func(ns, bytes, allocs int) string {
+		return fmt.Sprintf("BenchmarkQuery-2   1000   %d ns/op   %d B/op   %d allocs/op\n", ns, bytes, allocs)
+	}
+	// At the floors (10% and 25% below) and far below on ns: passes.
+	if code, errOut := runGuard(t, base, line(10, 750, 90)); code != 0 {
+		t.Errorf("readings at the floors: exit %d, want 0 (stderr %q)", code, errOut)
+	}
+	for name, c := range map[string]struct {
+		input, unit string
+	}{
+		"allocs below": {line(1000, 1000, 89), "allocs/op"},
+		"bytes below":  {line(1000, 749, 100), "B/op"},
+		"allocs above": {line(1000, 1000, 111), "allocs/op"},
+		"bytes above":  {line(1000, 1251, 100), "B/op"},
+	} {
+		code, errOut := runGuard(t, base, c.input)
+		if code != 1 || !strings.Contains(errOut, c.unit) {
+			t.Errorf("%s: exit %d, want 1 on %s (stderr %q)", name, code, c.unit, errOut)
+		}
+		if strings.HasSuffix(name, "below") && !strings.Contains(errOut, "re-record") {
+			t.Errorf("%s: the failure does not ask for a re-record: %q", name, errOut)
+		}
 	}
 }

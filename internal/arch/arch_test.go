@@ -125,7 +125,6 @@ var testOnly = []struct{ name, why string }{
 	{"pier/internal/stream.Drive", "fixture: pushes increments into a Live run at a rate, for stream's tests"},
 	{"pier/internal/queue.NewDEPQ", "fixture: builds the bare interval heap that queue's tests and fuzz targets drive"},
 	{"pier/internal/match.Fallible.State", "observer: the breaker's three-state machine, which the reached BreakerOpen collapses to two"},
-	{"pier/internal/match.Symbols", "observer: the size of the matcher's process-wide symbol table, which queries must leave as it is"},
 }
 
 // reachRoots are where the reachability walk starts besides every main and

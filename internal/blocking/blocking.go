@@ -138,6 +138,10 @@ func normalizeShards(shards int) int {
 // CleanClean reports whether the collection runs a Clean-Clean ER task.
 func (c *Collection) CleanClean() bool { return c.cleanClean }
 
+// Table returns the collection's symbol table. Under token blocking its keys
+// are the profiles' tokens, so a pipeline's matcher numbers tokens in it too.
+func (c *Collection) Table() *intern.Table { return c.tab }
+
 // NumShards returns the number of index shards (a power of two).
 func (c *Collection) NumShards() int { return len(c.shards) }
 
@@ -188,37 +192,20 @@ func (c *Collection) addSym(sh *shard, p *profile.Profile, sym intern.Sym) bool 
 // indexed (the unit of the blocking cost model). Adding the same profile ID
 // twice is a programming error and panics.
 func (c *Collection) Add(p *profile.Profile) int {
-	if _, dup := c.profiles[p.ID]; dup {
-		panic(fmt.Sprintf("blocking: duplicate profile ID %d", p.ID))
-	}
-	c.profiles[p.ID] = p
-	c.version++
-	toks := c.keyer(p)
-	syms := make([]intern.Sym, 0, len(toks))
-	for _, tok := range toks {
-		sym := c.tab.Intern(tok)
-		if c.addSym(c.shardOf(sym), p, sym) {
-			syms = append(syms, sym)
-		}
-	}
-	c.ofProf[p.ID] = syms
-	if c.snapOn {
-		c.dirtyReg = append(c.dirtyReg, p.ID)
-	}
-	c.maintainStore()
-	return len(toks)
+	keys := c.keyer(p)
+	return c.addPrepared(p, c.tab.InternAll(keys, make([]intern.Sym, 0, len(keys))))
 }
 
-// addPrepared is Add over symbols already interned by PrepareBatch: the same
-// registration, per-token transition, and token count, minus the tokenize+
-// intern step.
+// addPrepared is Add over symbols already interned: the registration,
+// per-token transition and token count. The live symbols are kept in place,
+// in syms' own array, as the profile's blocks, so the caller gives syms up.
 func (c *Collection) addPrepared(p *profile.Profile, syms []intern.Sym) int {
 	if _, dup := c.profiles[p.ID]; dup {
 		panic(fmt.Sprintf("blocking: duplicate profile ID %d", p.ID))
 	}
 	c.profiles[p.ID] = p
 	c.version++
-	kept := make([]intern.Sym, 0, len(syms))
+	kept := syms[:0]
 	for _, sym := range syms {
 		if c.addSym(c.shardOf(sym), p, sym) {
 			kept = append(kept, sym)
@@ -258,10 +245,11 @@ func (c *Collection) AddBatch(delta []*profile.Profile, workers *pool.Pool) int 
 }
 
 // AddBatchPrepared is AddBatch over symbols already interned by PrepareBatch
-// (symsOf[i] are delta[i]'s keys, in key order); a nil symsOf makes it intern
-// in place, which is exactly AddBatch. The resulting collection state is
-// identical either way — preparation only moves the tokenize+intern work onto
-// another goroutine's clock. Like AddBatch's, the pool argument has no effect.
+// (symsOf[i] are delta[i]'s keys, in key order, and the collection keeps
+// their arrays); a nil symsOf makes it intern in place, which is exactly
+// AddBatch. The resulting collection state is identical either way —
+// preparation only moves the tokenize+intern work onto another goroutine's
+// clock. Like AddBatch's, the pool argument has no effect.
 func (c *Collection) AddBatchPrepared(delta []*profile.Profile, symsOf [][]intern.Sym, _ *pool.Pool) int {
 	if symsOf != nil && len(symsOf) != len(delta) {
 		panic(fmt.Sprintf("blocking: %d prepared symbol slices for %d profiles", len(symsOf), len(delta)))

@@ -11,14 +11,13 @@ import (
 )
 
 // This file is the RCU-style publication layer of the collection: the owner
-// goroutine batches an increment's mutations (which still synchronize on the
-// shard mutexes internally) and then publishes one immutable Snap covering
-// the whole collection — posting lists, registry, block count, version — with
-// a single atomic pointer swap. Query goroutines pin a Snap once and read it
-// without any locks for the rest of their execution; retired snapshots are
-// reclaimed by the Go GC once the last reader drops them, so no epochs,
-// hazard pointers, or reader registration are needed. See DESIGN.md §12 for
-// the protocol and its memory-ordering argument.
+// goroutine batches an increment's mutations and then publishes one immutable
+// Snap covering the whole collection — posting lists, registry, block count,
+// version — with a single atomic pointer swap. Query goroutines pin a Snap
+// once and read it without any locks for the rest of their execution;
+// retired snapshots are reclaimed by the Go GC once the last reader drops
+// them, so no epochs, hazard pointers, or reader registration are needed.
+// See DESIGN.md §12 for the protocol and its memory-ordering argument.
 //
 // Publication is incremental: writers record which symbols and profile IDs
 // they touched since the last publish, and PublishSnapshot clones only the

@@ -11,7 +11,7 @@ import (
 // This file is the collection's seam onto internal/storage: the posting index
 // (formerly one map[intern.Sym]*Block per shard) lives behind a generic
 // storage.PostingStore keyed by raw symbol value, sharded exactly like the
-// lock shards (shard of sym is sym & mask). The default backend is the same
+// index shards (shard of sym is sym & mask). The default backend is the same
 // in-memory map as before; a positive storage.Config.Budget swaps in the
 // disk-spill backend, which keeps cold blocks in a temp-file segment per
 // shard so an unbounded stream runs in bounded RSS. The always-resident

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"time"
 
+	"pier/internal/intern"
 	"pier/internal/profile"
 )
 
@@ -122,19 +123,28 @@ func truncRunes(s string, n int) string {
 }
 
 // Matcher classifies a pair of profiles as duplicate or not by thresholding
-// the similarity of the configured Kind.
+// the similarity of the configured Kind. Build one with NewMatcher.
 type Matcher struct {
 	Kind      Kind
 	Threshold float64
+	tab       *intern.Table // numbers the tokens of the token-set measure
 }
 
 // DefaultThreshold is a reasonable classification threshold for both
 // similarity functions on the generated datasets.
 const DefaultThreshold = 0.5
 
-// NewMatcher returns a matcher of the given kind with DefaultThreshold.
+// NewMatcher returns a matcher of the given kind with DefaultThreshold and a
+// symbol table of its own.
 func NewMatcher(kind Kind) Matcher {
-	return Matcher{Kind: kind, Threshold: DefaultThreshold}
+	return Matcher{Kind: kind, Threshold: DefaultThreshold, tab: intern.New(0)}
+}
+
+// WithTable returns m numbering tokens in tab, as a pipeline's matcher
+// numbers them in the pipeline's table. No similarity depends on the table.
+func (m Matcher) WithTable(tab *intern.Table) Matcher {
+	m.tab = tab
+	return m
 }
 
 // Similarity computes the configured similarity of the two profiles.
@@ -145,7 +155,7 @@ func (m Matcher) Similarity(a, b *profile.Profile) float64 {
 	case JW:
 		return JaroWinkler(truncRunes(a.JoinedValues(), EDMaxLen), truncRunes(b.JoinedValues(), EDMaxLen))
 	default:
-		return jaccardSyms(tokenSyms(a), tokenSyms(b))
+		return jaccardSyms(m.tokenSyms(a), m.tokenSyms(b))
 	}
 }
 
@@ -158,8 +168,18 @@ func (m Matcher) Prepare(p *profile.Profile) {
 	case ED, JW:
 		p.JoinedValues()
 	default:
-		tokenSyms(p)
+		m.tokenSyms(p)
 	}
+}
+
+// PrepareSyms is Prepare for a profile whose tokens the caller has already
+// interned in m's table, as syms in any order: they are not interned again.
+func (m Matcher) PrepareSyms(p *profile.Profile, syms []intern.Sym) {
+	if m.Kind == ED || m.Kind == JW {
+		m.Prepare(p)
+		return
+	}
+	p.TokenSyms(m.tab, func([]string) []uint32 { return symSet(syms) })
 }
 
 // Match reports whether the two profiles classify as duplicates.

@@ -182,7 +182,8 @@ func TestCostModelRegimes(t *testing.T) {
 func BenchmarkJaccard(b *testing.B) {
 	p1 := profile.New(1, profile.SourceA, "", "d", strings.Repeat("alpha beta gamma delta ", 5))
 	p2 := profile.New(2, profile.SourceB, "", "d", strings.Repeat("beta gamma epsilon zeta ", 5))
-	t1, t2 := tokenSyms(p1), tokenSyms(p2)
+	js := NewMatcher(JS)
+	t1, t2 := js.tokenSyms(p1), js.tokenSyms(p2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		jaccardSyms(t1, t2)

@@ -1,27 +1,11 @@
 package match
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
 	"pier/internal/profile"
 )
-
-// probeRuns numbers the calls of unseen, so that every run of a test in one
-// process (-count=2, -cpu 1,2) draws tokens simTab has not seen yet.
-var probeRuns int
-
-// unseen returns toks, each suffixed with this call's number: tokens no
-// earlier call, and so no earlier run of the same test, has interned.
-func unseen(toks ...string) []string {
-	probeRuns++
-	out := make([]string, len(toks))
-	for i, t := range toks {
-		out[i] = fmt.Sprintf("%sr%d", t, probeRuns)
-	}
-	return out
-}
 
 // fresh returns an unprepared copy of p, whose first Similarity encodes (and
 // interns) its tokens anew.
@@ -29,39 +13,61 @@ func fresh(p *profile.Profile) *profile.Profile {
 	return &profile.Profile{ID: p.ID, Source: p.Source, Attributes: append([]profile.Attribute(nil), p.Attributes...)}
 }
 
+// stringJaccard is the reference the symbol measure must equal bit for bit:
+// Jaccard over the two profiles' token strings, no symbol table involved.
+func stringJaccard(a, b *profile.Profile) float64 {
+	ta, tb := a.Tokens(), b.Tokens()
+	if len(ta) == 0 && len(tb) == 0 {
+		return 1
+	}
+	in := make(map[string]bool, len(ta))
+	for _, t := range ta {
+		in[t] = true
+	}
+	inter := 0
+	for _, t := range tb {
+		if in[t] {
+			inter++
+		}
+	}
+	return float64(inter) / float64(len(ta)+len(tb)-inter)
+}
+
 // TestProbeDoesNotIntern: weighing a probe whose tokens the matcher has never
-// seen leaves simTab's length unchanged, for every Kind. Matcher.Similarity
-// on the same pair, the form queries used before, interns them for good.
+// seen leaves the matcher's table length unchanged, for every Kind.
+// Matcher.Similarity on the same pair interns them.
 func TestProbeDoesNotIntern(t *testing.T) {
-	toks := unseen("probeknown", "probeshared", "probeother", "probeneverseena", "probeneverseenb")
-	y := tokenProfile(1, toks[:3])
-	probe := tokenProfile(-1, []string{toks[1], toks[3], toks[4]})
+	y := tokenProfile(1, []string{"probeknown", "probeshared", "probeother"})
+	probe := tokenProfile(-1, []string{"probeshared", "probeneverseena", "probeneverseenb"})
 	for _, kind := range []Kind{JS, ED, JW} {
 		m := NewMatcher(kind)
 		m.Prepare(y)
-		n0 := simTab.Len()
+		n0 := m.tab.Len()
 		m.Probe(probe).Similarity(y)
-		if n := simTab.Len(); n != n0 {
-			t.Errorf("%v: the probe form grew simTab from %d to %d symbols", kind, n0, n)
+		if n := m.tab.Len(); n != n0 {
+			t.Errorf("%v: the probe form grew the table from %d to %d symbols", kind, n0, n)
 		}
 	}
-	n0 := simTab.Len()
-	NewMatcher(JS).Similarity(fresh(probe), y)
-	if simTab.Len() != n0+2 {
-		t.Errorf("Matcher.Similarity interned %d of the probe's 2 unseen tokens", simTab.Len()-n0)
+	m := NewMatcher(JS)
+	m.Prepare(y)
+	n0 := m.tab.Len()
+	m.Similarity(fresh(probe), y)
+	if m.tab.Len() != n0+2 {
+		t.Errorf("Matcher.Similarity interned %d of the probe's 2 unseen tokens", m.tab.Len()-n0)
 	}
 }
 
 // TestProbeSimilarityBitIdentical: the probe form's similarity equals
 // Matcher.Similarity's float bits on known, unknown, mixed and empty token
-// sets, for every Kind. Each case draws tokens of its own, so the candidate's
-// Prepare, just before the form is built, is what interns the tokens it
-// shares with the probe (as for a candidate restored from a checkpoint), and
-// the probe's other tokens are still unknown when the form looks them up.
+// sets, for every Kind. Each case has a matcher of its own, so the
+// candidate's Prepare, just before the form is built, is what interns the
+// tokens it shares with the probe (as for a candidate restored from a
+// checkpoint), and the probe's other tokens are still unknown when the form
+// looks them up.
 func TestProbeSimilarityBitIdentical(t *testing.T) {
 	cases := []struct {
 		name     string
-		probe, y []int // indices into the case's unseen tokens
+		probe, y []int // indices into toks
 	}{
 		{"known", []int{0, 1, 2}, []int{0, 1, 2, 3, 4}},
 		{"unknown", []int{0, 1}, []int{2, 3}},
@@ -71,7 +77,8 @@ func TestProbeSimilarityBitIdentical(t *testing.T) {
 		{"empty candidate", []int{0, 1}, nil},
 		{"both empty", nil, nil},
 	}
-	pick := func(toks []string, idx []int) []string {
+	toks := []string{"bita", "bitb", "bitc", "bitd", "bite"}
+	pick := func(idx []int) []string {
 		out := make([]string, len(idx))
 		for i, j := range idx {
 			out[i] = toks[j]
@@ -79,12 +86,11 @@ func TestProbeSimilarityBitIdentical(t *testing.T) {
 		return out
 	}
 	for _, kind := range []Kind{JS, ED, JW} {
-		m := NewMatcher(kind)
 		for _, c := range cases {
-			toks := unseen("bita", "bitb", "bitc", "bitd", "bite")
-			probe := tokenProfile(-1, pick(toks, c.probe))
-			y := tokenProfile(1, pick(toks, c.y))
-			NewMatcher(JS).Prepare(y)
+			m := NewMatcher(kind)
+			probe := tokenProfile(-1, pick(c.probe))
+			y := tokenProfile(1, pick(c.y))
+			m.Prepare(y)
 			got := m.Probe(probe).Similarity(y)
 			want := m.Similarity(fresh(probe), fresh(y))
 			if math.Float64bits(got) != math.Float64bits(want) {

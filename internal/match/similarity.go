@@ -8,34 +8,26 @@ import (
 )
 
 // Jaro-Winkler, a string measure for names beyond the paper's JS/ED pair,
-// and Jaccard over interned token symbols: each profile's token set is
-// interned once into a sorted []uint32 (cached on the profile), and every
-// subsequent comparison is an integer intersection instead of a string one.
+// and Jaccard over token symbols: each profile's token set is encoded once in
+// the matcher's table as a sorted []uint32 cached on the profile, so every
+// comparison is an integer intersection, the same under any table.
 
-// simTab interns matcher tokens to dense symbols. It is match's own table —
-// distinct from the blocking index's — because the matcher also runs on
-// probe profiles and in batch tools where no collection exists. Append-only
-// and concurrency-safe, so parallel match workers share it freely.
-var simTab = intern.New(1 << 12)
+// tokenSyms returns p's token symbols in m's table, interned on first use.
+func (m Matcher) tokenSyms(p *profile.Profile) []uint32 {
+	return p.TokenSyms(m.tab, func(toks []string) []uint32 {
+		return symSet(m.tab.InternAll(toks, make([]intern.Sym, 0, len(toks))))
+	})
+}
 
-// Symbols returns the number of token symbols the matcher has interned.
-func Symbols() int { return simTab.Len() }
-
-// encodeTokens is the profile.TokenSyms encoder: intern every token, sort.
-// Tokens() is deduplicated, and interning is injective, so the result is a
-// sorted duplicate-free symbol set.
-func encodeTokens(toks []string) []uint32 {
-	out := make([]uint32, len(toks))
-	for i, t := range toks {
-		out[i] = uint32(simTab.Intern(t))
+// symSet copies syms, a profile's distinct token symbols, into the sorted
+// []uint32 form Jaccard intersects.
+func symSet(syms []intern.Sym) []uint32 {
+	out := make([]uint32, len(syms))
+	for i, s := range syms {
+		out[i] = uint32(s)
 	}
 	slices.Sort(out)
 	return out
-}
-
-// tokenSyms returns the profile's cached sorted symbol set.
-func tokenSyms(p *profile.Profile) []uint32 {
-	return p.TokenSyms(encodeTokens)
 }
 
 // jaccardSyms returns |a ∩ b| / |a ∪ b| for two sorted, deduplicated symbol
@@ -54,10 +46,10 @@ func jaccard(inter, na, nb int) float64 {
 }
 
 // Probe is the lookup-only matcher form of a query probe, built once per
-// query by Matcher.Probe: for the token-set measure, the probe's tokens that
-// simTab knows, as sorted symbols. They are looked up, never interned, so a
-// stream of junk probes leaves simTab as it was. The string measures use the
-// probe as it is.
+// query: for the token-set measure, the probe's tokens that the matcher's
+// table knows, as sorted symbols. They are looked up, never interned, so a
+// stream of junk probes leaves the table as it was. The string measures use
+// the probe as it is.
 type Probe struct {
 	m     Matcher
 	p     *profile.Profile
@@ -66,31 +58,37 @@ type Probe struct {
 
 // Probe builds p's lookup-only form for m. Its Similarity(y) equals
 // m.Similarity(p, y) bit for bit for every y that m.Prepare'd before the
-// call: y's tokens are interned by then, so a probe token the lookups miss is
-// in no such y and counts toward the probe's size alone.
+// call: y's tokens are in m's table by then, so a probe token the lookups
+// miss is in no such y and counts toward the probe's size alone.
 func (m Matcher) Probe(p *profile.Profile) Probe {
-	q := Probe{m: m, p: p}
-	if m.Kind == ED || m.Kind == JW {
-		return q
-	}
-	toks := p.Tokens()
-	q.known = make([]uint32, 0, len(toks))
-	for _, t := range toks {
-		if sym, ok := simTab.Sym(t); ok {
-			q.known = append(q.known, uint32(sym))
+	var known []intern.Sym
+	for _, t := range p.Tokens() {
+		if sym, ok := m.tab.Sym(t); ok {
+			known = append(known, sym)
 		}
 	}
-	slices.Sort(q.known)
+	return m.ProbeSyms(p, known)
+}
+
+// ProbeSyms is Probe with the lookups already made: known are the symbols
+// m's table held for p's tokens, in any order. Under token blocking a query
+// passes the symbols its collection lookup resolved, so it looks each probe
+// token up once.
+func (m Matcher) ProbeSyms(p *profile.Profile, known []intern.Sym) Probe {
+	q := Probe{m: m, p: p}
+	if m.Kind != ED && m.Kind != JW {
+		q.known = symSet(known)
+	}
 	return q
 }
 
-// Similarity returns the matcher's similarity of the probe and y, which must
-// have been prepared before the form was built.
+// Similarity returns the matcher's similarity of the probe and y, whose
+// tokens must have been in the matcher's table when the form was built.
 func (q Probe) Similarity(y *profile.Profile) float64 {
 	if q.m.Kind == ED || q.m.Kind == JW {
 		return q.m.Similarity(q.p, y)
 	}
-	ys := tokenSyms(y)
+	ys := q.m.tokenSyms(y)
 	return jaccard(intern.IntersectCount(q.known, ys), len(q.p.Tokens()), len(ys))
 }
 

@@ -61,7 +61,11 @@ type Profile struct {
 	tokens  []string
 
 	symOnce sync.Once
+	symTab  any
 	syms    []uint32
+	altMu   sync.Mutex
+	altTab  any
+	alt     []uint32
 
 	joinOnce sync.Once
 	joined   string
@@ -102,15 +106,23 @@ func (p *Profile) Tokens() []string {
 	return p.tokens
 }
 
-// TokenSyms returns the profile's token set encoded through enc — typically
-// sorted dense symbols from an interning table — computed once on first use
-// and cached. The profile package stays stdlib-only, so the encoder is
-// injected: the matcher owns the table and always passes the same encoder,
-// which is the contract this cache relies on (only the first encoder ever
-// runs). Callers must not mutate the result.
-func (p *Profile) TokenSyms(enc func([]string) []uint32) []uint32 {
-	p.symOnce.Do(func() { p.syms = enc(p.Tokens()) })
-	return p.syms
+// TokenSyms returns the profile's token set encoded by enc in the symbol
+// table tab, an opaque tag compared with == (profile stays stdlib-only); enc
+// must depend on the tokens and tab alone. The cache is tagged: the first
+// table's encoding is kept for good and read without a lock, and any other
+// table gets its own, the latest of which is cached beside the first. Callers
+// must not mutate the result.
+func (p *Profile) TokenSyms(tab any, enc func([]string) []uint32) []uint32 {
+	p.symOnce.Do(func() { p.symTab, p.syms = tab, enc(p.Tokens()) })
+	if p.symTab == tab {
+		return p.syms
+	}
+	p.altMu.Lock()
+	defer p.altMu.Unlock()
+	if p.altTab != tab {
+		p.altTab, p.alt = tab, enc(p.Tokens())
+	}
+	return p.alt
 }
 
 // JoinedValues returns all attribute values concatenated with single spaces,

@@ -17,7 +17,7 @@
 // Concurrency contract: PostingStore implementations do not add locking of
 // their own beyond what spilling itself needs. The in-memory backend is a
 // plain sharded map and inherits the caller's discipline (the blocking
-// collection's single-writer contract plus its shard mutexes); the spill
+// collection's single-writer contract); the spill
 // backend serializes every call on one internal leaf mutex because residency
 // and the byte budget are global state. Callers must never re-enter the store
 // from a Range/RangeMeta callback. Eviction happens only inside Maintain —
@@ -85,7 +85,7 @@ type Codec[V any] interface {
 
 // PostingStore is a sharded key→value store with an optional resident-byte
 // budget. Shard indices are assigned by the caller (the blocking collection
-// uses sym & mask, matching its lock shards); keys are the raw symbol values.
+// uses sym & mask, matching its index shards); keys are the raw symbol values.
 //
 // Mutation protocol: values may be mutated in place by the owner, but every
 // mutation must be followed by Put (or Delete) before the next Maintain, so
@@ -181,8 +181,7 @@ func NewPostingStore[V any](shards int, codec Codec[V], cfg Config) PostingStore
 }
 
 // memStore is the default backend: one plain map per shard, no internal
-// locking (the caller's shard mutexes and single-writer contract apply), no
-// spilling. It is behaviorally the pre-seam representation of the blocking
+// locking (the caller's single-writer contract applies), no spilling. It is behaviorally the pre-seam representation of the blocking
 // index.
 type memStore[V any] struct {
 	codec  Codec[V]

@@ -444,11 +444,23 @@ func LiveRun(strategy core.Strategy, cfg LiveConfig) *Live {
 	// Publish the empty index before the first increment; this also switches
 	// the collection into snapshot-tracking mode (see blocking.PublishSnapshot).
 	st.col.PublishSnapshot()
-	strategy.ShareExecuted(st.executed)
+	l.start(st)
+	return l
+}
+
+// start runs the pipeline on st. Its matcher numbers tokens in the
+// collection's table under token blocking, whose keys are the tokens, so each
+// is interned once; under any other keyer in a fresh table no checkpoint saves.
+func (l *Live) start(st *liveState) {
+	tab := st.col.Table()
+	if l.cfg.Keyer != nil {
+		tab = intern.New(0)
+	}
+	l.cfg.Matcher = l.cfg.Matcher.WithTable(tab)
+	l.strategy.ShareExecuted(st.executed)
 	l.st = st
 	go l.prep(st.col)
 	go l.loop(st)
-	return l
 }
 
 // preppedInc is one increment after the prep stage: the profiles plus their
@@ -461,20 +473,24 @@ type preppedInc struct {
 // prep is the ingest pipeline's first stage: it tokenizes and interns each
 // pushed increment against the collection's symbol table (concurrency-safe,
 // append-only — the only collection state this goroutine touches), computes
-// each profile's matcher form, and hands the increment to the pipeline
-// goroutine over the bounded prepped channel. Increments flow through
-// strictly in push order, so ingestion order — and therefore every result —
-// is identical to the unpipelined pipeline's. When Push's channel closes
-// (Stop or Interrupt), prep flushes what remains and closes prepped; once
-// the loop has exited, nothing receives from prepped, so prep returns
-// instead of waiting there.
+// each profile's matcher form (under token blocking, from the symbols just
+// interned), and hands the increment to the pipeline goroutine over the
+// bounded prepped channel. Increments flow through strictly in push order, so
+// ingestion order — and therefore every result — is identical to the
+// unpipelined pipeline's. When Push's channel closes (Stop or Interrupt),
+// prep flushes what remains and closes prepped; once the loop has exited,
+// nothing receives from prepped, so prep returns instead of waiting there.
 func (l *Live) prep(col *blocking.Collection) {
 	defer close(l.prepped)
 	for inc := range l.incoming {
 		syms := col.PrepareBatch(inc)
 		if l.cfg.ContextMatcher == nil {
-			for _, p := range inc {
-				l.cfg.Matcher.Prepare(p)
+			for i, p := range inc {
+				if l.cfg.Keyer == nil {
+					l.cfg.Matcher.PrepareSyms(p, syms[i])
+				} else {
+					l.cfg.Matcher.Prepare(p)
+				}
 			}
 		}
 		select {
@@ -1478,7 +1494,6 @@ func RestoreLive(r io.Reader, strategy core.Strategy, cfg LiveConfig) (*Live, er
 		},
 		start: time.Now().Add(-time.Duration(acc.ElapsedNS)),
 	}
-	strategy.ShareExecuted(st.executed)
 	for _, ri := range acc.Retry {
 		st.retryQ = append(st.retryQ, retryJob{key: ri.Key, x: ri.X, y: ri.Y, attempts: ri.Attempts})
 	}
@@ -1490,9 +1505,7 @@ func RestoreLive(r io.Reader, strategy core.Strategy, cfg LiveConfig) (*Live, er
 	l.observeStorage(st)
 	l.m.restoreBytes.Set(cr.n)
 	l.m.restoreSec.Observe(time.Since(t0).Seconds())
-	l.st = st
-	go l.prep(st.col)
-	go l.loop(st)
+	l.start(st)
 	return l, nil
 }
 

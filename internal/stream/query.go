@@ -248,7 +248,6 @@ func (l *Live) Query(ctx context.Context, probe *profile.Profile, opt QueryOptio
 	}
 	clear(postings) // the pool must not pin posting views past this query
 	sc.postings, sc.top = postings[:0], top
-	probeScratches.Put(sc)
 
 	// Resolve profiles and match on the calling goroutine. Profiles come
 	// from the same pinned view as the postings, so a candidate listed in a
@@ -262,14 +261,20 @@ func (l *Live) Query(ctx context.Context, probe *profile.Profile, opt QueryOptio
 		}
 	}
 	// The plain matcher weighs every candidate against one lookup-only form
-	// of the probe, built once the candidates are prepared (Matcher.Probe).
+	// of the probe, built once the candidates are prepared: under token
+	// blocking, from the symbols looked up above (Matcher.ProbeSyms).
 	var form match.Probe
 	if l.cfg.ContextMatcher == nil && len(out) > 0 {
 		for i := range out {
 			l.cfg.Matcher.Prepare(out[i].Profile)
 		}
-		form = l.cfg.Matcher.Probe(probe)
+		if l.cfg.Keyer == nil {
+			form = l.cfg.Matcher.ProbeSyms(probe, sc.syms)
+		} else {
+			form = l.cfg.Matcher.Probe(probe)
+		}
 	}
+	probeScratches.Put(sc)
 	for i := range out {
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"pier/internal/blocking"
 	"pier/internal/core"
 	"pier/internal/dataset"
 	"pier/internal/match"
@@ -18,10 +20,13 @@ import (
 	"pier/internal/profile"
 )
 
-// TestQueryLeavesMatcherSymbolsUnchanged: queries whose probes carry tokens
-// the pipeline never saw, beside tokens that reach candidates, leave the
-// matcher's symbol table as long as it was. Before the probe form, every
-// such query interned its unseen tokens for the life of the process.
+// TestQueryLeavesMatcherSymbolsUnchanged: under token blocking the matcher
+// numbers tokens in the collection's table. An ingested profile's matcher
+// form is its PrepareBatch symbols, sorted, cached at ingest (the encoder
+// below never runs), so ingest interns each token once. Preparing an
+// unprepared copy of a candidate, as a query does for a restored one, and
+// repeated queries whose probes carry tokens the pipeline never saw, beside
+// tokens that reach candidates, leave the table as long as it was.
 func TestQueryLeavesMatcherSymbolsUnchanged(t *testing.T) {
 	d := dataset.DA(0.05, 29)
 	incs := d.Increments(2)
@@ -35,71 +40,176 @@ func TestQueryLeavesMatcherSymbolsUnchanged(t *testing.T) {
 	}
 	l.Stop()
 
-	n0 := match.Symbols()
-	matched := 0
-	for i, p := range incs[0][:20] {
-		probe := probeOf(p)
-		probe.Attributes = append(probe.Attributes, profile.Attribute{
-			Name: "junk", Value: fmt.Sprintf("unseenqa%d unseenqb%d", i, i),
-		})
-		ans, err := l.Query(context.Background(), probe, QueryOptions{})
-		if err != nil {
-			t.Fatal(err)
+	col := l.st.col
+	tab := col.Table()
+	n0 := tab.Len()
+	for _, id := range col.ProfileIDs() {
+		p := col.Profile(id)
+		var want []uint32
+		for _, sym := range col.PrepareBatch([]*profile.Profile{p})[0] {
+			want = append(want, uint32(sym))
 		}
-		matched += len(ans.Candidates)
+		slices.Sort(want)
+		got := p.TokenSyms(tab, func([]string) []uint32 {
+			t.Fatalf("profile %d has no matcher form in the collection's table", id)
+			return nil
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("profile %d: matcher form %v, sorted PrepareBatch symbols %v", id, got, want)
+		}
+		l.cfg.Matcher.Prepare(probeOf(p))
+	}
+	matched := 0
+	for round := 0; round < 2; round++ {
+		for i, p := range incs[0][:20] {
+			probe := probeOf(p)
+			probe.Attributes = append(probe.Attributes, profile.Attribute{
+				Name: "junk", Value: fmt.Sprintf("unseenqa%d unseenqb%d", i, i),
+			})
+			ans, err := l.Query(context.Background(), probe, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			matched += len(ans.Candidates)
+		}
 	}
 	if matched == 0 {
 		t.Fatal("no query reached the matcher")
 	}
-	if n := match.Symbols(); n != n0 {
-		t.Errorf("queries grew the matcher's symbol table from %d to %d symbols", n0, n)
+	if n := tab.Len(); n != n0 {
+		t.Errorf("preparing candidates and querying grew the pipeline's symbol table from %d to %d symbols", n0, n)
 	}
 }
 
 // TestQueryPreparesCandidatesBeforeProbeForm: a restored pipeline's profiles
-// are not prepared, and here their tokens are not in the matcher's symbol
-// table either (the checkpointed pipeline ran ED, which interns none). The
-// query prepares its candidates before it builds the probe's lookup-only
-// form, so the tokens a candidate shares with the probe are known to the
-// form, and every similarity equals Matcher.Similarity's float bits.
+// are not prepared. Under a q-gram keyer the matcher's table is the
+// pipeline's own and no checkpoint saves it, so the restored candidates'
+// tokens are in no table until the query prepares them; under token blocking
+// they are in the restored collection's table already. Either way the query
+// prepares its candidates before it builds the probe's lookup-only form, and
+// the restored answer (IDs, weights, similarity bits) equals the checkpointed
+// pipeline's and Matcher.Similarity's.
 func TestQueryPreparesCandidatesBeforeProbeForm(t *testing.T) {
-	run := time.Now().UnixNano() // tokens no earlier run in this process has seen
 	var inc []*profile.Profile
 	for i := 0; i < 12; i++ {
 		inc = append(inc, profile.New(i, profile.SourceA, "", "title",
-			fmt.Sprintf("restq%dg%d restq%dh%d restq%dx%d", run, i%3, run, i%2, run, i)))
+			fmt.Sprintf("restqg%d restqh%d restqx%d", i%3, i%2, i)))
 	}
-	l := LiveRun(core.NewIPCS(core.DefaultConfig()), LiveConfig{
-		Matcher:   match.NewMatcher(match.ED),
-		TickEvery: time.Millisecond,
-	})
-	l.Push(inc)
-	l.Stop()
-	var buf bytes.Buffer
-	if _, err := l.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
+	for _, keyer := range []blocking.Keyer{nil, profile.QGramKeys} {
+		cfg := LiveConfig{
+			Keyer:     keyer,
+			Matcher:   match.NewMatcher(match.JS),
+			TickEvery: time.Millisecond,
+		}
+		l := LiveRun(core.NewIPCS(core.DefaultConfig()), cfg)
+		l.Push(inc)
+		l.Stop()
+		before, err := l.Query(context.Background(), probeOf(inc[0]), QueryOptions{TopK: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := l.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		l2, err := RestoreLive(&buf, core.NewIPCS(core.DefaultConfig()), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, err := l2.Query(context.Background(), probeOf(inc[0]), QueryOptions{TopK: -1})
+		l2.Stop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := "token blocking"
+		if keyer != nil {
+			name = "q-grams"
+		}
+		if len(ans.Candidates) == 0 || len(ans.Candidates) != len(before.Candidates) {
+			t.Fatalf("%s: the restored query found %d candidates, the checkpointed one %d", name, len(ans.Candidates), len(before.Candidates))
+		}
+		js := match.NewMatcher(match.JS)
+		for i, c := range ans.Candidates {
+			b := before.Candidates[i]
+			if c.ID != b.ID || math.Float64bits(c.Weight) != math.Float64bits(b.Weight) ||
+				math.Float64bits(c.Similarity) != math.Float64bits(b.Similarity) {
+				t.Errorf("%s: rank %d restored %+v, checkpointed %+v", name, i, c, b)
+			}
+			want := js.Similarity(probeOf(inc[0]), c.Profile)
+			if math.Float64bits(c.Similarity) != math.Float64bits(want) {
+				t.Errorf("%s: candidate %d: similarity %v, Matcher.Similarity %v", name, c.ID, c.Similarity, want)
+			}
+		}
 	}
-	js := match.NewMatcher(match.JS)
-	l2, err := RestoreLive(&buf, core.NewIPCS(core.DefaultConfig()), LiveConfig{
-		Matcher:   js,
-		TickEvery: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// stringJaccard is Jaccard over two profiles' token strings, with no symbol
+// table involved: the reference every symbol similarity must equal bit for bit.
+func stringJaccard(a, b *profile.Profile) float64 {
+	ta, tb := a.Tokens(), b.Tokens()
+	if len(ta) == 0 && len(tb) == 0 {
+		return 1
 	}
-	defer l2.Stop()
-	probe := probeOf(inc[0])
-	ans, err := l2.Query(context.Background(), probe, QueryOptions{TopK: -1})
-	if err != nil {
-		t.Fatal(err)
+	inter := 0
+	for _, tok := range ta {
+		if _, ok := slices.BinarySearch(tb, tok); ok {
+			inter++
+		}
 	}
-	if len(ans.Candidates) == 0 {
-		t.Fatal("the query found no candidate")
-	}
-	for _, c := range ans.Candidates {
-		want := js.Similarity(probeOf(inc[0]), c.Profile)
-		if math.Float64bits(c.Similarity) != math.Float64bits(want) {
-			t.Errorf("candidate %d: similarity %v, Matcher.Similarity %v", c.ID, c.Similarity, want)
+	return float64(inter) / float64(len(ta)+len(tb)-inter)
+}
+
+// TestRescoreWithFreshMatcher is the benchmark harness's rescore pattern: the
+// profiles a pipeline scored are scored again outside it by a fresh
+// match.NewMatcher, whose table numbers the tokens differently. In both
+// orders (the pipeline first, or the fresh matcher first, so that the
+// pipeline finds each profile's cache filled by another table) every reported
+// match, every query answer and every rescore is bit-identical to a
+// string-set Jaccard.
+func TestRescoreWithFreshMatcher(t *testing.T) {
+	for _, rescoreFirst := range []bool{false, true} {
+		d := dataset.DA(0.05, 37) // fresh profiles, no cache filled yet
+		fresh := match.NewMatcher(match.JS)
+		check := func(what string, got float64, x, y *profile.Profile) {
+			t.Helper()
+			if want := stringJaccard(x, y); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("rescoreFirst=%v %s(%d, %d) = %v, string Jaccard %v", rescoreFirst, what, x.ID, y.ID, got, want)
+			}
+		}
+		if rescoreFirst {
+			for i := 1; i < len(d.Profiles); i++ {
+				x, y := d.Profiles[i-1], d.Profiles[i]
+				check("fresh Similarity", fresh.Similarity(x, y), x, y)
+			}
+		}
+		var ms []LiveMatch
+		l := LiveRun(core.NewIPES(core.DefaultConfig()), LiveConfig{
+			CleanClean: true,
+			Matcher:    match.NewMatcher(match.JS),
+			TickEvery:  time.Millisecond,
+			OnMatch:    func(m LiveMatch) { ms = append(ms, m) },
+		})
+		for _, inc := range d.Increments(2) {
+			l.Push(inc)
+		}
+		l.Stop()
+		if len(ms) == 0 {
+			t.Fatalf("rescoreFirst=%v: the pipeline reported no match", rescoreFirst)
+		}
+		for _, m := range ms {
+			check("pipeline", m.Similarity, m.X, m.Y)
+			check("fresh Similarity", fresh.Similarity(m.X, m.Y), m.X, m.Y)
+			check("second fresh Similarity", match.NewMatcher(match.JS).Similarity(m.X, m.Y), m.X, m.Y)
+		}
+		for _, p := range d.Profiles[:20] {
+			probe := probeOf(p)
+			ans, err := l.Query(context.Background(), probe, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range ans.Candidates {
+				check("query", c.Similarity, probe, c.Profile)
+			}
 		}
 	}
 }
